@@ -18,7 +18,6 @@ from .checkpoint import AgentCheckpoint, load_checkpoint, save_checkpoint
 from .config import ConfigError, SweepSpec, load_config, load_sweep_spec, serialize_train_config
 from .deepq import (
     AdamState,
-    Experience,
     NumericError,
     QNetwork,
     ReplayMemory,

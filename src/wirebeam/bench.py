@@ -107,14 +107,17 @@ def cmd_train(args) -> int:
     started = _utcnow()
     outputs = {"__started__": started}
 
+    run_cfg = cfg
     if cfg.variant == "rarl" and cfg.proxy_checkpoint is None:
         proxy = pretrain_proxy(cfg)
         proxy_path = out / "proxy.ckpt"
         save_checkpoint(proxy_path, proxy)
         outputs["proxy.ckpt"] = proxy_path
-        cfg = replace(cfg, proxy_checkpoint=proxy)
+        # train on the in-memory proxy; the config snapshot names the saved file
+        run_cfg = replace(cfg, proxy_checkpoint=proxy)
+        cfg = replace(cfg, proxy_checkpoint=str(proxy_path))
 
-    result = train(cfg)
+    result = train(run_cfg)
 
     ckpt_path = out / "protagonist.ckpt"
     save_checkpoint(ckpt_path, result.protagonist)

@@ -12,9 +12,11 @@ Byte layout (format version 1, all integers little-endian):
 
 The header records the trunk/head shapes, the manifest (agent kind,
 action count, training variant, seed, config hash), the Adam scalars, and
-the serialized numpy RNG state. Array order is: trunk.{i}.w, trunk.{i}.b
-for each trunk layer, value.w, value.b, adv.w, adv.b, then (when Adam
-state is saved) adam.m.* and adam.v.* repeating the same order.
+the serialized numpy RNG state. Array order is deepq.param_layout's:
+trunk.{i}.w, trunk.{i}.b for each trunk layer, value.w, value.b, adv.w,
+adv.b, then (when Adam state is saved) adam.m.* and adam.v.* repeating the
+same order. The payload is therefore the network's flat parameter vector,
+then Adam's first-moment vector, then its second-moment vector.
 """
 
 from __future__ import annotations
@@ -31,12 +33,11 @@ MAGIC = b"WBQC"
 FORMAT_VERSION = 1
 
 
-def _param_names(n_trunk: int) -> list:
-    names = []
-    for i in range(n_trunk):
-        names.extend([f"trunk.{i}.w", f"trunk.{i}.b"])
-    names.extend(["value.w", "value.b", "adv.w", "adv.b"])
-    return names
+def _array_specs(layout: list, with_adam: bool) -> list:
+    prefixes = ("", "adam.m.", "adam.v.") if with_adam else ("",)
+    return [
+        {"name": prefix + name, "shape": list(shape)} for prefix in prefixes for name, shape, _ in layout
+    ]
 
 
 @dataclass
@@ -50,28 +51,22 @@ class AgentCheckpoint:
 
 
 def save_checkpoint(path, ckpt: AgentCheckpoint):
-    net = ckpt.net
-    names = _param_names(len(net.trunk_w))
-    arrays = list(zip(names, net.parameters()))
-    if ckpt.adam is not None:
-        arrays += [(f"adam.m.{n}", a) for n, a in zip(names, ckpt.adam.first_moment)]
-        arrays += [(f"adam.v.{n}", a) for n, a in zip(names, ckpt.adam.second_moment)]
-
+    net, adam = ckpt.net, ckpt.adam
     header = {
         "format_version": FORMAT_VERSION,
         "manifest": ckpt.manifest or {},
         "n_actions": net.n_actions,
         "n_inputs": net.n_inputs,
         "hidden": list(net.hidden),
-        "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
+        "arrays": _array_specs(net.layout, adam is not None),
         "adam": None
-        if ckpt.adam is None
+        if adam is None
         else {
-            "learning_rate": ckpt.adam.learning_rate,
-            "beta1": ckpt.adam.beta1,
-            "beta2": ckpt.adam.beta2,
-            "epsilon": ckpt.adam.epsilon,
-            "step_count": ckpt.adam.step_count,
+            "learning_rate": adam.learning_rate,
+            "beta1": adam.beta1,
+            "beta2": adam.beta2,
+            "epsilon": adam.epsilon,
+            "step_count": adam.step_count,
         },
         "rng_state": ckpt.rng_state,
     }
@@ -80,8 +75,10 @@ def save_checkpoint(path, ckpt: AgentCheckpoint):
         fh.write(MAGIC)
         fh.write(struct.pack("<II", FORMAT_VERSION, len(header_bytes)))
         fh.write(header_bytes)
-        for _, arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(net.flat.astype("<f8", copy=False).tobytes())
+        if adam is not None:
+            fh.write(adam.first_moment.astype("<f8", copy=False).tobytes())
+            fh.write(adam.second_moment.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> AgentCheckpoint:
@@ -89,43 +86,32 @@ def load_checkpoint(path) -> AgentCheckpoint:
         raw = fh.read()
     if raw[:4] != MAGIC:
         raise ValueError(f"{path}: not a checkpoint file (bad magic)")
+    if len(raw) < 12 or len(raw) < 12 + struct.unpack("<I", raw[8:12])[0]:
+        raise ValueError(f"{path}: truncated checkpoint header")
     version, header_len = struct.unpack("<II", raw[4:12])
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint format version {version}")
     header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
 
-    offset = 12 + header_len
-    arrays = {}
-    for spec in header["arrays"]:
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
-        arrays[spec["name"]] = arr.astype(np.float64)
-        offset += count * 8
-
-    n_trunk = len(header["hidden"])
-    names = _param_names(n_trunk)
-    try:
-        net = QNetwork(
-            trunk_w=[arrays[f"trunk.{i}.w"] for i in range(n_trunk)],
-            trunk_b=[arrays[f"trunk.{i}.b"] for i in range(n_trunk)],
-            value_w=arrays["value.w"],
-            value_b=arrays["value.b"],
-            adv_w=arrays["adv.w"],
-            adv_b=arrays["adv.b"],
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: checkpoint missing array {exc}") from exc
-    expected_hidden = tuple(header["hidden"])
-    if net.hidden != expected_hidden or net.n_actions != header["n_actions"]:
+    net = QNetwork(header["n_inputs"], header["hidden"], header["n_actions"])
+    if header["arrays"] != _array_specs(net.layout, header["adam"] is not None):
         raise ValueError(f"{path}: array shapes disagree with the declared layout")
+    size = net.flat.size
+    count = size * (1 if header["adam"] is None else 3)
+    offset = 12 + header_len
+    if len(raw) - offset != 8 * count:
+        raise ValueError(
+            f"{path}: payload is {len(raw) - offset} bytes, the header declares {8 * count}"
+        )
+    payload = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+    net.flat[:] = payload[:size]
 
     adam = None
     if header["adam"] is not None:
         a = header["adam"]
         adam = AdamState(
-            first_moment=[arrays[f"adam.m.{n}"] for n in names],
-            second_moment=[arrays[f"adam.v.{n}"] for n in names],
+            first_moment=payload[size : 2 * size].astype(np.float64),
+            second_moment=payload[2 * size :].astype(np.float64),
             step_count=a["step_count"],
             learning_rate=a["learning_rate"],
             beta1=a["beta1"],

@@ -9,6 +9,7 @@ the reference defaults below); unknown keys are rejected.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,7 +217,13 @@ def load_config(path) -> TrainConfig:
 
 
 def serialize_train_config(cfg: TrainConfig) -> str:
-    """Canonical text form; load(serialize(cfg)) reproduces cfg exactly."""
+    """Canonical text form; load(serialize(cfg)) reproduces cfg exactly.
+
+    Raises ValueError for a proxy checkpoint that is not a path: an
+    in-memory checkpoint has no text form.
+    """
+    if cfg.proxy_checkpoint is not None and not isinstance(cfg.proxy_checkpoint, (str, os.PathLike)):
+        raise ValueError("proxy_checkpoint must be a path to be serialized; save the checkpoint first")
     e = cfg.env
     p = e.phys
     a = e.antenna

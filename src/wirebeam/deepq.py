@@ -7,7 +7,9 @@ a scalar value head and a per-action advantage head, combined as
 
 trained on the Huber loss of the TD error against a periodically synced
 target network, with a hand-derived backward pass and Adam updates. All
-parameters and activations are 64-bit floats.
+parameters and activations are 64-bit floats. A network keeps all of its
+parameters in one contiguous vector (layout in param_layout), so Adam,
+target sync, copying and checkpoint I/O are whole-vector operations.
 """
 
 from __future__ import annotations
@@ -21,44 +23,57 @@ class NumericError(RuntimeError):
     """Raised when a forward/backward pass produces non-finite numbers."""
 
 
-@dataclass
+def param_layout(n_inputs: int, hidden: tuple, n_actions: int) -> list:
+    """(name, shape, offset) of every parameter inside a network's flat vector.
+
+    Order: trunk.{i}.w, trunk.{i}.b for each trunk layer, then value.w,
+    value.b, adv.w, adv.b; each array is stored row-major from its offset.
+    """
+    shapes = []
+    fan_in = n_inputs
+    for i, width in enumerate(hidden):
+        shapes += [(f"trunk.{i}.w", (fan_in, width)), (f"trunk.{i}.b", (width,))]
+        fan_in = width
+    shapes += [("value.w", (fan_in, 1)), ("value.b", (1,))]
+    shapes += [("adv.w", (fan_in, n_actions)), ("adv.b", (n_actions,))]
+    layout, offset = [], 0
+    for name, shape in shapes:
+        layout.append((name, shape, offset))
+        offset += int(np.prod(shape))
+    return layout
+
+
+def _views(flat: np.ndarray, layout: list) -> list:
+    return [flat[offset : offset + int(np.prod(shape))].reshape(shape) for _, shape, offset in layout]
+
+
 class QNetwork:
-    trunk_w: list  # list of (fan_in, fan_out) float64 matrices
-    trunk_b: list  # list of (fan_out,) float64 vectors
-    value_w: np.ndarray  # (hidden, 1)
-    value_b: np.ndarray  # (1,)
-    adv_w: np.ndarray  # (hidden, n_actions)
-    adv_b: np.ndarray  # (n_actions,)
+    """Dueling Q-network whose parameters live in one contiguous float64
+    vector, `flat`, laid out by param_layout. trunk_w, trunk_b (lists of
+    (fan_in, fan_out) and (fan_out,) arrays), value_w (hidden, 1), value_b
+    (1,), adv_w (hidden, n_actions) and adv_b (n_actions,) are views into it.
+    """
 
-    @property
-    def n_actions(self) -> int:
-        return self.adv_w.shape[1]
-
-    @property
-    def n_inputs(self) -> int:
-        return self.trunk_w[0].shape[0]
-
-    @property
-    def hidden(self) -> tuple:
-        return tuple(w.shape[1] for w in self.trunk_w)
+    def __init__(self, n_inputs: int, hidden: tuple, n_actions: int):
+        self.n_inputs, self.hidden, self.n_actions = n_inputs, tuple(hidden), n_actions
+        self.layout = param_layout(n_inputs, self.hidden, n_actions)
+        size = sum(int(np.prod(shape)) for _, shape, _ in self.layout)
+        self.flat = np.zeros(size)
+        self._params = _views(self.flat, self.layout)
+        self.trunk_w, self.trunk_b = self._params[0:-4:2], self._params[1:-4:2]
+        self.value_w, self.value_b, self.adv_w, self.adv_b = self._params[-4:]
+        # loss_and_gradients writes into this buffer through views built once here
+        self._grad = np.zeros(size)
+        self._grad_views = _views(self._grad, self.layout)
 
     def parameters(self) -> list:
-        """All parameter arrays in a fixed, documented order."""
-        out = []
-        for w, b in zip(self.trunk_w, self.trunk_b):
-            out.extend([w, b])
-        out.extend([self.value_w, self.value_b, self.adv_w, self.adv_b])
-        return out
+        """All parameter arrays (views into `flat`) in layout order."""
+        return list(self._params)
 
     def copy(self) -> "QNetwork":
-        return QNetwork(
-            [w.copy() for w in self.trunk_w],
-            [b.copy() for b in self.trunk_b],
-            self.value_w.copy(),
-            self.value_b.copy(),
-            self.adv_w.copy(),
-            self.adv_b.copy(),
-        )
+        twin = QNetwork(self.n_inputs, self.hidden, self.n_actions)
+        np.copyto(twin.flat, self.flat)
+        return twin
 
 
 def init_qnetwork(
@@ -77,22 +92,14 @@ def init_qnetwork(
     """
     if n_actions not in (5, 7):
         raise ValueError("n_actions must be 5 (tracking agent) or 7 (wind adversary)")
-    trunk_w, trunk_b = [], []
-    fan_in = n_inputs
-    for width in hidden:
-        bound = np.sqrt(6.0 / fan_in)
-        trunk_w.append(rng.uniform(-bound, bound, size=(fan_in, width)))
-        trunk_b.append(np.zeros(width))
-        fan_in = width
-    bound = np.sqrt(6.0 / fan_in)
-    return QNetwork(
-        trunk_w=trunk_w,
-        trunk_b=trunk_b,
-        value_w=head_scale * rng.uniform(-bound, bound, size=(fan_in, 1)),
-        value_b=np.zeros(1),
-        adv_w=head_scale * rng.uniform(-bound, bound, size=(fan_in, n_actions)),
-        adv_b=np.zeros(n_actions),
-    )
+    net = QNetwork(n_inputs, hidden, n_actions)
+    for w in net.trunk_w:
+        bound = np.sqrt(6.0 / w.shape[0])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    for w in (net.value_w, net.adv_w):
+        bound = np.sqrt(6.0 / w.shape[0])
+        w[...] = head_scale * rng.uniform(-bound, bound, size=w.shape)
+    return net
 
 
 def _locate_nonfinite_layer(net: QNetwork, x: np.ndarray) -> str:
@@ -159,8 +166,8 @@ def _huber_grad(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    first_moment: list
-    second_moment: list
+    first_moment: np.ndarray  # laid out like QNetwork.flat
+    second_moment: np.ndarray
     step_count: int = 0
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -170,24 +177,10 @@ class AdamState:
     @classmethod
     def init_like(cls, net: QNetwork, learning_rate: float = 1e-3) -> "AdamState":
         return cls(
-            first_moment=[np.zeros_like(p) for p in net.parameters()],
-            second_moment=[np.zeros_like(p) for p in net.parameters()],
+            first_moment=np.zeros_like(net.flat),
+            second_moment=np.zeros_like(net.flat),
             learning_rate=learning_rate,
         )
-
-
-@dataclass
-class Experience:
-    """One stored transition (s, a, r, s')."""
-
-    state: np.ndarray
-    action: int
-    reward: float
-    next_state: np.ndarray
-
-    def __post_init__(self):
-        if not -1.0 - 1e-12 <= self.reward <= 1.0 + 1e-12:
-            raise ValueError("reward must be clipped to [-1, 1]")
 
 
 class ReplayMemory:
@@ -208,12 +201,9 @@ class ReplayMemory:
     def __len__(self) -> int:
         return self._size
 
-    def push(self, state, action=None, reward=None, next_state=None):
-        """Append one transition (an Experience or the four raw pieces);
-        the oldest entry is evicted once capacity is exceeded."""
-        if isinstance(state, Experience):
-            exp = state
-            state, action, reward, next_state = exp.state, exp.action, exp.reward, exp.next_state
+    def push(self, state, action, reward, next_state):
+        """Append one transition (s, a, r, s'); the oldest entry is evicted
+        once capacity is exceeded."""
         if not -1.0 - 1e-12 <= reward <= 1.0 + 1e-12:
             raise ValueError("reward must be clipped to [-1, 1]")
         if self._states is None:
@@ -254,19 +244,13 @@ class ReplayMemory:
 
 
 def _coerce_batch(batch):
-    if isinstance(batch, tuple):
-        states, actions, rewards, next_states = batch
-        return (
-            np.asarray(states, dtype=np.float64),
-            np.asarray(actions, dtype=np.int64),
-            np.asarray(rewards, dtype=np.float64),
-            np.asarray(next_states, dtype=np.float64),
-        )
-    states = np.stack([e.state for e in batch]).astype(np.float64)
-    actions = np.array([e.action for e in batch], dtype=np.int64)
-    rewards = np.array([e.reward for e in batch], dtype=np.float64)
-    next_states = np.stack([e.next_state for e in batch]).astype(np.float64)
-    return states, actions, rewards, next_states
+    states, actions, rewards, next_states = batch
+    return (
+        np.asarray(states, dtype=np.float64),
+        np.asarray(actions, dtype=np.int64),
+        np.asarray(rewards, dtype=np.float64),
+        np.asarray(next_states, dtype=np.float64),
+    )
 
 
 def batch_loss(net: QNetwork, target_net: QNetwork, batch, gamma: float) -> float:
@@ -289,7 +273,9 @@ def loss_and_gradients(net: QNetwork, target_net: QNetwork, batch, gamma: float)
     trunk (subgradient 0 at the kinks). Sketch, with g_j = -huber'(td_j)/B
     routed to the chosen action of sample j: the value head receives g_j,
     the advantage head receives g_j * (1[a = a_j] - 1/|A|), and both flow
-    back through the trunk. Gradients come out in parameters() order.
+    back through the trunk. The gradient comes out as one vector laid out
+    like net.flat; it is the network's own buffer, overwritten by the next
+    call on the same network.
     """
     states, actions, rewards, next_states = _coerce_batch(batch)
     if len(actions) == 0:
@@ -309,51 +295,50 @@ def loss_and_gradients(net: QNetwork, target_net: QNetwork, batch, gamma: float)
     d_val = g[:, None]
 
     h_last = hs[-1]
-    grads = [None] * len(net.parameters())
-    grads[-4] = h_last.T @ d_val
-    grads[-3] = d_val.sum(axis=0)
-    grads[-2] = h_last.T @ d_adv
-    grads[-1] = d_adv.sum(axis=0)
+    grads = net._grad_views
+    np.matmul(h_last.T, d_val, out=grads[-4])
+    np.sum(d_val, axis=0, out=grads[-3])
+    np.matmul(h_last.T, d_adv, out=grads[-2])
+    np.sum(d_adv, axis=0, out=grads[-1])
 
     dh = d_val @ net.value_w.T + d_adv @ net.adv_w.T
     for layer in range(len(net.trunk_w) - 1, -1, -1):
         dz = dh * (zs[layer] > 0.0)
-        grads[2 * layer] = hs[layer].T @ dz
-        grads[2 * layer + 1] = dz.sum(axis=0)
+        np.matmul(hs[layer].T, dz, out=grads[2 * layer])
+        np.sum(dz, axis=0, out=grads[2 * layer + 1])
         if layer > 0:
             dh = dz @ net.trunk_w[layer].T
 
     if not np.isfinite(loss):
         raise NumericError("non-finite loss in train_batch")
-    for grad in grads:
-        if not np.isfinite(grad).all():
-            raise NumericError("non-finite gradient in train_batch")
-    return loss, grads
+    if not np.isfinite(net._grad).all():
+        raise NumericError("non-finite gradient in train_batch")
+    return loss, net._grad
 
 
 def train_batch(net: QNetwork, target_net: QNetwork, batch, gamma: float, adam: AdamState) -> float:
     """One Adam step on the mean Huber TD loss; returns that loss."""
-    loss, grads = loss_and_gradients(net, target_net, batch, gamma)
-    _adam_update(net, grads, adam)
+    loss, grad = loss_and_gradients(net, target_net, batch, gamma)
+    _adam_update(net, grad, adam)
     return loss
 
 
-def _adam_update(net: QNetwork, grads: list, adam: AdamState):
+def _adam_update(net: QNetwork, grad: np.ndarray, adam: AdamState):
     adam.step_count += 1
     t = adam.step_count
     bc1 = 1.0 - adam.beta1**t
     bc2 = 1.0 - adam.beta2**t
-    for p, grad, m, v in zip(net.parameters(), grads, adam.first_moment, adam.second_moment):
-        m *= adam.beta1
-        m += (1.0 - adam.beta1) * grad
-        v *= adam.beta2
-        v += (1.0 - adam.beta2) * grad * grad
-        p -= adam.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + adam.epsilon)
+    m, v = adam.first_moment, adam.second_moment
+    m *= adam.beta1
+    m += (1.0 - adam.beta1) * grad
+    v *= adam.beta2
+    v += (1.0 - adam.beta2) * grad * grad
+    net.flat -= adam.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + adam.epsilon)
 
 
 def sync_target(net: QNetwork, target_net: QNetwork):
     """Overwrite the target's parameters with byte-identical copies."""
-    for dst, src in zip(target_net.parameters(), net.parameters()):
-        if dst.shape != src.shape:
-            raise ValueError("network and target shapes differ")
-        np.copyto(dst, src)
+    dims = (net.n_inputs, net.hidden, net.n_actions)
+    if (target_net.n_inputs, target_net.hidden, target_net.n_actions) != dims:
+        raise ValueError("network and target layouts differ")
+    np.copyto(target_net.flat, net.flat)

@@ -260,8 +260,3 @@ class BeamTrackingEnv:
     def clone(self) -> "BeamTrackingEnv":
         return copy.deepcopy(self)
 
-
-def reset(cfg: EnvConfig, seed=None) -> tuple[BeamTrackingEnv, Observation]:
-    """Build a fresh environment and return it with the first observation."""
-    env = BeamTrackingEnv(cfg, seed=seed)
-    return env, env.observe()

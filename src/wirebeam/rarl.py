@@ -155,7 +155,11 @@ class Policy:
 
 
 def config_fingerprint(cfg: TrainConfig) -> str:
-    """Stable short hash of the full configuration (numpy fields included)."""
+    """Stable short hash of the full configuration (numpy fields included).
+
+    A proxy checkpoint enters as the sha256 of its float64 parameter bytes,
+    so the same proxy given as an object or as a path hashes alike.
+    """
 
     def default(obj):
         if isinstance(obj, np.ndarray):
@@ -164,7 +168,11 @@ def config_fingerprint(cfg: TrainConfig) -> str:
             return obj.item()
         return str(obj)
 
-    blob = json.dumps(asdict(cfg), sort_keys=True, default=default)
+    fields = asdict(replace(cfg, proxy_checkpoint=None))
+    if cfg.proxy_checkpoint is not None:
+        proxy_net, _ = _resolve_agent(cfg.proxy_checkpoint)
+        fields["proxy_checkpoint"] = hashlib.sha256(proxy_net.flat.astype("<f8").tobytes()).hexdigest()
+    blob = json.dumps(fields, sort_keys=True, default=default)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 

@@ -99,18 +99,17 @@ def test_criterion_5_gradient_correctness():
     h = 1e-5
 
     def fd_check(net, tgt, batch, gamma, coords):
-        _, grads = loss_and_gradients(net, tgt, batch, gamma)
+        _, grad = loss_and_gradients(net, tgt, batch, gamma)
         worst = 0.0
-        for pi, idx in coords:
-            p = net.parameters()[pi]
-            orig = p[idx]
-            p[idx] = orig + h
+        for i in coords:
+            orig = net.flat[i]
+            net.flat[i] = orig + h
             lp = batch_loss(net, tgt, batch, gamma)
-            p[idx] = orig - h
+            net.flat[i] = orig - h
             lm = batch_loss(net, tgt, batch, gamma)
-            p[idx] = orig
+            net.flat[i] = orig
             g_fd = (lp - lm) / (2 * h)
-            g_an = float(grads[pi][idx])
+            g_an = float(grad[i])
             rel = abs(g_fd - g_an) / max(abs(g_fd), abs(g_an), 1e-6)
             worst = max(worst, rel)
             assert rel < 1e-4
@@ -121,23 +120,15 @@ def test_criterion_5_gradient_correctness():
     net = init_qnetwork(5, rng, hidden=(4,))
     tgt = init_qnetwork(5, rng, hidden=(4,))
     batch = (rng.normal(size=(8, 9)), rng.integers(0, 5, 8), rng.uniform(-1, 1, 8), rng.normal(size=(8, 9)))
-    coords = []
-    for pi, p in enumerate(net.parameters()):
-        it = np.nditer(p, flags=["multi_index"])
-        coords.extend((pi, it.multi_index) for _ in it)
-    worst_thin = fd_check(net, tgt, batch, 0.9, coords)
+    worst_thin = fd_check(net, tgt, batch, 0.9, range(net.flat.size))
 
     # full 9 -> 32x4 -> (1, 7) net: 200 random parameters across all layers
     net_f = init_qnetwork(7, rng)
     tgt_f = init_qnetwork(7, rng)
     batch_f = (rng.normal(size=(16, 9)), rng.integers(0, 7, 16), rng.uniform(-1, 1, 16), rng.normal(size=(16, 9)))
-    params = net_f.parameters()
-    all_coords = []
-    for pi, p in enumerate(params):
-        it = np.nditer(p, flags=["multi_index"])
-        all_coords.extend((pi, it.multi_index) for _ in it)
-    picks = rng.choice(len(all_coords), size=200, replace=False)
-    worst_full = fd_check(net_f, tgt_f, batch_f, 0.99, [all_coords[i] for i in picks])
+    # flat order is parameters() in C order, the order the coordinates were once listed in
+    picks = rng.choice(net_f.flat.size, size=200, replace=False)
+    worst_full = fd_check(net_f, tgt_f, batch_f, 0.99, picks)
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0

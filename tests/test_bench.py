@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wirebeam.bench import main
+from wirebeam.config import train_config_from_text
 
 SMALL_CFG = (
     "episodes: 2\n"
@@ -63,6 +65,15 @@ class TestTrainCommand:
         assert main(["train", "--config", cfg, "--out", str(out)]) == 0
         for name in ("proxy.ckpt", "protagonist.ckpt", "adversary.ckpt", "curve.csv"):
             assert (out / name).exists()
+
+    def test_rarl_manifest_config_loads_back(self, tmp_path):
+        cfg = write_cfg(tmp_path, SMALL_CFG.replace("no_adversary", "rarl").replace("episodes: 2", "episodes: 1"))
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        snapshot = train_config_from_text(manifest["config"])
+        assert Path(snapshot.proxy_checkpoint) == out / "proxy.ckpt"
+        assert snapshot.variant == "rarl" and snapshot.episodes == 1
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_cfg(tmp_path)

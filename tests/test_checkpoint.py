@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -23,10 +26,8 @@ class TestRoundTrip:
         loaded = load_checkpoint(path)
         for a, b in zip(ckpt.net.parameters(), loaded.net.parameters()):
             np.testing.assert_array_equal(a, b)
-        for a, b in zip(ckpt.adam.first_moment, loaded.adam.first_moment):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(ckpt.adam.second_moment, loaded.adam.second_moment):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(ckpt.adam.first_moment, loaded.adam.first_moment)
+        np.testing.assert_array_equal(ckpt.adam.second_moment, loaded.adam.second_moment)
         assert loaded.adam.step_count == ckpt.adam.step_count
         assert loaded.manifest == ckpt.manifest
         assert loaded.rng_state == ckpt.rng_state
@@ -47,6 +48,31 @@ class TestRoundTrip:
         loaded = load_checkpoint(path)
         assert loaded.adam is None
         np.testing.assert_array_equal(loaded.net.adv_w, ckpt.net.adv_w)
+
+    def test_loaded_state_is_one_writable_vector_each(self, tmp_path):
+        ckpt = trained_checkpoint(9)
+        path = tmp_path / "agent.ckpt"
+        save_checkpoint(path, ckpt)
+        loaded = load_checkpoint(path)
+        for vec in (loaded.net.flat, loaded.adam.first_moment, loaded.adam.second_moment):
+            assert vec.dtype == np.float64 and vec.ndim == 1
+            assert vec.flags.c_contiguous and vec.flags.writeable
+        assert not np.shares_memory(loaded.net.flat, loaded.adam.first_moment)
+        assert all(p.base is loaded.net.flat for p in loaded.net.parameters())
+
+    def test_payload_is_flat_then_moments(self, tmp_path):
+        ckpt = trained_checkpoint(4)
+        path = tmp_path / "agent.ckpt"
+        save_checkpoint(path, ckpt)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12 : 12 + header_len])
+        assert [a["name"] for a in header["arrays"][:2]] == ["trunk.0.w", "trunk.0.b"]
+        assert len(header["arrays"]) == 3 * len(ckpt.net.parameters())
+        expected = b"".join(
+            v.astype("<f8").tobytes() for v in (ckpt.net.flat, ckpt.adam.first_moment, ckpt.adam.second_moment)
+        )
+        assert raw[12 + header_len :] == expected
 
     def test_loaded_training_continues(self, tmp_path):
         # loaded arrays must be writable and usable for further updates
@@ -75,4 +101,19 @@ class TestErrorHandling:
         # tamper: bump the declared action count in the JSON header
         path.write_bytes(raw.replace(b'"n_actions": 5', b'"n_actions": 7'))
         with pytest.raises(ValueError, match="disagree"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda raw: raw[:-8], "payload"),  # truncated payload
+            (lambda raw: raw + b"\x00" * 8, "payload"),  # trailing bytes
+            (lambda raw: raw[:40], "truncated"),  # truncated header
+        ],
+    )
+    def test_wrong_length_rejected_with_path(self, tmp_path, damage, message):
+        path = tmp_path / "agent.ckpt"
+        save_checkpoint(path, trained_checkpoint())
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError, match=f"agent.ckpt: {message}"):
             load_checkpoint(path)

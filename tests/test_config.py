@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from wirebeam.checkpoint import AgentCheckpoint
 from wirebeam.config import (
     ConfigError,
     load_config,
@@ -9,6 +12,7 @@ from wirebeam.config import (
     sweep_spec_from_text,
     train_config_from_text,
 )
+from wirebeam.deepq import init_qnetwork
 
 
 class TestDefaults:
@@ -107,6 +111,15 @@ class TestRoundTrip:
         reloaded = load_config(path)
         assert serialize_train_config(reloaded) == serialize_train_config(cfg)
         assert reloaded.env.phys.spring_constant == 42.0
+
+
+    def test_in_memory_proxy_rejected(self):
+        cfg = train_config_from_text("")
+        proxy = AgentCheckpoint(net=init_qnetwork(5, np.random.default_rng(0)))
+        with pytest.raises(ValueError, match="proxy_checkpoint"):
+            serialize_train_config(replace(cfg, proxy_checkpoint=proxy))
+        text = serialize_train_config(replace(cfg, proxy_checkpoint="run/proxy.ckpt"))
+        assert train_config_from_text(text).proxy_checkpoint == "run/proxy.ckpt"
 
 
 class TestSweepSpec:

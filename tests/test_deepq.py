@@ -7,7 +7,6 @@ from scipy import stats
 from wirebeam import deepq
 from wirebeam.deepq import (
     AdamState,
-    Experience,
     NumericError,
     QNetwork,
     ReplayMemory,
@@ -160,23 +159,43 @@ class TestTrainBatch:
         tgt = init_qnetwork(5, rng, hidden=(4,))
         batch = random_batch(rng, n=8)
         gamma = 0.9
-        _, grads = loss_and_gradients(net, tgt, batch, gamma)
+        _, grad = loss_and_gradients(net, tgt, batch, gamma)
+        assert grad.shape == net.flat.shape
 
         h = 1e-5
-        for pi, p in enumerate(net.parameters()):
-            it = np.nditer(p, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = p[idx]
-                p[idx] = orig + h
-                lp = batch_loss(net, tgt, batch, gamma)
-                p[idx] = orig - h
-                lm = batch_loss(net, tgt, batch, gamma)
-                p[idx] = orig
-                g_fd = (lp - lm) / (2 * h)
-                g_an = float(grads[pi][idx])
-                denom = max(abs(g_fd), abs(g_an), 1e-6)
-                assert abs(g_fd - g_an) / denom < 1e-4
+        for i in range(net.flat.size):
+            orig = net.flat[i]
+            net.flat[i] = orig + h
+            lp = batch_loss(net, tgt, batch, gamma)
+            net.flat[i] = orig - h
+            lm = batch_loss(net, tgt, batch, gamma)
+            net.flat[i] = orig
+            g_fd = (lp - lm) / (2 * h)
+            g_an = float(grad[i])
+            denom = max(abs(g_fd), abs(g_an), 1e-6)
+            assert abs(g_fd - g_an) / denom < 1e-4
+
+    def test_adam_matches_per_array_reference(self):
+        # the whole-vector update repeats the per-array arithmetic in the same order
+        rng = np.random.default_rng(22)
+        net = init_qnetwork(5, rng, hidden=(8, 8))
+        tgt = init_qnetwork(5, rng, hidden=(8, 8))
+        adam = AdamState.init_like(net)
+        ref = [p.copy() for p in net.parameters()]
+        ms, vs = [np.zeros_like(p) for p in ref], [np.zeros_like(p) for p in ref]
+        for t in range(1, 4):
+            _, grad = loss_and_gradients(net, tgt, random_batch(rng), 0.9)
+            grads = [grad[off : off + p.size].reshape(p.shape) for (_, _, off), p in zip(net.layout, ref)]
+            for p, g, m, v in zip(ref, grads, ms, vs):
+                m *= adam.beta1
+                m += (1.0 - adam.beta1) * g
+                v *= adam.beta2
+                v += (1.0 - adam.beta2) * g * g
+                p -= adam.learning_rate * (m / (1.0 - adam.beta1**t)) / (np.sqrt(v / (1.0 - adam.beta2**t)) + adam.epsilon)
+            deepq._adam_update(net, grad, adam)
+            for p, r in zip(net.parameters(), ref):
+                np.testing.assert_array_equal(p, r)
+        np.testing.assert_array_equal(adam.first_moment, np.concatenate([m.ravel() for m in ms]))
 
     def test_overfit_single_batch_monotone(self):
         rng = np.random.default_rng(11)
@@ -193,16 +212,6 @@ class TestTrainBatch:
         net = init_qnetwork(5, rng)
         with pytest.raises(ValueError):
             train_batch(net, net.copy(), (np.zeros((0, 9)), np.zeros(0, int), np.zeros(0), np.zeros((0, 9))), 0.9, AdamState.init_like(net))
-
-    def test_accepts_experience_sequences(self):
-        rng = np.random.default_rng(12)
-        net = init_qnetwork(5, rng)
-        exps = [
-            Experience(rng.normal(size=9), int(rng.integers(5)), float(rng.uniform(-1, 1)), rng.normal(size=9))
-            for _ in range(8)
-        ]
-        loss = batch_loss(net, net.copy(), exps, 0.99)
-        assert np.isfinite(loss)
 
     def test_bitwise_training_determinism(self):
         def run():
@@ -228,6 +237,7 @@ class TestSyncTarget:
         states = rng.normal(size=(100, 9))
         np.testing.assert_array_equal(forward(net, states), forward(tgt, states))
         # mutating the source afterwards leaves the target untouched
+        assert not np.shares_memory(tgt.flat, net.flat)
         snapshot = [p.copy() for p in tgt.parameters()]
         for p in net.parameters():
             p += 1.0
@@ -238,6 +248,37 @@ class TestSyncTarget:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             sync_target(init_qnetwork(5, rng), init_qnetwork(7, rng))
+        # 9 -> 4 -> 4 and 9 -> 7 -> 1 both hold 90 parameters
+        a, b = init_qnetwork(5, rng, hidden=(4, 4)), init_qnetwork(5, rng, hidden=(7, 1))
+        assert a.flat.size == b.flat.size
+        with pytest.raises(ValueError, match="layout"):
+            sync_target(a, b)
+
+
+class TestFlatLayout:
+    def test_parameters_are_views_into_flat(self):
+        rng = np.random.default_rng(19)
+        net = init_qnetwork(5, rng)
+        params = net.parameters()
+        assert [p.size for p in params] == [int(np.prod(shape)) for _, shape, _ in net.layout]
+        assert sum(p.size for p in params) == net.flat.size
+        np.testing.assert_array_equal(np.concatenate([p.ravel() for p in params]), net.flat)
+        s = rng.normal(size=9)
+        q0 = forward(net, s)
+        net.value_b[0] += 2.5  # write through a view
+        assert net.flat[net.layout[-3][2]] == net.value_b[0]
+        np.testing.assert_allclose(forward(net, s), q0 + 2.5, atol=1e-12)
+        params[0][0, 0] = 7.0
+        assert net.flat[0] == 7.0 and net.trunk_w[0][0, 0] == 7.0
+
+    def test_copy_has_independent_storage(self):
+        net = init_qnetwork(7, np.random.default_rng(20))
+        twin = net.copy()
+        np.testing.assert_array_equal(twin.flat, net.flat)
+        assert not np.shares_memory(twin.flat, net.flat)
+        assert twin.adv_w.base is twin.flat
+        twin.adv_b[:] = 1.0
+        assert not np.any(net.adv_b == 1.0)
 
 
 class TestReplayMemory:
@@ -275,10 +316,10 @@ class TestReplayMemory:
 
     def test_reward_contract_enforced(self):
         mem = ReplayMemory(capacity=10, rng=np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            mem.push(np.zeros(9), 0, 1.5, np.zeros(9))
-        with pytest.raises(ValueError):
-            Experience(np.zeros(9), 0, -2.0, np.zeros(9))
+        for reward in (1.5, -2.0):
+            with pytest.raises(ValueError):
+                mem.push(np.zeros(9), 0, reward, np.zeros(9))
+        assert len(mem) == 0
 
 
 class TestPerformance:

@@ -177,11 +177,6 @@ class TestEnvConfigValidation:
         with pytest.raises(ValueError):
             EnvConfig(sbs_point=11)
 
-    def test_module_level_reset_helper(self):
-        env, obs = wb.env.reset(EnvConfig(), seed=1)
-        assert isinstance(env, BeamTrackingEnv)
-        assert obs.vector().shape == (9,)
-
     def test_explicit_gateway_override(self):
         cfg = EnvConfig(gateway_pos=np.array([-4.0, 0.0, 3.0]))
         env = BeamTrackingEnv(cfg, seed=0)

@@ -3,6 +3,7 @@ import pytest
 from dataclasses import replace
 
 import wirebeam as wb
+from wirebeam.checkpoint import AgentCheckpoint, save_checkpoint
 from wirebeam.deepq import init_qnetwork
 from wirebeam.env import AdversaryAction, BeamTrackingEnv, ProtagonistAction
 from wirebeam.rarl import (
@@ -12,6 +13,7 @@ from wirebeam.rarl import (
     _eval_streams,
     check_adversary,
     check_protagonist,
+    config_fingerprint,
     pretrain_proxy,
     random_adversary_action,
     run_policy,
@@ -52,6 +54,23 @@ class TestTrainValidation:
             tiny_cfg(variant="bogus")
         with pytest.raises(ValueError):
             tiny_cfg(epsilon=1.5)
+
+
+class TestConfigFingerprint:
+    def test_unchanged_without_proxy(self):
+        assert config_fingerprint(TrainConfig()) == "911dd3bbee93326f"
+
+    def test_proxy_keyed_by_content(self, tmp_path):
+        proxy = AgentCheckpoint(net=init_qnetwork(5, np.random.default_rng(3)))
+        path = tmp_path / "proxy.ckpt"
+        save_checkpoint(path, proxy)
+        cfg = tiny_cfg(variant="rarl")
+        by_object = config_fingerprint(replace(cfg, proxy_checkpoint=proxy))
+        assert config_fingerprint(replace(cfg, proxy_checkpoint=str(path))) == by_object
+        assert config_fingerprint(replace(cfg, proxy_checkpoint=proxy.net)) == by_object
+        other = AgentCheckpoint(net=init_qnetwork(5, np.random.default_rng(4)))
+        assert config_fingerprint(replace(cfg, proxy_checkpoint=other)) != by_object
+        assert config_fingerprint(cfg) != by_object
 
 
 class TestTrainLoop:
