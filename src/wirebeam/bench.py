@@ -204,11 +204,10 @@ def _sweep_cell(payload):
 
 def cmd_sweep(args) -> int:
     cfg = _load_cfg(args)
-    spec = load_sweep_spec(args.spec) if args.spec else SweepSpec(
-        mass_grid=[1.0, 2.0, 5.0, 10.0, 15.0, 20.0],
-        spring_grid=[10.0, 25.0, 50.0, 100.0, 150.0, 200.0],
-        policies=[args.checkpoint] if args.checkpoint else ["stay"],
-    )
+    if args.spec:
+        spec = load_sweep_spec(args.spec)
+    else:
+        spec = SweepSpec(policies=[args.checkpoint]) if args.checkpoint else SweepSpec()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     started = _utcnow()

@@ -91,14 +91,22 @@ def load_checkpoint(path) -> AgentCheckpoint:
     version, header_len = struct.unpack("<II", raw[4:12])
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint format version {version}")
-    header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
+    try:
+        header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"{path}: damaged checkpoint header: {exc}") from exc
+    try:
+        return _from_header(header, raw, 12 + header_len, path)
+    except KeyError as exc:
+        raise ValueError(f"{path}: checkpoint header has no key {exc}") from exc
 
+
+def _from_header(header: dict, raw: bytes, offset: int, path) -> AgentCheckpoint:
     net = QNetwork(header["n_inputs"], header["hidden"], header["n_actions"])
     if header["arrays"] != _array_specs(net.layout, header["adam"] is not None):
         raise ValueError(f"{path}: array shapes disagree with the declared layout")
     size = net.flat.size
     count = size * (1 if header["adam"] is None else 3)
-    offset = 12 + header_len
     if len(raw) - offset != 8 * count:
         raise ValueError(
             f"{path}: payload is {len(raw) - offset} bytes, the header declares {8 * count}"

@@ -1,23 +1,24 @@
-"""Flat key-value configuration files with reference defaults.
+"""Flat key-value configuration files.
 
 The file format is one `key: value` pair per line, `#` comment lines, and
 units spelled out in the key names so a config can be audited against the
-simulation constants at a glance. Every key is optional (absent keys get
-the reference defaults below); unknown keys are rejected.
+simulation constants at a glance. Every key is optional: an absent key
+takes its value from the dataclass defaults (`TrainConfig()`, `SweepSpec()`),
+which hold the only copy of the reference defaults. Unknown and duplicate
+keys are rejected. `SCHEMA` is the one table of training-config keys; sweep
+specs go through the same parser with `SWEEP_SCHEMA`.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import reduce
 
 import numpy as np
 
-from .env import EnvConfig
-from .radio import AntennaConfig, LinkBudget
-from .rarl import TrainConfig, VARIANTS
-from .wire import PhysParams
+from .rarl import TrainConfig
 
 
 class ConfigError(ValueError):
@@ -37,7 +38,11 @@ def _parse_floats(text: str):
 
 
 def _parse_ints(text: str):
-    return [int(v) for v in text.split(",")]
+    return tuple(int(v) for v in text.split(","))
+
+
+def _parse_names(text: str):
+    return [p.strip() for p in text.split(",") if p.strip()]
 
 
 def _fmt(value) -> str:
@@ -52,59 +57,135 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# key -> (parser, default); order here is the canonical serialization order
+# Read/write pairs of the keys that are not one dataclass field. Each read
+# raises ValueError when the config holds something its key cannot state.
+def _wind_cov_scale(cfg) -> float:
+    cov = cfg.env.phys.wind_cov
+    if not np.array_equal(cov, cov[0, 0] * np.eye(3)):
+        raise ValueError("wind_cov must be a multiple of the identity to be serialized")
+    return float(cov[0, 0])
+
+
+def _set_wind_cov_scale(cfg, value):
+    cfg.env.phys.wind_cov = value * np.eye(3)
+
+
+def _endpoints(cfg):
+    """(height, separation) of endpoints at (0, -s/2, h) and (0, s/2, h)."""
+    p = cfg.env.phys
+    height, half = float(p.endpoint_a[2]), float(p.endpoint_b[1] - p.endpoint_a[1]) / 2.0
+    if not np.array_equal([p.endpoint_a, p.endpoint_b], [[0.0, -half, height], [0.0, half, height]]):
+        raise ValueError("endpoints must be (0, -s/2, h) and (0, s/2, h) to be serialized")
+    return height, 2.0 * half
+
+
+def _set_endpoint_height(cfg, value):
+    cfg.env.phys.endpoint_a[2] = cfg.env.phys.endpoint_b[2] = value
+
+
+def _set_endpoint_separation(cfg, value):
+    cfg.env.phys.endpoint_a[1], cfg.env.phys.endpoint_b[1] = -value / 2.0, value / 2.0
+
+
+def _wavelength(cfg) -> float:
+    if cfg.env.antenna.wavelength != cfg.env.budget.wavelength:
+        raise ValueError("antenna and link-budget wavelengths must agree to be serialized")
+    return cfg.env.budget.wavelength
+
+
+def _set_wavelength(cfg, value):
+    cfg.env.antenna.wavelength = cfg.env.budget.wavelength = value
+
+
+def _set_observation_time(cfg, value):
+    cfg.env.horizon = int(math.floor(value / cfg.env.tau + 1e-9))
+
+
+def _proxy_path(cfg):
+    proxy = cfg.proxy_checkpoint
+    if proxy is not None and not isinstance(proxy, (str, os.PathLike)):
+        raise ValueError("proxy_checkpoint must be a path to be serialized; save the checkpoint first")
+    return proxy or ""
+
+
+def _set_proxy_path(cfg, value):
+    cfg.proxy_checkpoint = value or None
+
+
+# key -> (parser, attr). attr is a dotted attribute path into TrainConfig
+# or a (read, write) pair. Order here is the canonical serialization order.
 SCHEMA = {
-    "n_points": (int, 11),
-    "total_mass_kg": (float, 10.0),
-    "spring_constant_n_per_m": (float, 100.0),
-    "drag_constant_per_s": (float, 1.0),
-    "gravity_m_per_s2": (_parse_floats, [0.0, 0.0, -9.8]),
-    "wind_cov_scale": (float, 0.1),
-    "endpoint_height_m": (float, 5.0),
-    "endpoint_separation_m": (float, 10.0),
-    "gateway_distance_m": (float, 5.0),
-    "gateway_height_m": (float, 5.0),
-    "gateway_level_with_sbs": (_parse_bool, True),
-    "sbs_point": (int, 6),
-    "tx_power_dbm": (float, 23.0),
-    "wavelength_m": (float, 0.005),
-    "rx_gain_dbi": (float, 8.0),
-    "element_gain_dbi": (float, 8.0),
-    "front_back_db": (float, 30.0),
-    "sla_v_db": (float, 30.0),
-    "theta_3db_deg": (float, 65.0),
-    "phi_3db_deg": (float, 65.0),
-    "n_vertical": (int, 32),
-    "n_horizontal": (int, 32),
-    "spacing_v_m": (float, 0.0025),
-    "spacing_h_m": (float, 0.0025),
-    "observation_time_s": (float, 10.0),
-    "decision_interval_s": (float, 0.01),
-    "substeps": (int, 1),
-    "beam_step_deg": (float, 1.0),
-    "clip_offset_dbm": (float, -27.0),
-    "clip_scale_db": (float, 3.0),
-    "adversary_speed_m_per_s": (float, 10.0),
-    "ambient_wind": (_parse_bool, True),
-    "episodes": (int, 400),
-    "epsilon": (float, 0.2),
-    "gamma": (float, 0.99),
-    "target_period_episodes": (int, 5),
-    "test_steps": (int, 1000),
-    "batch_size": (int, 32),
-    "replay_capacity": (int, 5000),
-    "learning_rate": (float, 0.001),
-    "hidden_units": (_parse_ints, [32, 32, 32, 32]),
-    "standardize_obs": (_parse_bool, True),
-    "head_init_scale": (float, 0.0),
-    "variant": (str, "rarl"),
-    "seed": (int, 0),
-    "proxy_checkpoint": (str, ""),
+    "n_points": (int, "env.phys.n_points"),
+    "total_mass_kg": (float, "env.phys.total_mass"),
+    "spring_constant_n_per_m": (float, "env.phys.spring_constant"),
+    "drag_constant_per_s": (float, "env.phys.drag_constant"),
+    "gravity_m_per_s2": (_parse_floats, "env.phys.gravity"),
+    "wind_cov_scale": (float, (_wind_cov_scale, _set_wind_cov_scale)),
+    "endpoint_height_m": (float, (lambda cfg: _endpoints(cfg)[0], _set_endpoint_height)),
+    "endpoint_separation_m": (float, (lambda cfg: _endpoints(cfg)[1], _set_endpoint_separation)),
+    "gateway_distance_m": (float, "env.gateway_distance"),
+    "gateway_height_m": (float, "env.gateway_height"),
+    "gateway_level_with_sbs": (_parse_bool, "env.gateway_level_with_sbs"),
+    "sbs_point": (int, "env.sbs_point"),
+    "tx_power_dbm": (float, "env.budget.tx_power"),
+    "wavelength_m": (float, (_wavelength, _set_wavelength)),
+    "rx_gain_dbi": (float, "env.budget.rx_gain"),
+    "element_gain_dbi": (float, "env.antenna.g_max"),
+    "front_back_db": (float, "env.antenna.front_back"),
+    "sla_v_db": (float, "env.antenna.sla_v"),
+    "theta_3db_deg": (float, "env.antenna.theta_3db"),
+    "phi_3db_deg": (float, "env.antenna.phi_3db"),
+    "n_vertical": (int, "env.antenna.n_v"),
+    "n_horizontal": (int, "env.antenna.n_h"),
+    "spacing_v_m": (float, "env.antenna.spacing_v"),
+    "spacing_h_m": (float, "env.antenna.spacing_h"),
+    "observation_time_s": (float, (lambda cfg: cfg.env.horizon * cfg.env.tau, _set_observation_time)),
+    "decision_interval_s": (float, "env.tau"),
+    "substeps": (int, "env.substeps"),
+    "beam_step_deg": (float, "env.beta"),
+    "clip_offset_dbm": (float, "env.clip_offset"),
+    "clip_scale_db": (float, "env.clip_scale"),
+    "adversary_speed_m_per_s": (float, "env.adversary_speed"),
+    "ambient_wind": (_parse_bool, "env.ambient_wind"),
+    "episodes": (int, "episodes"),
+    "epsilon": (float, "epsilon"),
+    "gamma": (float, "gamma"),
+    "target_period_episodes": (int, "target_period"),
+    "test_steps": (int, "test_steps"),
+    "batch_size": (int, "batch_size"),
+    "replay_capacity": (int, "replay_capacity"),
+    "learning_rate": (float, "learning_rate"),
+    "hidden_units": (_parse_ints, "hidden"),
+    "standardize_obs": (_parse_bool, "standardize_obs"),
+    "head_init_scale": (float, "head_init_scale"),
+    "variant": (str, "variant"),
+    "seed": (int, "seed"),
+    "proxy_checkpoint": (str, (_proxy_path, _set_proxy_path)),
 }
 
 
-def parse_pairs(text: str) -> dict:
-    """Raw key -> string value pairs; rejects unknown keys and bad lines."""
+def _read(obj, attr):
+    return reduce(getattr, attr.split("."), obj) if isinstance(attr, str) else attr[0](obj)
+
+
+def _write(obj, attr, value):
+    if isinstance(attr, str):
+        *owner, name = attr.split(".")
+        setattr(reduce(getattr, owner, obj), name, value)
+    else:
+        attr[1](obj, value)
+
+
+def _rebuilt(obj):
+    """Copy of a dataclass tree built bottom-up, so that every __post_init__
+    validates the final values."""
+    values = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return type(obj)(**{k: _rebuilt(v) if is_dataclass(v) else v for k, v in values.items()})
+
+
+def parse_pairs(text: str, schema: dict) -> dict:
+    """Raw key -> (line number, string value); rejects unknown and duplicate
+    keys and lines that are not `key: value`."""
     pairs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -114,7 +195,7 @@ def parse_pairs(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key: value', got {raw!r}")
         key, _, value = line.partition(":")
         key = key.strip()
-        if key not in SCHEMA:
+        if key not in schema:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in pairs:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -122,92 +203,38 @@ def parse_pairs(text: str) -> dict:
     return pairs
 
 
-def _resolve(text: str) -> dict:
-    pairs = parse_pairs(text)
+def _resolve(text: str, schema: dict, defaults) -> dict:
+    """Parsed value of every schema key; an absent key reads `defaults`."""
+    pairs = parse_pairs(text, schema)
     values = {}
-    for key, (parser, default) in SCHEMA.items():
-        if key in pairs:
-            lineno, raw = pairs[key]
-            try:
-                values[key] = parser(raw)
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-        else:
-            values[key] = default
+    for key, (parser, attr) in schema.items():
+        if key not in pairs:
+            values[key] = _read(defaults, attr)
+            continue
+        lineno, raw = pairs[key]
+        try:
+            values[key] = parser(raw)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     return values
 
 
-def train_config_from_text(text: str) -> TrainConfig:
-    v = _resolve(text)
-    h_w = v["endpoint_height_m"]
-    half = v["endpoint_separation_m"] / 2.0
+def _from_text(text: str, schema: dict, draft):
+    """Write every schema key (its value in `text`, else the default) into
+    the default-valued `draft`, then rebuild it so that the dataclasses
+    validate the result."""
+    values = _resolve(text, schema, draft)
+    # derived keys go last: observation_time_s needs the final tau
+    for key, (_, attr) in sorted(schema.items(), key=lambda item: not isinstance(item[1][1], str)):
+        _write(draft, attr, values[key])
     try:
-        phys = PhysParams(
-            n_points=v["n_points"],
-            total_mass=v["total_mass_kg"],
-            spring_constant=v["spring_constant_n_per_m"],
-            drag_constant=v["drag_constant_per_s"],
-            gravity=np.asarray(v["gravity_m_per_s2"]),
-            wind_cov=v["wind_cov_scale"] * np.eye(3),
-            endpoint_a=np.array([0.0, -half, h_w]),
-            endpoint_b=np.array([0.0, half, h_w]),
-        )
-        antenna = AntennaConfig(
-            g_max=v["element_gain_dbi"],
-            front_back=v["front_back_db"],
-            sla_v=v["sla_v_db"],
-            theta_3db=v["theta_3db_deg"],
-            phi_3db=v["phi_3db_deg"],
-            n_v=v["n_vertical"],
-            n_h=v["n_horizontal"],
-            spacing_v=v["spacing_v_m"],
-            spacing_h=v["spacing_h_m"],
-            wavelength=v["wavelength_m"],
-        )
-        budget = LinkBudget(
-            tx_power=v["tx_power_dbm"],
-            rx_gain=v["rx_gain_dbi"],
-            wavelength=v["wavelength_m"],
-        )
-        horizon = int(math.floor(v["observation_time_s"] / v["decision_interval_s"] + 1e-9))
-        env = EnvConfig(
-            phys=phys,
-            antenna=antenna,
-            budget=budget,
-            gateway_distance=v["gateway_distance_m"],
-            gateway_height=v["gateway_height_m"],
-            gateway_level_with_sbs=v["gateway_level_with_sbs"],
-            sbs_point=v["sbs_point"],
-            tau=v["decision_interval_s"],
-            horizon=horizon,
-            beta=v["beam_step_deg"],
-            clip_offset=v["clip_offset_dbm"],
-            clip_scale=v["clip_scale_db"],
-            adversary_speed=v["adversary_speed_m_per_s"],
-            ambient_wind=v["ambient_wind"],
-            substeps=v["substeps"],
-        )
-        return TrainConfig(
-            env=env,
-            episodes=v["episodes"],
-            epsilon=v["epsilon"],
-            gamma=v["gamma"],
-            target_period=v["target_period_episodes"],
-            test_steps=v["test_steps"],
-            variant=v["variant"],
-            seed=v["seed"],
-            proxy_checkpoint=v["proxy_checkpoint"] or None,
-            batch_size=v["batch_size"],
-            replay_capacity=v["replay_capacity"],
-            learning_rate=v["learning_rate"],
-            hidden=tuple(v["hidden_units"]),
-            standardize_obs=v["standardize_obs"],
-            head_init_scale=v["head_init_scale"],
-        )
-    except ConfigError:
-        raise
+        return _rebuilt(draft)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def train_config_from_text(text: str) -> TrainConfig:
+    return _from_text(text, SCHEMA, TrainConfig())
 
 
 def load_config(path) -> TrainConfig:
@@ -219,72 +246,24 @@ def load_config(path) -> TrainConfig:
 def serialize_train_config(cfg: TrainConfig) -> str:
     """Canonical text form; load(serialize(cfg)) reproduces cfg exactly.
 
-    Raises ValueError for a proxy checkpoint that is not a path: an
-    in-memory checkpoint has no text form.
+    Raises ValueError for a config the text cannot state: a proxy
+    checkpoint that is not a path, a fixed gateway_pos, a wind_cov that is
+    not a multiple of the identity, endpoints other than (0, -s/2, h) and
+    (0, s/2, h), or antenna and link-budget wavelengths that differ. The
+    run-time switches env.adversary_active and keep_memories have no key.
     """
-    if cfg.proxy_checkpoint is not None and not isinstance(cfg.proxy_checkpoint, (str, os.PathLike)):
-        raise ValueError("proxy_checkpoint must be a path to be serialized; save the checkpoint first")
-    e = cfg.env
-    p = e.phys
-    a = e.antenna
-    values = {
-        "n_points": p.n_points,
-        "total_mass_kg": p.total_mass,
-        "spring_constant_n_per_m": p.spring_constant,
-        "drag_constant_per_s": p.drag_constant,
-        "gravity_m_per_s2": p.gravity,
-        "wind_cov_scale": float(p.wind_cov[0, 0]),
-        "endpoint_height_m": float(p.endpoint_a[2]),
-        "endpoint_separation_m": float(np.linalg.norm(p.endpoint_b - p.endpoint_a)),
-        "gateway_distance_m": e.gateway_distance,
-        "gateway_height_m": e.gateway_height,
-        "gateway_level_with_sbs": e.gateway_level_with_sbs,
-        "sbs_point": e.sbs_point,
-        "tx_power_dbm": e.budget.tx_power,
-        "wavelength_m": e.budget.wavelength,
-        "rx_gain_dbi": e.budget.rx_gain,
-        "element_gain_dbi": a.g_max,
-        "front_back_db": a.front_back,
-        "sla_v_db": a.sla_v,
-        "theta_3db_deg": a.theta_3db,
-        "phi_3db_deg": a.phi_3db,
-        "n_vertical": a.n_v,
-        "n_horizontal": a.n_h,
-        "spacing_v_m": a.spacing_v,
-        "spacing_h_m": a.spacing_h,
-        "observation_time_s": e.horizon * e.tau,
-        "decision_interval_s": e.tau,
-        "substeps": e.substeps,
-        "beam_step_deg": e.beta,
-        "clip_offset_dbm": e.clip_offset,
-        "clip_scale_db": e.clip_scale,
-        "adversary_speed_m_per_s": e.adversary_speed,
-        "ambient_wind": e.ambient_wind,
-        "episodes": cfg.episodes,
-        "epsilon": cfg.epsilon,
-        "gamma": cfg.gamma,
-        "target_period_episodes": cfg.target_period,
-        "test_steps": cfg.test_steps,
-        "batch_size": cfg.batch_size,
-        "replay_capacity": cfg.replay_capacity,
-        "learning_rate": cfg.learning_rate,
-        "hidden_units": list(cfg.hidden),
-        "standardize_obs": cfg.standardize_obs,
-        "head_init_scale": cfg.head_init_scale,
-        "variant": cfg.variant,
-        "seed": cfg.seed,
-        "proxy_checkpoint": cfg.proxy_checkpoint or "",
-    }
-    return "".join(f"{key}: {_fmt(values[key])}\n" for key in SCHEMA)
+    if cfg.env.gateway_pos is not None:
+        raise ValueError("a fixed gateway_pos cannot be serialized; leave it None to derive the gateway")
+    return "".join(f"{key}: {_fmt(_read(cfg, attr))}\n" for key, (_, attr) in SCHEMA.items())
 
 
 @dataclass
 class SweepSpec:
     """Grid of test-time environment parameters and policies to score."""
 
-    mass_grid: list
-    spring_grid: list
-    policies: list
+    mass_grid: list = field(default_factory=lambda: [1.0, 2.0, 5.0, 10.0, 15.0, 20.0])
+    spring_grid: list = field(default_factory=lambda: [10.0, 25.0, 50.0, 100.0, 150.0, 200.0])
+    policies: list = field(default_factory=lambda: ["stay"])
     episodes_per_cell: int = 1
     seeds_per_cell: int = 1
 
@@ -302,47 +281,16 @@ class SweepSpec:
 
 
 SWEEP_SCHEMA = {
-    "mass_grid_kg": (_parse_floats, [1.0, 2.0, 5.0, 10.0, 15.0, 20.0]),
-    "spring_grid_n_per_m": (_parse_floats, [10.0, 25.0, 50.0, 100.0, 150.0, 200.0]),
-    "policies": (lambda s: [p.strip() for p in s.split(",") if p.strip()], ["stay"]),
-    "episodes_per_cell": (int, 1),
-    "seeds_per_cell": (int, 1),
+    "mass_grid_kg": (_parse_floats, "mass_grid"),
+    "spring_grid_n_per_m": (_parse_floats, "spring_grid"),
+    "policies": (_parse_names, "policies"),
+    "episodes_per_cell": (int, "episodes_per_cell"),
+    "seeds_per_cell": (int, "seeds_per_cell"),
 }
 
 
 def sweep_spec_from_text(text: str) -> SweepSpec:
-    pairs = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ":" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key: value', got {raw!r}")
-        key, _, value = line.partition(":")
-        key = key.strip()
-        if key not in SWEEP_SCHEMA:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        pairs[key] = (lineno, value.strip())
-    values = {}
-    for key, (parser, default) in SWEEP_SCHEMA.items():
-        if key in pairs:
-            lineno, raw = pairs[key]
-            try:
-                values[key] = parser(raw)
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-        else:
-            values[key] = default
-    try:
-        return SweepSpec(
-            mass_grid=values["mass_grid_kg"],
-            spring_grid=values["spring_grid_n_per_m"],
-            policies=values["policies"],
-            episodes_per_cell=values["episodes_per_cell"],
-            seeds_per_cell=values["seeds_per_cell"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _from_text(text, SWEEP_SCHEMA, SweepSpec())
 
 
 def load_sweep_spec(path) -> SweepSpec:

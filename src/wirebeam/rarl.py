@@ -355,7 +355,11 @@ def train(cfg: TrainConfig) -> TrainResult:
         adam_a = deepq.AdamState.init_like(net_a, cfg.learning_rate)
 
     env_cfg = replace(cfg.env, adversary_active=cfg.variant != "no_adversary")
-    fingerprint = config_fingerprint(cfg)
+    # read a proxy path once, so that a file replaced mid-run cannot change the probe
+    proxy = cfg.proxy_checkpoint
+    if proxy is not None and not isinstance(proxy, (AgentCheckpoint, deepq.QNetwork)):
+        proxy = load_checkpoint(proxy)
+    fingerprint = config_fingerprint(replace(cfg, proxy_checkpoint=proxy))
 
     records = []
     for ep in range(1, cfg.episodes + 1):
@@ -402,7 +406,7 @@ def train(cfg: TrainConfig) -> TrainResult:
         p4 = check_protagonist(probe_p, cfg.env, cfg.test_steps, p4_seed)
         if trains_adversary:
             probe_a = AgentCheckpoint(net=net_a, manifest=probe_p.manifest)
-            p5 = check_adversary(probe_a, cfg.proxy_checkpoint, cfg.env, cfg.test_steps, p5_seed)
+            p5 = check_adversary(probe_a, proxy, cfg.env, cfg.test_steps, p5_seed)
         else:
             p5 = float("nan")
         records.append(

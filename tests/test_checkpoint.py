@@ -109,6 +109,8 @@ class TestErrorHandling:
             (lambda raw: raw[:-8], "payload"),  # truncated payload
             (lambda raw: raw + b"\x00" * 8, "payload"),  # trailing bytes
             (lambda raw: raw[:40], "truncated"),  # truncated header
+            (lambda raw: raw.replace(b'"n_inputs"', b'"n_inputz"'), "checkpoint header has no key 'n_inputs'"),
+            (lambda raw: raw[:12] + b"x" + raw[13:], "damaged checkpoint header"),  # corrupted header byte
         ],
     )
     def test_wrong_length_rejected_with_path(self, tmp_path, damage, message):

@@ -5,6 +5,7 @@ import pytest
 
 from wirebeam.checkpoint import AgentCheckpoint
 from wirebeam.config import (
+    SCHEMA,
     ConfigError,
     load_config,
     load_sweep_spec,
@@ -13,6 +14,66 @@ from wirebeam.config import (
     train_config_from_text,
 )
 from wirebeam.deepq import init_qnetwork
+from wirebeam.rarl import TrainConfig
+
+# a valid, non-default value for every key, in canonical text form
+NON_DEFAULT = {
+    "n_points": "13",
+    "total_mass_kg": "5.0",
+    "spring_constant_n_per_m": "50.0",
+    "drag_constant_per_s": "0.5",
+    "gravity_m_per_s2": "0.0,0.0,-9.81",
+    "wind_cov_scale": "0.2",
+    "endpoint_height_m": "6.0",
+    "endpoint_separation_m": "12.0",
+    "gateway_distance_m": "4.0",
+    "gateway_height_m": "6.0",
+    "gateway_level_with_sbs": "false",
+    "sbs_point": "5",
+    "tx_power_dbm": "20.0",
+    "wavelength_m": "0.004",
+    "rx_gain_dbi": "7.0",
+    "element_gain_dbi": "7.0",
+    "front_back_db": "25.0",
+    "sla_v_db": "25.0",
+    "theta_3db_deg": "60.0",
+    "phi_3db_deg": "60.0",
+    "n_vertical": "16",
+    "n_horizontal": "8",
+    "spacing_v_m": "0.002",
+    "spacing_h_m": "0.002",
+    "observation_time_s": "5.0",
+    "decision_interval_s": "0.02",
+    "substeps": "2",
+    "beam_step_deg": "2.0",
+    "clip_offset_dbm": "-20.0",
+    "clip_scale_db": "2.0",
+    "adversary_speed_m_per_s": "5.0",
+    "ambient_wind": "false",
+    "episodes": "7",
+    "epsilon": "0.3",
+    "gamma": "0.9",
+    "target_period_episodes": "3",
+    "test_steps": "50",
+    "batch_size": "16",
+    "replay_capacity": "100",
+    "learning_rate": "0.01",
+    "hidden_units": "16,16",
+    "standardize_obs": "false",
+    "head_init_scale": "1.0",
+    "variant": "no_adversary",
+    "seed": "5",
+    "proxy_checkpoint": "run/proxy.ckpt",
+}
+
+
+def _with_env(**kw):
+    cfg = TrainConfig()
+    return replace(cfg, env=replace(cfg.env, **kw))
+
+
+def _with_phys(**kw):
+    return _with_env(phys=replace(TrainConfig().env.phys, **kw))
 
 
 class TestDefaults:
@@ -113,6 +174,36 @@ class TestRoundTrip:
         assert reloaded.env.phys.spring_constant == 42.0
 
 
+    @pytest.mark.parametrize("key", list(SCHEMA))
+    def test_every_key_changes_only_its_line(self, key):
+        line = f"{key}: {NON_DEFAULT[key]}"
+        default = serialize_train_config(train_config_from_text("")).splitlines()
+        changed = serialize_train_config(train_config_from_text(line + "\n")).splitlines()
+        assert len(changed) == len(default) == len(SCHEMA)
+        index = list(SCHEMA).index(key)
+        assert [i for i, (a, b) in enumerate(zip(default, changed)) if a != b] == [index]
+        assert changed[index] == line
+
+    def test_every_key_at_once_round_trips(self):
+        text = "".join(f"{key}: {NON_DEFAULT[key]}\n" for key in SCHEMA)
+        cfg = train_config_from_text(text)
+        assert cfg.env.horizon == 250  # observation time over the final decision interval
+        assert serialize_train_config(cfg) == text
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            (_with_phys(wind_cov=np.diag([0.1, 0.2, 0.1])), "wind_cov"),
+            (_with_env(antenna=replace(TrainConfig().env.antenna, wavelength=0.004)), "wavelength"),
+            (_with_env(gateway_pos=[-5.0, 0.0, 4.0]), "gateway_pos"),
+            (_with_phys(endpoint_a=[0.0, -4.0, 5.0]), "endpoints"),
+            (_with_phys(endpoint_b=[0.0, 5.0, 6.0]), "endpoints"),
+        ],
+    )
+    def test_config_without_text_form_rejected(self, cfg, message):
+        with pytest.raises(ValueError, match=message):
+            serialize_train_config(cfg)
+
     def test_in_memory_proxy_rejected(self):
         cfg = train_config_from_text("")
         proxy = AgentCheckpoint(net=init_qnetwork(5, np.random.default_rng(0)))
@@ -141,6 +232,8 @@ class TestSweepSpec:
             sweep_spec_from_text("masses: 1,2\n")
         with pytest.raises(ConfigError):
             sweep_spec_from_text("episodes_per_cell: 0\n")
+        with pytest.raises(ConfigError, match="line 2: duplicate"):
+            sweep_spec_from_text("mass_grid_kg: 1,2\nmass_grid_kg: 5\n")
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "sweep.spec"

@@ -3,7 +3,8 @@ import pytest
 from dataclasses import replace
 
 import wirebeam as wb
-from wirebeam.checkpoint import AgentCheckpoint, save_checkpoint
+from wirebeam import rarl
+from wirebeam.checkpoint import AgentCheckpoint, load_checkpoint, save_checkpoint
 from wirebeam.deepq import init_qnetwork
 from wirebeam.env import AdversaryAction, BeamTrackingEnv, ProtagonistAction
 from wirebeam.rarl import (
@@ -82,6 +83,20 @@ class TestTrainLoop:
         assert a.records[0].protagonist_avg_power == b.records[0].protagonist_avg_power
         for pa, pb in zip(a.protagonist.net.parameters(), b.protagonist.net.parameters()):
             np.testing.assert_array_equal(pa, pb)
+
+    def test_path_proxy_loaded_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "proxy.ckpt"
+        save_checkpoint(path, AgentCheckpoint(net=init_qnetwork(5, np.random.default_rng(3))))
+        cfg = tiny_cfg(variant="rarl", episodes=3, horizon=10, test_steps=5)
+        by_object = train(replace(cfg, proxy_checkpoint=load_checkpoint(path)))
+        loads = []
+        monkeypatch.setattr(rarl, "load_checkpoint", lambda p: loads.append(p) or load_checkpoint(p))
+        by_path = train(replace(cfg, proxy_checkpoint=str(path)))
+        assert loads == [str(path)]
+        assert by_path.adversary.manifest == by_object.adversary.manifest
+        assert [r.adversary_check_avg_power for r in by_path.records] == [
+            r.adversary_check_avg_power for r in by_object.records
+        ]
 
     def test_variants_produce_expected_checkpoints(self):
         no_adv = train(tiny_cfg())
