@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
 """Mini robustness sweep: score the fixed-beam and oracle policies over a
-grid of wire masses and spring constants, printed as a text heatmap.
+grid of wire masses and spring constants, printed as a text heatmap. Each
+policy scores the whole grid in one batched `rollout` call.
 
 Run: python demos/06_robustness_sweep.py
 """
 
-from dataclasses import replace
-
-from wirebeam import EnvConfig, PhysParams, Policy, PolicyKind, run_policy
+from wirebeam import EnvConfig, PhysParams, Policy, PolicyKind, rollout
 
 MASSES = [5.0, 10.0, 20.0]
 SPRINGS = [10.0, 50.0, 100.0]
@@ -16,17 +15,15 @@ STEPS = 500
 print("Average received power [dBm] over a half episode per cell")
 print("(test-time physics differ from the 10 kg / 100 N/m training point)\n")
 
+physes = [PhysParams(total_mass=m, spring_constant=k0) for m in MASSES for k0 in SPRINGS]
 for name, kind in [("stay", PolicyKind.STAY), ("one-step oracle", PolicyKind.UPPER_LIMIT)]:
+    avgs, _ = rollout(Policy(kind), EnvConfig(), physes, [2] * len(physes), STEPS)
     print(f"policy: {name}")
     header = "        " + "".join(f"  k0={k:<6.0f}" for k in SPRINGS)
     print(header)
-    for m in MASSES:
-        cells = []
-        for k0 in SPRINGS:
-            cfg = EnvConfig(phys=PhysParams(total_mass=m, spring_constant=k0))
-            avg, _ = run_policy(Policy(kind), cfg, STEPS, seed=2)
-            cells.append(f"{avg:10.2f}")
-        print(f"  m={m:4.0f}" + "".join(cells))
+    for i, m in enumerate(MASSES):
+        row = avgs[i * len(SPRINGS) : (i + 1) * len(SPRINGS)]
+        print(f"  m={m:4.0f}" + "".join(f"{avg:10.2f}" for avg in row))
     print()
 
 print("A softer wire (small k0) swings harder, so the fixed beam loses more;")

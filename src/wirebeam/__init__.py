@@ -63,6 +63,7 @@ from .rarl import (
     check_protagonist,
     make_normalizer,
     pretrain_proxy,
+    rollout,
     run_policy,
     train,
 )

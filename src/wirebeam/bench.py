@@ -31,7 +31,8 @@ from .config import (
     serialize_train_config,
     train_config_from_text,
 )
-from .rarl import Policy, PolicyKind, pretrain_proxy, run_policy, train
+from .rarl import Policy, PolicyKind, pretrain_proxy, rollout, run_policy, train
+from .wire import effective_substeps
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -180,26 +181,23 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _sweep_cell(payload):
-    """Worker for one (mass, spring, policy) cell; returns a result row."""
-    (config_text, mass, spring, token, episodes, seeds, base_seed) = payload
+def _sweep_task(payload):
+    """Worker: one batched rollout of one policy over (mass, spring) cells,
+    every episode x seed of each; returns (mean, std, error) per cell. A
+    failed batch is rerun cell by cell, so only failing cells are marked."""
+    config_text, token, cells, episodes, seeds = payload
     cfg = train_config_from_text(config_text)
-    phys = replace(cfg.env.phys, total_mass=mass, spring_constant=spring)
-    env_cfg = replace(cfg.env, phys=phys, adversary_active=False)
-    policy = resolve_policy(token)
     token_id = int(hashlib.sha256(token.encode()).hexdigest()[:8], 16)
-    powers = []
+    runs = [(m, k, ep, s) for m, k in cells for ep in range(episodes) for s in range(seeds)]
+    physes = [replace(cfg.env.phys, total_mass=m, spring_constant=k) for m, k, _, _ in runs]
+    entropy = [[cfg.seed, int(m * 1000), int(k * 1000), token_id, ep, s] for m, k, ep, s in runs]
     try:
-        for ep in range(episodes):
-            for s in range(seeds):
-                seed = np.random.SeedSequence(
-                    [base_seed, int(mass * 1000), int(spring * 1000), token_id, ep, s]
-                )
-                avg, _ = run_policy(policy, env_cfg, env_cfg.horizon, seed)
-                powers.append(avg)
-        return (mass, spring, token, float(np.mean(powers)), float(np.std(powers)), "")
+        avg, _ = rollout(resolve_policy(token), cfg.env, physes, entropy, cfg.env.horizon)
     except Exception as exc:  # record divergence, keep sweeping
-        return (mass, spring, token, float("nan"), float("nan"), f"{type(exc).__name__}: {exc}")
+        if len(cells) > 1:
+            return [r for cell in cells for r in _sweep_task((config_text, token, [cell], episodes, seeds))]
+        return [(float("nan"), float("nan"), f"{type(exc).__name__}: {exc}")]
+    return [(float(np.mean(p)), float(np.std(p)), "") for p in avg.reshape(len(cells), -1)]
 
 
 def cmd_sweep(args) -> int:
@@ -213,20 +211,20 @@ def cmd_sweep(args) -> int:
     started = _utcnow()
     config_text = serialize_train_config(cfg)
 
-    cells = [
-        (config_text, m, k, pol, spec.episodes_per_cell, spec.seeds_per_cell, cfg.seed)
-        for m in spec.mass_grid
-        for k in spec.spring_grid
-        for pol in spec.policies
-    ]
+    grid = [(m, k) for m in spec.mass_grid for k in spec.spring_grid]
+    physes = [replace(cfg.env.phys, total_mass=m, spring_constant=k) for m, k in grid]
+    substeps = [effective_substeps(p, cfg.env.tau, cfg.env.substeps) for p in physes]
+    # one batched rollout per policy
+    tasks = [(config_text, pol, grid, spec.episodes_per_cell, spec.seeds_per_cell) for pol in spec.policies]
     workers = args.workers or os.cpu_count() or 1
-    if workers > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_cell, cells))
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            done = list(pool.map(_sweep_task, tasks))
     else:
-        results = [_sweep_cell(c) for c in cells]
+        done = [_sweep_task(t) for t in tasks]
 
-    # map() preserves submission order, which is already row-major
+    per_cell = zip(grid, zip(*done))  # each cell's results, one per policy
+    results = [(m, k, pol, *r) for (m, k), res in per_cell for pol, r in zip(spec.policies, res)]
     failures = [r for r in results if r[5]]
     heatmap_path = out / "heatmap.csv"
     _write_csv(
@@ -241,14 +239,17 @@ def cmd_sweep(args) -> int:
         [cfg.seed],
         {"__started__": started, "heatmap.csv": heatmap_path},
         extra={
-            "cells": len(cells),
+            "cells": len(results),
+            "substeps": [
+                {"mass_kg": m, "spring_n_per_m": k, "substeps": n} for (m, k), n in zip(grid, substeps)
+            ],
             "failed_cells": [
                 {"mass_kg": r[0], "spring_n_per_m": r[1], "policy": r[2], "error": r[5]}
                 for r in failures
             ],
         },
     )
-    print(f"sweep: {len(cells)} cells, {len(failures)} failed -> {heatmap_path}")
+    print(f"sweep: {len(results)} cells, {len(failures)} failed -> {heatmap_path}")
     return EXIT_PARTIAL if failures else EXIT_OK
 
 

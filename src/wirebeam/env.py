@@ -42,7 +42,7 @@ class AdversaryAction(IntEnum):
 
 
 # (a_theta, a_phi) per protagonist action; at most one entry is nonzero.
-_ANGLE_STEPS = {
+ANGLE_STEPS = {
     ProtagonistAction.STAY: (0.0, 0.0),
     ProtagonistAction.UP: (-1.0, 0.0),
     ProtagonistAction.DOWN: (1.0, 0.0),
@@ -90,7 +90,7 @@ class Observation:
 
 def apply_protagonist_action(beam: BeamState, action: ProtagonistAction, beta_deg: float) -> BeamState:
     """New beam after moving zenith/azimuth by beta per the action table."""
-    a_theta, a_phi = _ANGLE_STEPS[ProtagonistAction(action)]
+    a_theta, a_phi = ANGLE_STEPS[ProtagonistAction(action)]
     return BeamState(beam.steer_zenith + a_theta * beta_deg, beam.steer_azimuth + a_phi * beta_deg)
 
 

@@ -98,7 +98,17 @@ class AoD:
             raise ValueError("azimuth must lie in (-180, 180] degrees")
 
 
-def element_pattern(zenith_deg, azimuth_deg, cfg: AntennaConfig):
+def _square(x):
+    return x**2  # numpy squares a scalar with libm pow, an array by exact products
+
+
+def _square_each(x):
+    """libm pow(x, 2) per element: what `_square` gives for one scalar, so a
+    broadcast evaluation reproduces scalar evaluations bit for bit."""
+    return np.float_power(x, 2.0)
+
+
+def element_pattern(zenith_deg, azimuth_deg, cfg: AntennaConfig, square=_square):
     """Single-element gain in dB at the given arrival angles.
 
     Parabolic vertical and horizontal cuts, each clipped at its side-lobe
@@ -110,8 +120,8 @@ def element_pattern(zenith_deg, azimuth_deg, cfg: AntennaConfig):
     """
     theta = np.asarray(zenith_deg, dtype=np.float64)
     phi = np.asarray(azimuth_deg, dtype=np.float64)
-    a_ev = -np.minimum(12.0 * ((theta - 90.0) / cfg.theta_3db) ** 2, cfg.sla_v)
-    a_eh = -np.minimum(12.0 * (phi / cfg.phi_3db) ** 2, cfg.front_back)
+    a_ev = -np.minimum(12.0 * square((theta - 90.0) / cfg.theta_3db), cfg.sla_v)
+    a_eh = -np.minimum(12.0 * square(phi / cfg.phi_3db), cfg.front_back)
     out = cfg.g_max - np.minimum(-(a_ev + a_eh), cfg.front_back)
     return out if out.ndim else float(out)
 
@@ -123,7 +133,9 @@ def _phase_sum(count: int, spacing: float, wavelength: float, psi):
     return np.abs(np.exp(1j * phases).sum(axis=-1))
 
 
-def array_factor(zenith_deg, azimuth_deg, steer_zenith_deg, steer_azimuth_deg, cfg: AntennaConfig):
+def array_factor(
+    zenith_deg, azimuth_deg, steer_zenith_deg, steer_azimuth_deg, cfg: AntennaConfig, square=_square
+):
     """Array factor in dB for arrival angles (zenith, azimuth) and steering
     angles (steer_zenith, steer_azimuth).
 
@@ -146,17 +158,34 @@ def array_factor(zenith_deg, azimuth_deg, steer_zenith_deg, steer_azimuth_deg, c
     mag = _phase_sum(cfg.n_v, cfg.spacing_v, cfg.wavelength, psi_v) * _phase_sum(
         cfg.n_h, cfg.spacing_h, cfg.wavelength, psi_h
     )
-    power = mag**2 / cfg.n_elements
+    power = square(mag) / cfg.n_elements
     with np.errstate(divide="ignore"):
         out = np.maximum(10.0 * np.log10(power), AF_FLOOR_DB)
     return out if out.ndim else float(out)
 
 
-def tx_gain(zenith_deg, azimuth_deg, steer_zenith_deg, steer_azimuth_deg, cfg: AntennaConfig):
+def tx_gain(
+    zenith_deg, azimuth_deg, steer_zenith_deg, steer_azimuth_deg, cfg: AntennaConfig, square=_square
+):
     """Total transmit gain in dB: element pattern plus array factor."""
-    return element_pattern(zenith_deg, azimuth_deg, cfg) + array_factor(
-        zenith_deg, azimuth_deg, steer_zenith_deg, steer_azimuth_deg, cfg
+    return element_pattern(zenith_deg, azimuth_deg, cfg, square) + array_factor(
+        zenith_deg, azimuth_deg, steer_zenith_deg, steer_azimuth_deg, cfg, square
     )
+
+
+def path_gain_db(distance: float, budget: LinkBudget) -> float:
+    """Free-space path gain 20*log10(lambda / (4*pi*d)) in dB at distance d, m."""
+    if distance <= 0:
+        raise ValueError("distance must be > 0")
+    return 20.0 * math.log10(budget.wavelength / (4.0 * math.pi * distance))
+
+
+def link_power(zenith_deg, azimuth_deg, path_db, steer_zenith_deg, steer_azimuth_deg, cfg, budget):
+    """Received power in dBm from the arrival angles, the path gain in dB and
+    the steering angles. Arrays broadcast together, and each element equals
+    the scalar evaluation of its inputs bit for bit."""
+    gain = tx_gain(zenith_deg, azimuth_deg, steer_zenith_deg, steer_azimuth_deg, cfg, _square_each)
+    return budget.tx_power + gain + budget.rx_gain + path_db
 
 
 def received_power(
@@ -167,11 +196,16 @@ def received_power(
     budget: LinkBudget,
 ) -> float:
     """Received power in dBm over a line-of-sight free-space link."""
-    if aod.distance <= 0:
-        raise ValueError("distance must be > 0")
-    path_db = 20.0 * math.log10(budget.wavelength / (4.0 * math.pi * aod.distance))
+    path_db = path_gain_db(aod.distance, budget)
     gain = tx_gain(aod.zenith, aod.azimuth, steer_zenith_deg, steer_azimuth_deg, cfg)
     return budget.tx_power + float(gain) + budget.rx_gain + path_db
+
+
+def _angles(dx: float, dy: float, dz: float, d: float):
+    """Zenith and azimuth in degrees of a separation (dx, dy, dz) of length d."""
+    zenith = math.degrees(math.acos(min(1.0, max(-1.0, dz / d))))
+    azimuth = math.degrees(math.atan2(dy, dx))
+    return zenith, (azimuth + 360.0 if azimuth <= -180.0 else azimuth)
 
 
 def aod_geometry(x_s: np.ndarray, x_g: np.ndarray) -> AoD:
@@ -182,11 +216,19 @@ def aod_geometry(x_s: np.ndarray, x_g: np.ndarray) -> AoD:
     the poles (zenith 0 or 180, where azimuth is degenerate).
     """
     delta = np.asarray(x_s, dtype=np.float64) - np.asarray(x_g, dtype=np.float64)
-    d = float(np.linalg.norm(delta))
+    d = math.sqrt(delta.dot(delta))  # the BLAS dot that np.linalg.norm takes
     if d == 0.0:
         raise ValueError("transmitter and receiver positions coincide")
-    zenith = math.degrees(math.acos(min(1.0, max(-1.0, delta[2] / d))))
-    azimuth = math.degrees(math.atan2(delta[1], delta[0]))
-    if azimuth <= -180.0:
-        azimuth += 360.0
-    return AoD(distance=d, zenith=zenith, azimuth=azimuth)
+    return AoD(d, *_angles(*delta.tolist(), d))
+
+
+def aod_batch(x_s: np.ndarray, x_g: np.ndarray):
+    """aod_geometry of every row of x_s (B, 3) toward x_g ((B, 3) or one (3,)
+    position), bit for bit: (distance, zenith, azimuth) arrays of shape (B,)."""
+    delta = np.asarray(x_s, dtype=np.float64) - np.asarray(x_g, dtype=np.float64)
+    dist = np.sqrt(np.vecdot(delta, delta))  # the same BLAS dot, one per row
+    if not dist.all():
+        raise ValueError("transmitter and receiver positions coincide")
+    # libm per row: numpy's vectorized arccos and arctan2 may round differently
+    zenith, azimuth = np.array([_angles(*row, d) for row, d in zip(delta.tolist(), dist.tolist())]).T
+    return dist, zenith, azimuth

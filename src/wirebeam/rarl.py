@@ -6,6 +6,10 @@ per environment step, targets re-sync every few episodes, and two
 per-episode probes track progress: the tracking agent is scored greedily
 with the adversary disabled, and the adversary is scored greedily against
 a frozen proxy tracker that was pre-trained without any adversary.
+
+Every evaluation is a call of `rollout`, which steps B environments
+together, each exactly as a lone BeamTrackingEnv would go: the probes and
+`run_policy` with B = 1, a robustness sweep with one call per policy.
 """
 
 from __future__ import annotations
@@ -21,13 +25,17 @@ import numpy as np
 from . import deepq
 from .checkpoint import AgentCheckpoint, load_checkpoint
 from .env import (
+    ANGLE_STEPS,
     AdversaryAction,
+    BeamState,
     BeamTrackingEnv,
     EnvConfig,
     ProtagonistAction,
-    apply_protagonist_action,
+    adversary_wind,
+    reward_from_power,
 )
-from .radio import aod_geometry, received_power
+from .radio import aod_batch, link_power, path_gain_db
+from .wire import Integrator, effective_substeps, env_wind
 
 VARIANTS = ("rarl", "no_adversary", "random_adversary")
 
@@ -121,23 +129,10 @@ class ObsNormalizer:
         return {"anchor": "env_rest", "scale": self.scale.tolist()}
 
 
-def norm_scale_from_manifest(manifest) -> np.ndarray | None:
-    entry = (manifest or {}).get("obs_norm")
-    return np.asarray(entry["scale"]) if entry else None
-
-
 def make_normalizer(env_cfg: EnvConfig, scale=None) -> ObsNormalizer:
     """Normalizer anchored at the rest state of the given environment."""
     rest = BeamTrackingEnv(env_cfg, seed=0).observe().vector()
     return ObsNormalizer(offset=rest, scale=np.asarray(scale) if scale is not None else OBS_SCALE.copy())
-
-
-def _anchored_norm(env: BeamTrackingEnv, scale) -> "ObsNormalizer | None":
-    """Normalizer for a freshly reset environment (its observation is the
-    rest observation), or None when no scale is recorded."""
-    if scale is None:
-        return None
-    return ObsNormalizer(offset=env.observe().vector(), scale=np.asarray(scale))
 
 
 def _apply_norm(norm, vec):
@@ -183,11 +178,8 @@ def _resolve_agent(obj):
         return obj, None
     if not isinstance(obj, AgentCheckpoint):
         obj = load_checkpoint(obj)
-    return obj.net, norm_scale_from_manifest(obj.manifest)
-
-
-def greedy_action(net: deepq.QNetwork, state_vec: np.ndarray) -> int:
-    return int(np.argmax(deepq.forward(net, state_vec)))
+    entry = (obj.manifest or {}).get("obs_norm")
+    return obj.net, np.asarray(entry["scale"]) if entry else None
 
 
 def random_adversary_action(rng: np.random.Generator) -> int:
@@ -203,111 +195,122 @@ def _eval_streams(seed):
     return ss.spawn(2)
 
 
-def check_protagonist(net, env_cfg: EnvConfig, test_steps: int, seed) -> float:
-    """Average received power of the greedy tracker with the adversary off.
+# (zenith, azimuth) beam step per protagonist action, in units of beta
+_BEAM_STEPS = np.array([ANGLE_STEPS[a] for a in ProtagonistAction])
 
-    `net` may be a bare QNetwork or a checkpoint (whose recorded input
-    normalizer is then applied).
+
+def rollout(
+    policy: Policy, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=None, trajectory=False
+):
+    """Roll B = len(seeds) environments together for `steps` decision intervals.
+
+    Environment b runs `env_cfg` with the physics `physes[b]` (one n_points
+    for all) under `seeds[b]`, and follows exactly the trajectory it would
+    follow alone. The tracker plays `policy`; given an `adversary` (net,
+    checkpoint or path) the adversary wind is on and the adversary acts
+    greedily, else it is off. A step runs one integrator per group of equal
+    substep count, one forward pass per network on the (B, 9) observations
+    and one broadcast gain evaluation of the candidate beams: the five moves
+    for the one-step oracle, scored on the wire state the step keeps.
+
+    Returns the (B,) average powers in dBm and, with `trajectory`, one list
+    of rows (step, t, p_r_dbm, r_p, a_p, a_a, sbs_x, sbs_y, sbs_z, theta_s,
+    phi_s) per environment, else None.
     """
-    if test_steps < 1:
-        raise ValueError("test_steps must be >= 1")
-    net, scale = _resolve_agent(net)
-    cfg = replace(env_cfg, adversary_active=False, horizon=test_steps)
-    env_stream, _ = _eval_streams(seed)
-    e = BeamTrackingEnv(cfg, seed=env_stream)
-    norm = _anchored_norm(e, scale)
-    total = 0.0
-    for _ in range(test_steps):
-        a_p = greedy_action(net, _apply_norm(norm, e.observe().vector()))
-        _, _, _, p_r = e.step(ProtagonistAction(a_p), AdversaryAction.STAY)
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if len(physes) != len(seeds):
+        raise ValueError("need one PhysParams per seed")
+    substeps = [effective_substeps(p, env_cfg.tau, env_cfg.substeps) for p in physes]
+    order, groups = [], []  # environments sorted by substep count: each group is a slice
+    for n_sub in sorted(set(substeps)):
+        members = [i for i, s in enumerate(substeps) if s == n_sub]
+        part = slice(len(order), len(order) + len(members))
+        groups.append((part, Integrator([physes[i] for i in members], env_cfg.tau, n_sub)))
+        order += members
+    streams = [_eval_streams(seeds[i]) for i in order]
+    envs = [BeamTrackingEnv(replace(env_cfg, phys=physes[i]), seed=s[0]) for i, s in zip(order, streams)]
+    act_rngs = [np.random.default_rng(s[1]) for s in streams]
+    rngs = [e.rng for e in envs]
+    pos = np.array([e.wire_state.positions for e in envs])
+    vel = np.array([e.wire_state.velocities for e in envs])
+    beam = np.array([(e.beam.steer_zenith, e.beam.steer_azimuth) for e in envs])
+    gateways = np.array([e.gateway for e in envs])
+    obs = np.array([e.observe().vector() for e in envs])
+    sbs, beta, budget, antenna = env_cfg.sbs_index, env_cfg.beta, env_cfg.budget, env_cfg.antenna
+
+    def greedy(agent):
+        net, scale = _resolve_agent(agent)
+        norm = ObsNormalizer(offset=obs.copy(), scale=np.asarray(scale)) if scale is not None else None
+        return lambda state: np.argmax(deepq.forward(net, _apply_norm(norm, state)), axis=1)
+
+    act_p = greedy(policy.checkpoint) if policy.kind is PolicyKind.GREEDY_DQN else None
+    act_a = greedy(adversary) if adversary is not None else None
+    moves = np.arange(N_PROTAGONIST_ACTIONS)[None, :]  # the one-step oracle's candidates
+    a_a = a_p = np.zeros(len(envs), dtype=np.int64)
+    every = np.arange(len(envs))
+    total = np.zeros(len(envs))
+    rows = [[] for _ in envs]
+    t = 0.0
+    for k in range(steps):
+        if act_p is not None or act_a is not None:
+            obs[:, 0:3] = pos[:, sbs]
+            obs[:, 3:6] = vel[:, sbs]
+            obs[:, 6:9] = [BeamState(*b).direction() for b in beam]
+        if act_p is not None:
+            a_p = act_p(obs)
+        elif policy.kind is PolicyKind.RANDOM_UNIFORM:
+            a_p = np.array([rng.integers(N_PROTAGONIST_ACTIONS) for rng in act_rngs])
+
+        wind = env_wind(t) if env_cfg.ambient_wind else np.zeros(3)
+        if act_a is not None:
+            a_a = act_a(obs)
+            wind = (wind + np.array([adversary_wind(a, env_cfg.adversary_speed) for a in a_a]))[:, None, :]
+        for part, integrator in groups:
+            integrator.advance(pos[part], vel[part], wind if wind.ndim == 1 else wind[part], rngs[part], t)
+        t = t + env_cfg.tau
+
+        dist, aod_zen, aod_azi = aod_batch(pos[:, sbs], gateways)
+        path = np.array([path_gain_db(d, budget) for d in dist.tolist()])
+        cand = moves if policy.kind is PolicyKind.UPPER_LIMIT else a_p[:, None]
+        beams = beam[:, None, :] + _BEAM_STEPS[cand] * beta  # (B, candidates, 2)
+        arrival = aod_zen[:, None], aod_azi[:, None], path[:, None]
+        powers = link_power(*arrival, beams[..., 0], beams[..., 1], antenna, budget)
+        best = np.argmax(powers, axis=1)
+        a_p = best if policy.kind is PolicyKind.UPPER_LIMIT else a_p
+        beam, p_r = beams[every, best], powers[every, best]
         total += p_r
-    return total / test_steps
+
+        if trajectory:
+            for b, env_rows in enumerate(rows):
+                r_p = reward_from_power(p_r[b], env_cfg.clip_offset, env_cfg.clip_scale)
+                names = ProtagonistAction(a_p[b]).name.lower(), AdversaryAction(a_a[b]).name.lower()
+                env_rows.append((k, t, p_r[b], r_p, *names, *pos[b, sbs], *beam[b]))
+
+    inverse = np.argsort(order)
+    return (total / steps)[inverse], [rows[j] for j in inverse] if trajectory else None
+
+
+def run_policy(policy: Policy, env_cfg: EnvConfig, steps: int, seed):
+    """Roll a fixed policy (no adversary) for `steps` decision intervals;
+    returns (average received power in dBm, rollout's trajectory rows)."""
+    avg, rows = rollout(policy, env_cfg, [env_cfg.phys], [seed], steps, trajectory=True)
+    return float(avg[0]), rows[0]
+
+
+def check_protagonist(net, env_cfg: EnvConfig, test_steps: int, seed) -> float:
+    """Average received power of the greedy tracker with the adversary off;
+    `net` is a bare QNetwork or a checkpoint (its input normalizer applies)."""
+    avg, _ = rollout(Policy(PolicyKind.GREEDY_DQN, net), env_cfg, [env_cfg.phys], [seed], test_steps)
+    return float(avg[0])
 
 
 def check_adversary(adv_net, proxy_net, env_cfg: EnvConfig, test_steps: int, seed) -> float:
     """Average power the frozen proxy tracker obtains while the greedy
     adversary disturbs it (lower means a stronger adversary)."""
-    if test_steps < 1:
-        raise ValueError("test_steps must be >= 1")
-    adv_net, adv_scale = _resolve_agent(adv_net)
-    proxy_net, proxy_scale = _resolve_agent(proxy_net)
-    cfg = replace(env_cfg, adversary_active=True, horizon=test_steps)
-    env_stream, _ = _eval_streams(seed)
-    e = BeamTrackingEnv(cfg, seed=env_stream)
-    adv_norm = _anchored_norm(e, adv_scale)
-    proxy_norm = _anchored_norm(e, proxy_scale)
-    total = 0.0
-    for _ in range(test_steps):
-        s = e.observe().vector()
-        a_p = greedy_action(proxy_net, _apply_norm(proxy_norm, s))
-        a_a = greedy_action(adv_net, _apply_norm(adv_norm, s))
-        _, _, _, p_r = e.step(ProtagonistAction(a_p), AdversaryAction(a_a))
-        total += p_r
-    return total / test_steps
-
-
-def _upper_limit_action(e: BeamTrackingEnv, a_a: AdversaryAction) -> int:
-    """One-step lookahead: score all five moves against the true next wire
-    state (same noise draw the real step will consume) and take the best."""
-    nxt = e.preview_wire(a_a)
-    pos = nxt.positions[e.cfg.sbs_index]
-    aod = aod_geometry(pos, e.gateway)
-    best_a, best_p = 0, -np.inf
-    for a in ProtagonistAction:
-        beam = apply_protagonist_action(e.beam, a, e.cfg.beta)
-        p = received_power(aod, beam.steer_zenith, beam.steer_azimuth, e.cfg.antenna, e.cfg.budget)
-        if p > best_p:
-            best_a, best_p = int(a), p
-    return best_a
-
-
-def run_policy(policy: Policy, env_cfg: EnvConfig, steps: int, seed):
-    """Roll a fixed policy (no adversary) for `steps` decision intervals.
-
-    Returns (average received power in dBm, trajectory rows), each row
-    (step, t, p_r_dbm, r_p, a_p, a_a, sbs_x, sbs_y, sbs_z, theta_s, phi_s).
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    cfg = replace(env_cfg, adversary_active=False, horizon=steps)
-    env_stream, act_stream = _eval_streams(seed)
-    e = BeamTrackingEnv(cfg, seed=env_stream)
-    rng = np.random.default_rng(act_stream)
-    net = norm = None
-    if policy.kind is PolicyKind.GREEDY_DQN:
-        net, scale = _resolve_agent(policy.checkpoint)
-        norm = _anchored_norm(e, scale)
-
-    rows = []
-    total = 0.0
-    for k in range(steps):
-        if policy.kind is PolicyKind.STAY:
-            a_p = ProtagonistAction.STAY
-        elif policy.kind is PolicyKind.RANDOM_UNIFORM:
-            a_p = ProtagonistAction(int(rng.integers(N_PROTAGONIST_ACTIONS)))
-        elif policy.kind is PolicyKind.GREEDY_DQN:
-            a_p = ProtagonistAction(greedy_action(net, _apply_norm(norm, e.observe().vector())))
-        else:
-            a_p = ProtagonistAction(_upper_limit_action(e, AdversaryAction.STAY))
-        _, r_p, _, p_r = e.step(a_p, AdversaryAction.STAY)
-        total += p_r
-        pos = e.sbs_position
-        rows.append(
-            (
-                k,
-                e.time,
-                p_r,
-                r_p,
-                a_p.name.lower(),
-                AdversaryAction.STAY.name.lower(),
-                pos[0],
-                pos[1],
-                pos[2],
-                e.beam.steer_zenith,
-                e.beam.steer_azimuth,
-            )
-        )
-    return total / steps, rows
+    policy = Policy(PolicyKind.GREEDY_DQN, proxy_net)
+    avg, _ = rollout(policy, env_cfg, [env_cfg.phys], [seed], test_steps, adversary=adv_net)
+    return float(avg[0])
 
 
 def train(cfg: TrainConfig) -> TrainResult:
@@ -325,15 +328,9 @@ def train(cfg: TrainConfig) -> TrainResult:
 
     # One master seed fans out to fixed streams so that variants sharing a
     # seed see identical physics and protagonist exploration draws.
-    streams = np.random.SeedSequence(cfg.seed).spawn(8)
-    rng_init_p = np.random.default_rng(streams[0])
-    rng_init_a = np.random.default_rng(streams[1])
-    rng_phys = np.random.default_rng(streams[2])
-    rng_eps_p = np.random.default_rng(streams[3])
-    rng_eps_a = np.random.default_rng(streams[4])
-    rng_replay_p = np.random.default_rng(streams[5])
-    rng_replay_a = np.random.default_rng(streams[6])
-    rng_eval = np.random.default_rng(streams[7])
+    rng_init_p, rng_init_a, rng_phys, rng_eps_p, rng_eps_a, rng_replay_p, rng_replay_a, rng_eval = (
+        np.random.default_rng(stream) for stream in np.random.SeedSequence(cfg.seed).spawn(8)
+    )
 
     phys_seeds = rng_phys.integers(0, 2**63, size=cfg.episodes)
     eval_seeds = rng_eval.integers(0, 2**63, size=(cfg.episodes, 2))
@@ -400,15 +397,13 @@ def train(cfg: TrainConfig) -> TrainResult:
                 deepq.sync_target(net_a, tgt_a)
 
         p4_seed, p5_seed = int(eval_seeds[ep - 1, 0]), int(eval_seeds[ep - 1, 1])
-        probe_p = AgentCheckpoint(
-            net=net_p, manifest={"obs_norm": norm.manifest_entry() if norm else None}
-        )
+        probe_manifest = {"obs_norm": norm.manifest_entry() if norm else None}
+        probe_p = AgentCheckpoint(net_p, manifest=probe_manifest)
         p4 = check_protagonist(probe_p, cfg.env, cfg.test_steps, p4_seed)
+        p5 = float("nan")
         if trains_adversary:
-            probe_a = AgentCheckpoint(net=net_a, manifest=probe_p.manifest)
+            probe_a = AgentCheckpoint(net_a, manifest=probe_manifest)
             p5 = check_adversary(probe_a, proxy, cfg.env, cfg.test_steps, p5_seed)
-        else:
-            p5 = float("nan")
         records.append(
             EpisodeRecord(
                 episode=ep,

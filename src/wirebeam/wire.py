@@ -154,6 +154,62 @@ def tensile_acceleration(state: WireState, i: int, params: PhysParams) -> np.nda
     return params.gravity + params.tension_coeff * (x[i + 1] + x[i - 1] - 2.0 * x[i])
 
 
+class Integrator:
+    """Semi-implicit Euler-Maruyama stepper for B wires that share n_points,
+    the decision interval dt and the substep count n_sub.
+
+    Each wire keeps its own gravity, tension coefficient, drag and
+    diffusion matrix (one PhysParams each) and draws its noise from its own
+    generator, so a wire's trajectory does not depend on the others.
+    """
+
+    def __init__(self, params: list, dt: float, n_sub: int):
+        self.dt, self.n_sub = dt, n_sub
+        self.h = dt / n_sub
+        self.sqrt_h = math.sqrt(self.h)
+        self.gravity = np.array([p.gravity for p in params])[:, None, :]
+        self.coeff = np.array([p.tension_coeff for p in params])[:, None, None]
+        self.drag = np.array([p.drag_constant for p in params])[:, None, None]
+        # wires with a zero diffusion matrix draw no noise
+        self.noisy = [b for b, p in enumerate(params) if np.count_nonzero(p.wind_cov)]
+        self.all_noisy = len(self.noisy) == len(params)
+        self.cov_t = np.array([params[b].wind_cov.T for b in self.noisy]).reshape(-1, 3, 3)
+        self.xi = np.empty((len(self.noisy), params[0].n_points - 2, 3))
+
+    def advance(self, pos: np.ndarray, vel: np.ndarray, wind: np.ndarray, rngs: list, time: float):
+        """Advance (B, N, 3) positions and velocities by dt, in place, under
+        a wind (3,) shared by all wires or (B, 1, 3) per wire:
+
+            v += a*h - c0*(v - v_wind)*h + (V @ xi)*sqrt(h),  xi ~ N(0, I3)
+            x += v*h          (updated v; endpoints never move)
+
+        Noise is drawn i.i.d. per interior point per substep. Raises
+        SimulationDivergedError for the first wire that goes non-finite.
+        """
+        h = self.h
+        for _ in range(self.n_sub):
+            inner = pos[:, 1:-1]
+            accel = self.gravity + self.coeff * (pos[:, 2:] + pos[:, :-2] - 2.0 * inner)
+            dv = (accel - self.drag * (vel[:, 1:-1] - wind)) * h
+            if self.noisy:
+                for xi, b in zip(self.xi, self.noisy):
+                    rngs[b].standard_normal(out=xi)
+                kick = (self.xi @ self.cov_t) * self.sqrt_h
+                if self.all_noisy:
+                    dv += kick
+                else:
+                    dv[self.noisy] += kick
+            vel[:, 1:-1] += dv
+            pos[:, 1:-1] += vel[:, 1:-1] * h
+
+        if not (np.isfinite(pos).all() and np.isfinite(vel).all()):
+            bad_pos = ~np.isfinite(pos).all(axis=2)
+            bad_vel = ~np.isfinite(vel).all(axis=2)
+            b = int(np.nonzero((bad_pos | bad_vel).any(axis=1))[0][0])
+            bad = np.nonzero(bad_pos[b] | bad_vel[b])[0]
+            raise SimulationDivergedError(time + self.dt, self.n_sub, bad)
+
+
 def step(
     state: WireState,
     wind_velocity: np.ndarray,
@@ -164,54 +220,20 @@ def step(
 ) -> WireState:
     """Advance the wire by dt under a wind held constant over the interval.
 
-    Integrates the interior points over `substeps` (auto-raised when the
-    stability bound demands it) sub-intervals h = dt/substeps:
-
-        v += a*h - c0*(v - v_wind)*h + (V @ xi)*sqrt(h),  xi ~ N(0, I3)
-        x += v*h          (updated v; endpoints never move)
-
-    Noise is drawn i.i.d. per interior point per substep. Raises
-    SimulationDivergedError if any component goes non-finite.
+    Integrates the interior points with Integrator.advance over `substeps`
+    (auto-raised when the stability bound demands it) sub-intervals
+    h = dt/substeps. Raises SimulationDivergedError if any component goes
+    non-finite.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    wind = np.asarray(wind_velocity, dtype=np.float64)
-
-    n_sub = effective_substeps(params, dt, substeps)
-    h = dt / n_sub
-    sqrt_h = math.sqrt(h)
-    c0 = params.drag_constant
-    coeff = params.tension_coeff
-    g = params.gravity
-    noisy = np.any(params.wind_cov)
-    cov_t = params.wind_cov.T
-
-    pos = state.positions.copy()
-    vel = state.velocities.copy()
-    for k in range(n_sub):
-        inner = pos[1:-1]
-        accel = g + coeff * (pos[2:] + pos[:-2] - 2.0 * inner)
-        dv = (accel - c0 * (vel[1:-1] - wind)) * h
-        if noisy:
-            xi = rng.standard_normal((params.n_points - 2, 3))
-            dv += (xi @ cov_t) * sqrt_h
-        vel[1:-1] += dv
-        pos[1:-1] += vel[1:-1] * h
-
-    if not (np.isfinite(pos).all() and np.isfinite(vel).all()):
-        bad = np.unique(
-            np.concatenate(
-                [
-                    np.nonzero(~np.isfinite(pos).all(axis=1))[0],
-                    np.nonzero(~np.isfinite(vel).all(axis=1))[0],
-                ]
-            )
-        )
-        raise SimulationDivergedError(state.time + dt, n_sub, bad)
-
-    return WireState(pos, vel, state.time + dt)
+    pos = state.positions[None].copy()
+    vel = state.velocities[None].copy()
+    integrator = Integrator([params], dt, effective_substeps(params, dt, substeps))
+    integrator.advance(pos, vel, np.asarray(wind_velocity, dtype=np.float64), [rng], state.time)
+    return WireState(pos[0], vel[0], state.time + dt)
 
 
 def env_wind(t: float) -> np.ndarray:

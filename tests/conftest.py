@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import wirebeam as wb
 from wirebeam.config import train_config_from_text
+from wirebeam.env import AdversaryAction, BeamTrackingEnv, ProtagonistAction, apply_protagonist_action
+from wirebeam.rarl import PolicyKind, _eval_streams
 
 # Training runs shared by the slow tests: five seeds, 50 episodes each,
 # reference parameters otherwise. The no-adversary arm of each seed doubles
@@ -46,3 +48,42 @@ def training_stock():
         rarl_cfg = replace(cfg, variant="rarl", proxy_checkpoint=no_adv.protagonist)
         stock[seed] = {"no_adversary": no_adv, "rarl": wb.train(rarl_cfg)}
     return stock
+
+
+def reference_average(policy, env_cfg, seed, steps, adversary=None):
+    """Average received power of one environment stepped by
+    BeamTrackingEnv.step, with the one-step oracle looking ahead through
+    preview_wire: the per-environment loop that the batched rollout must
+    reproduce bit for bit. Greedy agents are AgentCheckpoints whose
+    manifest records the input scale."""
+    env_stream, act_stream = _eval_streams(seed)
+    cfg = replace(env_cfg, adversary_active=adversary is not None, horizon=steps)
+    env = BeamTrackingEnv(cfg, seed=env_stream)
+    rng = np.random.default_rng(act_stream)
+    rest = env.observe().vector()
+
+    def greedy(ckpt, state):
+        scale = np.asarray(ckpt.manifest["obs_norm"]["scale"])
+        return int(np.argmax(wb.forward(ckpt.net, (state - rest) / scale)))
+
+    total = 0.0
+    for _ in range(steps):
+        state = env.observe().vector()
+        a_a = greedy(adversary, state) if adversary is not None else AdversaryAction.STAY
+        if policy.kind is PolicyKind.STAY:
+            a_p = ProtagonistAction.STAY
+        elif policy.kind is PolicyKind.RANDOM_UNIFORM:
+            a_p = int(rng.integers(len(ProtagonistAction)))
+        elif policy.kind is PolicyKind.GREEDY_DQN:
+            a_p = greedy(policy.checkpoint, state)
+        else:
+            nxt = env.preview_wire(AdversaryAction(a_a))
+            aod = wb.aod_geometry(nxt.positions[cfg.sbs_index], env.gateway)
+            powers = []
+            for a in ProtagonistAction:
+                beam = apply_protagonist_action(env.beam, a, cfg.beta)
+                powers.append(wb.received_power(aod, beam.steer_zenith, beam.steer_azimuth, cfg.antenna, cfg.budget))
+            a_p = int(np.argmax(powers))
+        _, _, _, p_r = env.step(ProtagonistAction(a_p), AdversaryAction(a_a))
+        total += p_r
+    return total / steps

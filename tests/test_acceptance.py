@@ -11,7 +11,7 @@ import wirebeam as wb
 from wirebeam.config import train_config_from_text
 from wirebeam.deepq import batch_loss, init_qnetwork, loss_and_gradients
 from wirebeam.env import AdversaryAction, BeamTrackingEnv, ProtagonistAction
-from wirebeam.rarl import Policy, PolicyKind, check_protagonist, random_adversary_action, run_policy
+from wirebeam.rarl import Policy, PolicyKind, check_protagonist, random_adversary_action, rollout, run_policy
 from conftest import STOCK_SEEDS
 
 BORESIGHT_GAIN = 38.103
@@ -232,11 +232,17 @@ def test_criterion_8_zero_shot_robustness(training_stock):
     med_no_adv = float(np.median(no_adv_scores))
     elapsed = time.perf_counter() - t0
     assert med_rarl >= med_no_adv, f"median rarl {med_rarl:.2f} < no-adversary {med_no_adv:.2f}"
+    # the baselines on the same wire and eval seed, for scale (no assert)
+    oracle, stay = (
+        float(rollout(Policy(kind), eval_cfg, [soft_wire], [ROBUSTNESS_EVAL_SEED], 1000)[0][0])
+        for kind in (PolicyKind.UPPER_LIMIT, PolicyKind.STAY)
+    )
     report(
         8,
         elapsed,
         f"at k0=10 N/m: median rarl {med_rarl:.2f} dBm >= no-adversary {med_no_adv:.2f} dBm "
-        f"(full-scale anchors -13.2 vs -14.5)",
+        f"(full-scale anchors -13.2 vs -14.5); on this wire upper_limit {oracle:.2f} dBm, "
+        f"stay {stay:.2f} dBm",
     )
 
 

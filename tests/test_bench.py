@@ -1,13 +1,21 @@
+import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wirebeam.bench import main
+from wirebeam import wire
+from wirebeam.bench import main, resolve_policy
+from wirebeam.checkpoint import AgentCheckpoint, load_checkpoint, save_checkpoint
 from wirebeam.config import train_config_from_text
+from wirebeam.deepq import init_qnetwork
+from wirebeam.env import EnvConfig
+from wirebeam.rarl import make_normalizer
+from conftest import reference_average
 
 SMALL_CFG = (
     "episodes: 2\n"
@@ -21,6 +29,14 @@ SMALL_CFG = (
 def write_cfg(tmp_path, text=SMALL_CFG, name="cfg.txt"):
     path = tmp_path / name
     path.write_text(text)
+    return str(path)
+
+
+def greedy_ckpt_path(tmp_path):
+    """A random-weight tracker saved with the reference input normalizer."""
+    path = tmp_path / "greedy.ckpt"
+    net = init_qnetwork(5, np.random.default_rng(99), head_scale=1.0)
+    save_checkpoint(path, AgentCheckpoint(net=net, manifest={"obs_norm": make_normalizer(EnvConfig()).manifest_entry()}))
     return str(path)
 
 
@@ -109,11 +125,70 @@ class TestSweepCommand:
     def test_parallel_matches_serial(self, tmp_path):
         cfg = write_cfg(tmp_path)
         spec = tmp_path / "sweep.spec"
-        spec.write_text("mass_grid_kg: 10,5\nspring_grid_n_per_m: 100\npolicies: stay\n")
+        policies = f"stay,upper_limit,random_uniform,{greedy_ckpt_path(tmp_path)}"
+        spec.write_text(f"mass_grid_kg: 10,5\nspring_grid_n_per_m: 100,50\npolicies: {policies}\n")
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
-        main(["sweep", "--config", cfg, "--spec", str(spec), "--out", str(out1), "--workers", "1"])
-        main(["sweep", "--config", cfg, "--spec", str(spec), "--out", str(out2), "--workers", "2"])
+        assert main(["sweep", "--config", cfg, "--spec", str(spec), "--out", str(out1), "--workers", "1"]) == 0
+        assert main(["sweep", "--config", cfg, "--spec", str(spec), "--out", str(out2), "--workers", "2"]) == 0
         assert (out1 / "heatmap.csv").read_bytes() == (out2 / "heatmap.csv").read_bytes()
+
+    def test_mixed_substep_grid_matches_reference_loop(self, tmp_path):
+        # 0.3 kg / 200 N/m needs 2 substeps, 1 kg / 200 N/m one
+        cfg_text = SMALL_CFG
+        spec = tmp_path / "sweep.spec"
+        policies = ["stay", "upper_limit", "random_uniform", greedy_ckpt_path(tmp_path)]
+        spec.write_text(
+            "mass_grid_kg: 0.3,1\nspring_grid_n_per_m: 200\n"
+            f"policies: {','.join(policies)}\nepisodes_per_cell: 2\nseeds_per_cell: 2\n"
+        )
+        out = tmp_path / "sw"
+        argv = ["sweep", "--config", write_cfg(tmp_path, cfg_text), "--spec", str(spec), "--out", str(out)]
+        assert main(argv + ["--workers", "1"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [c["substeps"] for c in manifest["substeps"]] == [2, 1]
+
+        cfg = train_config_from_text(cfg_text)
+        _, rows = read_rows(out / "heatmap.csv")
+        assert len(rows) == 8
+        for mass_kg, spring, token, avg, std in rows:
+            mass_kg, spring = float(mass_kg), float(spring)
+            policy = resolve_policy(token)
+            if policy.checkpoint is not None:
+                policy.checkpoint = load_checkpoint(policy.checkpoint)
+            env_cfg = replace(cfg.env, phys=replace(cfg.env.phys, total_mass=mass_kg, spring_constant=spring))
+            token_id = int(hashlib.sha256(token.encode()).hexdigest()[:8], 16)
+            powers = [
+                reference_average(
+                    policy, env_cfg, [cfg.seed, int(mass_kg * 1000), int(spring * 1000), token_id, ep, s],
+                    cfg.env.horizon,
+                )
+                for ep in range(2)
+                for s in range(2)
+            ]
+            assert (avg, std) == (repr(float(np.mean(powers))), repr(float(np.std(powers))))
+
+    def test_diverging_cell_only_fails_itself(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path)
+        spec = tmp_path / "sweep.spec"
+        spec.write_text("mass_grid_kg: 10,5\nspring_grid_n_per_m: 100\npolicies: stay,upper_limit\n")
+        argv = ["sweep", "--config", cfg, "--spec", str(spec), "--workers", "1", "--out"]
+        assert main(argv + [str(tmp_path / "ok")]) == 0
+
+        advance = wire.Integrator.advance
+
+        def diverge_at_5_kg(self, pos, vel, wind, rngs, time):
+            pos[self.coeff[:, 0, 0] == 100.0 * 11 / 5.0, 1] = np.nan
+            advance(self, pos, vel, wind, rngs, time)
+
+        monkeypatch.setattr(wire.Integrator, "advance", diverge_at_5_kg)
+        assert main(argv + [str(tmp_path / "bad")]) == 3
+        _, ok_rows = read_rows(tmp_path / "ok" / "heatmap.csv")
+        _, bad_rows = read_rows(tmp_path / "bad" / "heatmap.csv")
+        assert bad_rows[:2] == ok_rows[:2]  # the 10 kg cells
+        assert [r[3:] for r in bad_rows[2:]] == [["nan", "nan"]] * 2
+        failed = json.loads((tmp_path / "bad" / "manifest.json").read_text())["failed_cells"]
+        assert [(c["mass_kg"], c["policy"]) for c in failed] == [(5.0, "stay"), (5.0, "upper_limit")]
+        assert all(c["error"].startswith("SimulationDivergedError") for c in failed)
 
     def test_failing_cell_flags_partial_exit(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -232,3 +307,8 @@ class TestOrchestrationPurity:
         bad = tmp_path / "bad.cfg"
         bad.write_text("garbage\n")
         assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+
+    def test_zero_decision_interval_is_a_config_error(self, tmp_path, capsys):
+        bad = write_cfg(tmp_path, "decision_interval_s: 0\n")
+        assert main(["train", "--config", bad, "--out", str(tmp_path / "o")]) == 1
+        assert "config error: decision_interval_s must be > 0" in capsys.readouterr().err

@@ -145,6 +145,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             train_config_from_text("observation_time_s: 0.001\n")
 
+    @pytest.mark.parametrize("tau", ["0", "-0.01", "nan"])
+    def test_nonpositive_decision_interval_rejected_with_key(self, tau):
+        with pytest.raises(ConfigError, match="decision_interval_s must be > 0"):
+            train_config_from_text(f"decision_interval_s: {tau}\n")
+
 
 class TestRoundTrip:
     def test_default_round_trip(self):

@@ -7,9 +7,12 @@ from wirebeam.radio import (
     AoD,
     AntennaConfig,
     LinkBudget,
+    aod_batch,
     aod_geometry,
     array_factor,
     element_pattern,
+    link_power,
+    path_gain_db,
     received_power,
     tx_gain,
 )
@@ -133,7 +136,35 @@ class TestReceivedPower:
             AoD(-2.0, 90.0, 0.0)
 
 
+class TestBroadcastPower:
+    def test_link_power_matches_scalar_evaluations(self):
+        # numpy squares a scalar with libm pow and an array by products, which
+        # can differ in the last bit: plain array squares fail this sample
+        rng = np.random.default_rng(4)
+        n = 20000
+        zen, azi = rng.uniform(30.0, 150.0, n), rng.uniform(-170.0, 170.0, n)
+        steer_z, steer_a = np.round(zen + rng.normal(0.0, 10.0, n)), np.round(azi + rng.normal(0.0, 10.0, n))
+        aods = [AoD(d, z, a) for d, z, a in zip(rng.uniform(1.0, 50.0, n), zen, azi)]
+        path = np.array([path_gain_db(aod.distance, BUDGET) for aod in aods])
+        batch = link_power(zen, azi, path, steer_z, steer_a, CFG, BUDGET)
+        scalar = [received_power(aod, z, a, CFG, BUDGET) for aod, z, a in zip(aods, steer_z, steer_a)]
+        assert batch.tolist() == scalar
+
+
 class TestAodGeometry:
+    def test_batch_rows_match_scalar_formula(self):
+        rng = np.random.default_rng(5)
+        x_s, x_g = rng.normal(0.0, 5.0, (500, 3)), rng.normal(0.0, 5.0, 3)
+        dist, zen, azi = aod_batch(x_s, x_g)
+        for row, d, z, a in zip(x_s, dist, zen, azi):
+            delta = row - x_g
+            ref_d = float(np.linalg.norm(delta))
+            ref_z = math.degrees(math.acos(min(1.0, max(-1.0, delta[2] / ref_d))))
+            ref_a = math.degrees(math.atan2(delta[1], delta[0]))
+            ref = (ref_d, ref_z, ref_a + 360.0 if ref_a <= -180.0 else ref_a)
+            geo = aod_geometry(row, x_g)
+            assert (d, z, a) == (geo.distance, geo.zenith, geo.azimuth) == ref
+
     def test_axis_aligned(self):
         aod = aod_geometry(np.array([5.0, 0.0, 0.0]), np.zeros(3))
         assert (aod.distance, aod.zenith, aod.azimuth) == pytest.approx((5.0, 90.0, 0.0))

@@ -17,9 +17,11 @@ from wirebeam.rarl import (
     config_fingerprint,
     pretrain_proxy,
     random_adversary_action,
+    rollout,
     run_policy,
     train,
 )
+from conftest import reference_average
 
 STATIC_POWER = -12.881197714043807
 
@@ -228,6 +230,57 @@ class TestRunPolicy:
             Policy(PolicyKind.GREEDY_DQN)
         with pytest.raises(ValueError):
             run_policy(Policy(PolicyKind.STAY), wb.EnvConfig(), 0, 0)
+
+
+def greedy_ckpt(n_actions, seed):
+    """Random-weight agent with the reference input normalizer recorded."""
+    net = init_qnetwork(n_actions, np.random.default_rng(seed), head_scale=1.0)
+    norm = wb.make_normalizer(wb.EnvConfig())
+    return AgentCheckpoint(net=net, manifest={"obs_norm": norm.manifest_entry()})
+
+
+# 0.3 kg / 200 N/m needs 2 substeps, the others 1: the batch mixes groups
+MIXED_PHYSES = [
+    wb.PhysParams(total_mass=1.0, spring_constant=200.0),
+    wb.PhysParams(total_mass=0.3, spring_constant=200.0),
+    wb.PhysParams(total_mass=10.0, spring_constant=100.0),
+]
+
+
+class TestRollout:
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    def test_batch_matches_reference_loop(self, kind):
+        assert [wb.wire.effective_substeps(p, 0.01, 1) for p in MIXED_PHYSES] == [1, 2, 1]
+        policy = Policy(kind, greedy_ckpt(5, 3) if kind is PolicyKind.GREEDY_DQN else None)
+        cfg, steps = wb.EnvConfig(), 60
+        physes = MIXED_PHYSES * 2
+        seeds = [[7, i] for i in range(len(physes))]  # entropy: each use spawns afresh
+        avg, _ = rollout(policy, cfg, physes, seeds, steps)
+        expected = [reference_average(policy, replace(cfg, phys=p), s, steps) for p, s in zip(physes, seeds)]
+        assert avg.tolist() == expected
+
+    def test_adversary_probe_matches_reference_loop(self):
+        proxy, adversary = Policy(PolicyKind.GREEDY_DQN, greedy_ckpt(5, 3)), greedy_ckpt(7, 4)
+        cfg, steps = wb.EnvConfig(), 60
+        seeds = [11, 12, 13]
+        avg, _ = rollout(proxy, cfg, MIXED_PHYSES, seeds, steps, adversary=adversary)
+        expected = [
+            reference_average(proxy, replace(cfg, phys=p), s, steps, adversary=adversary)
+            for p, s in zip(MIXED_PHYSES, seeds)
+        ]
+        assert avg.tolist() == expected
+        probe_cfg = replace(cfg, phys=MIXED_PHYSES[0])
+        assert check_adversary(adversary, proxy.checkpoint, probe_cfg, steps, 11) == expected[0]
+
+    def test_batch_rows_equal_single_rows(self):
+        policy, cfg = Policy(PolicyKind.UPPER_LIMIT), wb.EnvConfig()
+        _, rows = rollout(policy, cfg, MIXED_PHYSES, [1, 2, 3], 30, trajectory=True)
+        for phys, seed, batch_rows in zip(MIXED_PHYSES, [1, 2, 3], rows):
+            assert run_policy(policy, replace(cfg, phys=phys), 30, seed)[1] == batch_rows
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError, match="one PhysParams per seed"):
+            rollout(Policy(PolicyKind.STAY), wb.EnvConfig(), MIXED_PHYSES, [1], 10)
 
 
 class TestRandomAdversary:
