@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -181,26 +180,29 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _sweep_task(payload):
-    """Worker: one batched rollout of one policy over (mass, spring) cells,
-    every episode x seed of each; returns (mean, std, error) per cell. A
-    failed batch is rerun cell by cell, so only failing cells are marked."""
-    config_text, token, cells, episodes, seeds = payload
-    cfg = train_config_from_text(config_text)
-    token_id = int(hashlib.sha256(token.encode()).hexdigest()[:8], 16)
-    runs = [(m, k, ep, s) for m, k in cells for ep in range(episodes) for s in range(seeds)]
-    physes = [replace(cfg.env.phys, total_mass=m, spring_constant=k) for m, k, _, _ in runs]
-    entropy = [[cfg.seed, int(m * 1000), int(k * 1000), token_id, ep, s] for m, k, ep, s in runs]
+def _sweep_units(cfg, spec, units):
+    """(mass, spring, policy token, mean, std, error) of each (mass, spring,
+    policy token) unit over its episodes x seeds runs, all in one batched
+    rollout. A failed batch is rerun one unit at a time, so only failing
+    units are marked."""
+    policies = {token: resolve_policy(token) for _, _, token in units}
+    ids = {token: int(hashlib.sha256(token.encode()).hexdigest()[:8], 16) for token in policies}
+    runs = [(*u, ep, s) for u in units for ep, s in np.ndindex(spec.episodes_per_cell, spec.seeds_per_cell)]
+    physes = [replace(cfg.env.phys, total_mass=m, spring_constant=k) for m, k, *_ in runs]
+    entropy = [[cfg.seed, int(m * 1000), int(k * 1000), ids[token], ep, s] for m, k, token, ep, s in runs]
     try:
-        avg, _ = rollout(resolve_policy(token), cfg.env, physes, entropy, cfg.env.horizon)
+        avg, _ = rollout([policies[run[2]] for run in runs], cfg.env, physes, entropy, cfg.env.horizon)
     except Exception as exc:  # record divergence, keep sweeping
-        if len(cells) > 1:
-            return [r for cell in cells for r in _sweep_task((config_text, token, [cell], episodes, seeds))]
-        return [(float("nan"), float("nan"), f"{type(exc).__name__}: {exc}")]
-    return [(float(np.mean(p)), float(np.std(p)), "") for p in avg.reshape(len(cells), -1)]
+        if len(units) > 1:
+            return [r for unit in units for r in _sweep_units(cfg, spec, [unit])]
+        return [(*units[0], float("nan"), float("nan"), f"{type(exc).__name__}: {exc}")]
+    return [(*u, float(np.mean(p)), float(np.std(p)), "") for u, p in zip(units, np.split(avg, len(units)))]
 
 
 def cmd_sweep(args) -> int:
+    if args.spec and args.checkpoint:  # a spec names its own policies
+        print("sweep: --spec and --checkpoint (or WIREBEAM_CHECKPOINT) exclude each other", file=sys.stderr)
+        return EXIT_ERROR
     cfg = _load_cfg(args)
     if args.spec:
         spec = load_sweep_spec(args.spec)
@@ -209,22 +211,11 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     started = _utcnow()
-    config_text = serialize_train_config(cfg)
 
     grid = [(m, k) for m in spec.mass_grid for k in spec.spring_grid]
     physes = [replace(cfg.env.phys, total_mass=m, spring_constant=k) for m, k in grid]
     substeps = [effective_substeps(p, cfg.env.tau, cfg.env.substeps) for p in physes]
-    # one batched rollout per policy
-    tasks = [(config_text, pol, grid, spec.episodes_per_cell, spec.seeds_per_cell) for pol in spec.policies]
-    workers = args.workers or os.cpu_count() or 1
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            done = list(pool.map(_sweep_task, tasks))
-    else:
-        done = [_sweep_task(t) for t in tasks]
-
-    per_cell = zip(grid, zip(*done))  # each cell's results, one per policy
-    results = [(m, k, pol, *r) for (m, k), res in per_cell for pol, r in zip(spec.policies, res)]
+    results = _sweep_units(cfg, spec, [(m, k, token) for m, k in grid for token in spec.policies])
     failures = [r for r in results if r[5]]
     heatmap_path = out / "heatmap.csv"
     _write_csv(
@@ -235,7 +226,7 @@ def cmd_sweep(args) -> int:
     write_manifest(
         out,
         "sweep",
-        config_text,
+        serialize_train_config(cfg),
         [cfg.seed],
         {"__started__": started, "heatmap.csv": heatmap_path},
         extra={
@@ -346,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sweep)
     p_sweep.add_argument("--spec", default=None, help="sweep spec file")
     p_sweep.add_argument("--checkpoint", default=_env_default("CHECKPOINT"))
-    p_sweep.add_argument("--workers", type=int, default=_env_default("WORKERS", int))
+    p_sweep.add_argument("--workers", type=int, default=None, help="accepted and ignored")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_ant = sub.add_parser("antenna-pattern", help="export an azimuth gain cut as CSV")

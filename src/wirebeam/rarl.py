@@ -7,9 +7,9 @@ per-episode probes track progress: the tracking agent is scored greedily
 with the adversary disabled, and the adversary is scored greedily against
 a frozen proxy tracker that was pre-trained without any adversary.
 
-Every evaluation is a call of `rollout`, which steps B environments
-together, each exactly as a lone BeamTrackingEnv would go: the probes and
-`run_policy` with B = 1, a robustness sweep with one call per policy.
+Every evaluation is one call of `rollout`, which steps B environments, each
+with its own policy, exactly as lone BeamTrackingEnvs would go: the probes
+and `run_policy` with B = 1, a whole robustness sweep with one call.
 """
 
 from __future__ import annotations
@@ -190,28 +190,28 @@ def random_adversary_action(rng: np.random.Generator) -> int:
 
 def _eval_streams(seed):
     """Fixed {environment, action} stream split so that every evaluation
-    entry point sees identical physics under the same seed."""
+    entry point sees identical physics under the same seed; a SeedSequence
+    is read, not spawned from, so it gives the same streams on every use."""
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return ss.spawn(2)
+    key, size = ss.spawn_key, ss.pool_size
+    return [np.random.SeedSequence(ss.entropy, spawn_key=(*key, i), pool_size=size) for i in (0, 1)]
 
 
 # (zenith, azimuth) beam step per protagonist action, in units of beta
 _BEAM_STEPS = np.array([ANGLE_STEPS[a] for a in ProtagonistAction])
 
 
-def rollout(
-    policy: Policy, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=None, trajectory=False
-):
+def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=None, trajectory=False):
     """Roll B = len(seeds) environments together for `steps` decision intervals.
 
     Environment b runs `env_cfg` with the physics `physes[b]` (one n_points
-    for all) under `seeds[b]`, and follows exactly the trajectory it would
-    follow alone. The tracker plays `policy`; given an `adversary` (net,
-    checkpoint or path) the adversary wind is on and the adversary acts
-    greedily, else it is off. A step runs one integrator per group of equal
-    substep count, one forward pass per network on the (B, 9) observations
-    and one broadcast gain evaluation of the candidate beams: the five moves
-    for the one-step oracle, scored on the wire state the step keeps.
+    for all) under `seeds[b]`, its tracker plays `policies[b]`, and it follows
+    exactly the trajectory it would follow alone. Given an `adversary` (net,
+    checkpoint or path) its wind is on and it acts greedily everywhere, else
+    it is off. A step runs one integrator per group of equal substep count,
+    one forward pass per distinct greedy checkpoint on its own rows, and one
+    broadcast gain evaluation of each oracle row's five candidate beams and
+    every other row's chosen beam, on the wire state the step keeps.
 
     Returns the (B,) average powers in dBm and, with `trajectory`, one list
     of rows (step, t, p_r_dbm, r_p, a_p, a_a, sbs_x, sbs_y, sbs_z, theta_s,
@@ -219,8 +219,8 @@ def rollout(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if len(physes) != len(seeds):
-        raise ValueError("need one PhysParams per seed")
+    if not len(policies) == len(physes) == len(seeds):
+        raise ValueError("need one Policy and one PhysParams per seed")
     substeps = [effective_substeps(p, env_cfg.tau, env_cfg.substeps) for p in physes]
     order, groups = [], []  # environments sorted by substep count: each group is a slice
     for n_sub in sorted(set(substeps)):
@@ -228,43 +228,50 @@ def rollout(
         part = slice(len(order), len(order) + len(members))
         groups.append((part, Integrator([physes[i] for i in members], env_cfg.tau, n_sub)))
         order += members
+    policies = [policies[i] for i in order]
     streams = [_eval_streams(seeds[i]) for i in order]
     envs = [BeamTrackingEnv(replace(env_cfg, phys=physes[i]), seed=s[0]) for i, s in zip(order, streams)]
-    act_rngs = [np.random.default_rng(s[1]) for s in streams]
     rngs = [e.rng for e in envs]
     pos = np.array([e.wire_state.positions for e in envs])
     vel = np.array([e.wire_state.velocities for e in envs])
     beam = np.array([(e.beam.steer_zenith, e.beam.steer_azimuth) for e in envs])
     gateways = np.array([e.gateway for e in envs])
-    obs = np.array([e.observe().vector() for e in envs])
+    obs = np.array([e.observe().vector() for e in envs])  # the rest observations
     sbs, beta, budget, antenna = env_cfg.sbs_index, env_cfg.beta, env_cfg.budget, env_cfg.antenna
 
-    def greedy(agent):
+    def greedy(agent, rows):  # (rows, act), the normalizer anchored on the rows' rest observations
         net, scale = _resolve_agent(agent)
-        norm = ObsNormalizer(offset=obs.copy(), scale=np.asarray(scale)) if scale is not None else None
-        return lambda state: np.argmax(deepq.forward(net, _apply_norm(norm, state)), axis=1)
+        norm = ObsNormalizer(offset=obs[rows], scale=np.asarray(scale)) if scale is not None else None
+        return rows, lambda: np.argmax(deepq.forward(net, _apply_norm(norm, obs[rows])), axis=1)
 
-    act_p = greedy(policy.checkpoint) if policy.kind is PolicyKind.GREEDY_DQN else None
-    act_a = greedy(adversary) if adversary is not None else None
-    moves = np.arange(N_PROTAGONIST_ACTIONS)[None, :]  # the one-step oracle's candidates
-    a_a = a_p = np.zeros(len(envs), dtype=np.int64)
     every = np.arange(len(envs))
+    kinds = np.array([p.kind for p in policies])
+    ckpts = [p.checkpoint if p.kind is PolicyKind.GREEDY_DQN else None for p in policies]
+    agents = {id(c): c for c in ckpts if c is not None}  # each distinct greedy checkpoint once
+    trackers = [greedy(agent, np.flatnonzero([c is agent for c in ckpts])) for agent in agents.values()]
+    act_a = greedy(adversary, every)[1] if adversary is not None else None
+    reads = adversary is not None or kinds == PolicyKind.GREEDY_DQN  # the rows a network reads
+    observed = slice(None) if np.all(reads) else np.flatnonzero(reads)
+    randoms = np.flatnonzero(kinds == PolicyKind.RANDOM_UNIFORM)
+    act_rngs = [np.random.default_rng(s[1]) for s in streams]
+    oracle = (kinds == PolicyKind.UPPER_LIMIT)[:, None]
+    moves = np.arange(N_PROTAGONIST_ACTIONS)[None, :]
+    a_a, a_p = np.zeros((2, len(envs)), dtype=np.int64)
     total = np.zeros(len(envs))
     rows = [[] for _ in envs]
     t = 0.0
     for k in range(steps):
-        if act_p is not None or act_a is not None:
-            obs[:, 0:3] = pos[:, sbs]
-            obs[:, 3:6] = vel[:, sbs]
-            obs[:, 6:9] = [BeamState(*b).direction() for b in beam]
-        if act_p is not None:
-            a_p = act_p(obs)
-        elif policy.kind is PolicyKind.RANDOM_UNIFORM:
-            a_p = np.array([rng.integers(N_PROTAGONIST_ACTIONS) for rng in act_rngs])
+        if np.any(reads):
+            obs[observed, 0:3] = pos[observed, sbs]
+            obs[observed, 3:6] = vel[observed, sbs]
+            obs[observed, 6:9] = [BeamState(*b).direction() for b in beam[observed]]
+        for tracked, act in trackers:
+            a_p[tracked] = act()
+        a_p[randoms] = [act_rngs[b].integers(N_PROTAGONIST_ACTIONS) for b in randoms]
 
         wind = env_wind(t) if env_cfg.ambient_wind else np.zeros(3)
         if act_a is not None:
-            a_a = act_a(obs)
+            a_a = act_a()
             wind = (wind + np.array([adversary_wind(a, env_cfg.adversary_speed) for a in a_a]))[:, None, :]
         for part, integrator in groups:
             integrator.advance(pos[part], vel[part], wind if wind.ndim == 1 else wind[part], rngs[part], t)
@@ -272,13 +279,13 @@ def rollout(
 
         dist, aod_zen, aod_azi = aod_batch(pos[:, sbs], gateways)
         path = np.array([path_gain_db(d, budget) for d in dist.tolist()])
-        cand = moves if policy.kind is PolicyKind.UPPER_LIMIT else a_p[:, None]
-        beams = beam[:, None, :] + _BEAM_STEPS[cand] * beta  # (B, candidates, 2)
-        arrival = aod_zen[:, None], aod_azi[:, None], path[:, None]
-        powers = link_power(*arrival, beams[..., 0], beams[..., 1], antenna, budget)
-        best = np.argmax(powers, axis=1)
-        a_p = best if policy.kind is PolicyKind.UPPER_LIMIT else a_p
-        beam, p_r = beams[every, best], powers[every, best]
+        # score the oracle's five moves and every other row's chosen one, on the wire state the step keeps
+        beams = beam[:, None, :] + _BEAM_STEPS[moves] * beta  # (B, moves, 2)
+        b, m = np.nonzero(oracle | (moves == a_p[:, None]))
+        powers = np.full(beams.shape[:2], -np.inf)
+        powers[b, m] = link_power(aod_zen[b], aod_azi[b], path[b], *beams[b, m].T, antenna, budget)
+        a_p = np.argmax(powers, axis=1)
+        beam, p_r = beams[every, a_p], powers[every, a_p]
         total += p_r
 
         if trajectory:
@@ -294,14 +301,14 @@ def rollout(
 def run_policy(policy: Policy, env_cfg: EnvConfig, steps: int, seed):
     """Roll a fixed policy (no adversary) for `steps` decision intervals;
     returns (average received power in dBm, rollout's trajectory rows)."""
-    avg, rows = rollout(policy, env_cfg, [env_cfg.phys], [seed], steps, trajectory=True)
+    avg, rows = rollout([policy], env_cfg, [env_cfg.phys], [seed], steps, trajectory=True)
     return float(avg[0]), rows[0]
 
 
 def check_protagonist(net, env_cfg: EnvConfig, test_steps: int, seed) -> float:
     """Average received power of the greedy tracker with the adversary off;
     `net` is a bare QNetwork or a checkpoint (its input normalizer applies)."""
-    avg, _ = rollout(Policy(PolicyKind.GREEDY_DQN, net), env_cfg, [env_cfg.phys], [seed], test_steps)
+    avg, _ = rollout([Policy(PolicyKind.GREEDY_DQN, net)], env_cfg, [env_cfg.phys], [seed], test_steps)
     return float(avg[0])
 
 
@@ -309,7 +316,7 @@ def check_adversary(adv_net, proxy_net, env_cfg: EnvConfig, test_steps: int, see
     """Average power the frozen proxy tracker obtains while the greedy
     adversary disturbs it (lower means a stronger adversary)."""
     policy = Policy(PolicyKind.GREEDY_DQN, proxy_net)
-    avg, _ = rollout(policy, env_cfg, [env_cfg.phys], [seed], test_steps, adversary=adv_net)
+    avg, _ = rollout([policy], env_cfg, [env_cfg.phys], [seed], test_steps, adversary=adv_net)
     return float(avg[0])
 
 

@@ -234,7 +234,7 @@ def test_criterion_8_zero_shot_robustness(training_stock):
     assert med_rarl >= med_no_adv, f"median rarl {med_rarl:.2f} < no-adversary {med_no_adv:.2f}"
     # the baselines on the same wire and eval seed, for scale (no assert)
     oracle, stay = (
-        float(rollout(Policy(kind), eval_cfg, [soft_wire], [ROBUSTNESS_EVAL_SEED], 1000)[0][0])
+        float(rollout([Policy(kind)], eval_cfg, [soft_wire], [ROBUSTNESS_EVAL_SEED], 1000)[0][0])
         for kind in (PolicyKind.UPPER_LIMIT, PolicyKind.STAY)
     )
     report(

@@ -1,4 +1,6 @@
 import hashlib
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -8,13 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wirebeam import wire
+from wirebeam import bench, wire
 from wirebeam.bench import main, resolve_policy
 from wirebeam.checkpoint import AgentCheckpoint, load_checkpoint, save_checkpoint
 from wirebeam.config import train_config_from_text
 from wirebeam.deepq import init_qnetwork
 from wirebeam.env import EnvConfig
-from wirebeam.rarl import make_normalizer
+from wirebeam.rarl import make_normalizer, rollout
 from conftest import reference_average
 
 SMALL_CFG = (
@@ -107,7 +109,7 @@ class TestSweepCommand:
             "mass_grid_kg: 10,10,5\nspring_grid_n_per_m: 100,50\npolicies: stay,upper_limit\n"
         )
         out = tmp_path / "sw"
-        assert main(["sweep", "--config", cfg, "--spec", str(spec), "--out", str(out), "--workers", "1"]) == 0
+        assert main(["sweep", "--config", cfg, "--spec", str(spec), "--out", str(out)]) == 0
         header, rows = read_rows(out / "heatmap.csv")
         assert header == ["mass_kg", "spring_n_per_m", "policy", "avg_power_dbm", "stddev"]
         # duplicates deduped: 2 masses x 2 springs x 2 policies
@@ -122,15 +124,44 @@ class TestSweepCommand:
         ]
         assert key[4][0] == "5.0"
 
-    def test_parallel_matches_serial(self, tmp_path):
+    def test_multi_policy_sweep_matches_single_policy_sweeps(self, tmp_path):
         cfg = write_cfg(tmp_path)
+        policies = ["stay", "upper_limit", "random_uniform", greedy_ckpt_path(tmp_path)]
+        grid = "mass_grid_kg: 10,5\nspring_grid_n_per_m: 100,50\n"
         spec = tmp_path / "sweep.spec"
-        policies = f"stay,upper_limit,random_uniform,{greedy_ckpt_path(tmp_path)}"
-        spec.write_text(f"mass_grid_kg: 10,5\nspring_grid_n_per_m: 100,50\npolicies: {policies}\n")
-        out1, out2 = tmp_path / "s1", tmp_path / "s2"
-        assert main(["sweep", "--config", cfg, "--spec", str(spec), "--out", str(out1), "--workers", "1"]) == 0
-        assert main(["sweep", "--config", cfg, "--spec", str(spec), "--out", str(out2), "--workers", "2"]) == 0
-        assert (out1 / "heatmap.csv").read_bytes() == (out2 / "heatmap.csv").read_bytes()
+        spec.write_text(grid + f"policies: {','.join(policies)}\n")
+        # --workers is still accepted, and ignored
+        assert main(["sweep", "--config", cfg, "--spec", str(spec), "--out", str(tmp_path / "all"), "--workers", "2"]) == 0
+        _, rows = read_rows(tmp_path / "all" / "heatmap.csv")
+        for i, token in enumerate(policies):
+            spec.write_text(grid + f"policies: {token}\n")
+            out = tmp_path / f"one{i}"
+            assert main(["sweep", "--config", cfg, "--spec", str(spec), "--out", str(out)]) == 0
+            assert read_rows(out / "heatmap.csv")[1] == rows[i :: len(policies)]
+
+    def test_sweep_is_one_rollout(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench, "rollout", lambda *args, **kw: calls.append(len(args[0])) or rollout(*args, **kw))
+        spec = tmp_path / "sweep.spec"
+        spec.write_text("mass_grid_kg: 10,5\nspring_grid_n_per_m: 100,50\npolicies: stay,upper_limit\nseeds_per_cell: 2\n")
+        argv = ["sweep", "--config", write_cfg(tmp_path), "--spec", str(spec), "--out", str(tmp_path / "sw")]
+        assert main(argv) == 0
+        assert calls == [2 * 2 * 2 * 2]  # cells x policies x seeds, in one batch
+
+    @pytest.mark.parametrize("from_env", [False, True])
+    def test_spec_and_checkpoint_rejected(self, tmp_path, monkeypatch, capsys, from_env):
+        spec = tmp_path / "sweep.spec"
+        spec.write_text("mass_grid_kg: 10\nspring_grid_n_per_m: 100\n")
+        out = tmp_path / "sw"
+        argv = ["sweep", "--config", write_cfg(tmp_path), "--spec", str(spec), "--out", str(out)]
+        if from_env:
+            monkeypatch.setenv("WIREBEAM_CHECKPOINT", str(tmp_path / "missing.ckpt"))
+        else:
+            argv += ["--checkpoint", str(tmp_path / "missing.ckpt")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "--spec" in err and "--checkpoint" in err
+        assert not out.exists()
 
     def test_mixed_substep_grid_matches_reference_loop(self, tmp_path):
         # 0.3 kg / 200 N/m needs 2 substeps, 1 kg / 200 N/m one
@@ -143,7 +174,7 @@ class TestSweepCommand:
         )
         out = tmp_path / "sw"
         argv = ["sweep", "--config", write_cfg(tmp_path, cfg_text), "--spec", str(spec), "--out", str(out)]
-        assert main(argv + ["--workers", "1"]) == 0
+        assert main(argv) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert [c["substeps"] for c in manifest["substeps"]] == [2, 1]
 
@@ -171,7 +202,7 @@ class TestSweepCommand:
         cfg = write_cfg(tmp_path)
         spec = tmp_path / "sweep.spec"
         spec.write_text("mass_grid_kg: 10,5\nspring_grid_n_per_m: 100\npolicies: stay,upper_limit\n")
-        argv = ["sweep", "--config", cfg, "--spec", str(spec), "--workers", "1", "--out"]
+        argv = ["sweep", "--config", cfg, "--spec", str(spec), "--out"]
         assert main(argv + [str(tmp_path / "ok")]) == 0
 
         advance = wire.Integrator.advance
@@ -195,7 +226,7 @@ class TestSweepCommand:
         spec = tmp_path / "sweep.spec"
         spec.write_text("mass_grid_kg: 10\nspring_grid_n_per_m: 100\npolicies: stay,/nope/missing.ckpt\n")
         out = tmp_path / "sw"
-        assert main(["sweep", "--config", cfg, "--spec", str(spec), "--out", str(out), "--workers", "1"]) == 3
+        assert main(["sweep", "--config", cfg, "--spec", str(spec), "--out", str(out)]) == 3
         header, rows = read_rows(out / "heatmap.csv")
         assert len(rows) == 2  # failed cell still has a row
         assert rows[1][3] == "nan"
@@ -312,3 +343,19 @@ class TestOrchestrationPurity:
         bad = write_cfg(tmp_path, "decision_interval_s: 0\n")
         assert main(["train", "--config", bad, "--out", str(tmp_path / "o")]) == 1
         assert "config error: decision_interval_s must be > 0" in capsys.readouterr().err
+
+
+class TestBenchmarkTracer:
+    def test_targets_resolve(self):
+        # every function the traced benchmark run wraps must still exist
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+        module_spec = importlib.util.spec_from_file_location("wirebeam_bench_tracer", path)
+        tracer = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(tracer)
+        assert tracer.TARGETS
+        for name, module, attr in tracer.TARGETS:
+            owner = importlib.import_module(module)
+            for part in attr.split("."):
+                assert hasattr(owner, part), f"{name}: {module}.{attr} is gone"
+                owner = getattr(owner, part)
+            assert callable(owner), name

@@ -160,6 +160,13 @@ class TestChecks:
         b = check_protagonist(proxy, cfg, 60, seed=5)
         assert a == b
 
+    def test_seed_sequence_reused_gives_same_physics(self):
+        # evaluating leaves a SeedSequence untouched; an int seed keeps its streams
+        stay, cfg = Policy(PolicyKind.STAY), wb.EnvConfig()
+        ss = np.random.SeedSequence(5)
+        first, second = run_policy(stay, cfg, 100, ss)[0], run_policy(stay, cfg, 100, ss)[0]
+        assert first == second == run_policy(stay, cfg, 100, 5)[0] == pytest.approx(-25.088600138014055, abs=1e-9)
+
     def test_check_adversary_rejects_zero_steps(self):
         net5, net7 = zero_bias_net(5), zero_bias_net(7)
         with pytest.raises(ValueError):
@@ -248,22 +255,31 @@ MIXED_PHYSES = [
 
 
 class TestRollout:
-    @pytest.mark.parametrize("kind", list(PolicyKind))
+    @pytest.mark.parametrize("kind", list(PolicyKind) + ["mixed"])
     def test_batch_matches_reference_loop(self, kind):
         assert [wb.wire.effective_substeps(p, 0.01, 1) for p in MIXED_PHYSES] == [1, 2, 1]
-        policy = Policy(kind, greedy_ckpt(5, 3) if kind is PolicyKind.GREEDY_DQN else None)
+        if kind == "mixed":  # all four kinds and two different greedy checkpoints in one batch
+            distinct = [Policy(k) for k in PolicyKind if k is not PolicyKind.GREEDY_DQN]
+            distinct += [Policy(PolicyKind.GREEDY_DQN, greedy_ckpt(5, s)) for s in (3, 8)]
+            policies = [p for p in distinct for _ in MIXED_PHYSES]
+            physes = MIXED_PHYSES * len(distinct)
+        else:
+            policies = [Policy(kind, greedy_ckpt(5, 3) if kind is PolicyKind.GREEDY_DQN else None)] * 6
+            physes = MIXED_PHYSES * 2
         cfg, steps = wb.EnvConfig(), 60
-        physes = MIXED_PHYSES * 2
-        seeds = [[7, i] for i in range(len(physes))]  # entropy: each use spawns afresh
-        avg, _ = rollout(policy, cfg, physes, seeds, steps)
-        expected = [reference_average(policy, replace(cfg, phys=p), s, steps) for p, s in zip(physes, seeds)]
+        seeds = [[7, i] for i in range(len(physes))]
+        avg, _ = rollout(policies, cfg, physes, seeds, steps)
+        expected = [
+            reference_average(policy, replace(cfg, phys=p), s, steps)
+            for policy, p, s in zip(policies, physes, seeds)
+        ]
         assert avg.tolist() == expected
 
     def test_adversary_probe_matches_reference_loop(self):
         proxy, adversary = Policy(PolicyKind.GREEDY_DQN, greedy_ckpt(5, 3)), greedy_ckpt(7, 4)
         cfg, steps = wb.EnvConfig(), 60
         seeds = [11, 12, 13]
-        avg, _ = rollout(proxy, cfg, MIXED_PHYSES, seeds, steps, adversary=adversary)
+        avg, _ = rollout([proxy] * 3, cfg, MIXED_PHYSES, seeds, steps, adversary=adversary)
         expected = [
             reference_average(proxy, replace(cfg, phys=p), s, steps, adversary=adversary)
             for p, s in zip(MIXED_PHYSES, seeds)
@@ -274,13 +290,15 @@ class TestRollout:
 
     def test_batch_rows_equal_single_rows(self):
         policy, cfg = Policy(PolicyKind.UPPER_LIMIT), wb.EnvConfig()
-        _, rows = rollout(policy, cfg, MIXED_PHYSES, [1, 2, 3], 30, trajectory=True)
+        _, rows = rollout([policy] * 3, cfg, MIXED_PHYSES, [1, 2, 3], 30, trajectory=True)
         for phys, seed, batch_rows in zip(MIXED_PHYSES, [1, 2, 3], rows):
             assert run_policy(policy, replace(cfg, phys=phys), 30, seed)[1] == batch_rows
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError, match="one PhysParams per seed"):
-            rollout(Policy(PolicyKind.STAY), wb.EnvConfig(), MIXED_PHYSES, [1], 10)
+            rollout([Policy(PolicyKind.STAY)] * 3, wb.EnvConfig(), MIXED_PHYSES, [1], 10)
+        with pytest.raises(ValueError, match="one Policy and one PhysParams per seed"):
+            rollout([Policy(PolicyKind.STAY)], wb.EnvConfig(), MIXED_PHYSES, [1, 2, 3], 10)
 
 
 class TestRandomAdversary:
