@@ -22,7 +22,6 @@ from .deepq import (
     QNetwork,
     ReplayMemory,
     act_epsilon_greedy,
-    batch_loss,
     forward,
     huber,
     init_qnetwork,
@@ -36,7 +35,6 @@ from .env import (
     BeamTrackingEnv,
     EnvConfig,
     EpisodeFinishedError,
-    Observation,
     ProtagonistAction,
     adversary_wind,
     apply_protagonist_action,
@@ -74,5 +72,4 @@ from .wire import (
     env_wind,
     equilibrium_shape,
     mechanical_energy,
-    tensile_acceleration,
 )

@@ -183,8 +183,9 @@ def cmd_eval(args) -> int:
 def _sweep_units(cfg, spec, units):
     """(mass, spring, policy token, mean, std, error) of each (mass, spring,
     policy token) unit over its episodes x seeds runs, all in one batched
-    rollout. A failed batch is rerun one unit at a time, so only failing
-    units are marked."""
+    rollout. A failed batch is rerun one policy at a time, and a failing
+    policy one unit at a time, so only failing units are marked and the
+    healthy policies stay batched."""
     policies = {token: resolve_policy(token) for _, _, token in units}
     ids = {token: int(hashlib.sha256(token.encode()).hexdigest()[:8], 16) for token in policies}
     runs = [(*u, ep, s) for u in units for ep, s in np.ndindex(spec.episodes_per_cell, spec.seeds_per_cell)]
@@ -193,9 +194,16 @@ def _sweep_units(cfg, spec, units):
     try:
         avg, _ = rollout([policies[run[2]] for run in runs], cfg.env, physes, entropy, cfg.env.horizon)
     except Exception as exc:  # record divergence, keep sweeping
-        if len(units) > 1:
-            return [r for unit in units for r in _sweep_units(cfg, spec, [unit])]
-        return [(*units[0], float("nan"), float("nan"), f"{type(exc).__name__}: {exc}")]
+        if len(units) == 1:
+            return [(*units[0], float("nan"), float("nan"), f"{type(exc).__name__}: {exc}")]
+        if len(policies) > 1:
+            parts = [[u for u in units if u[2] == token] for token in policies]
+        else:
+            parts = [[u] for u in units]
+        done = {}
+        for part in parts:
+            done.update(zip(part, _sweep_units(cfg, spec, part)))
+        return [done[u] for u in units]
     return [(*u, float(np.mean(p)), float(np.std(p)), "") for u, p in zip(units, np.split(avg, len(units)))]
 
 

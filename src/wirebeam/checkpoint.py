@@ -12,7 +12,7 @@ Byte layout (format version 1, all integers little-endian):
 
 The header records the trunk/head shapes, the manifest (agent kind,
 action count, training variant, seed, config hash), the Adam scalars, and
-the serialized numpy RNG state. Array order is deepq.param_layout's:
+an "rng_state" slot that is always null. Array order is deepq.param_layout's:
 trunk.{i}.w, trunk.{i}.b for each trunk layer, value.w, value.b, adv.w,
 adv.b, then (when Adam state is saved) adam.m.* and adam.v.* repeating the
 same order. The payload is therefore the network's flat parameter vector,
@@ -47,7 +47,6 @@ class AgentCheckpoint:
     net: QNetwork
     adam: AdamState | None = None
     manifest: dict | None = None
-    rng_state: dict | None = None
 
 
 def save_checkpoint(path, ckpt: AgentCheckpoint):
@@ -68,7 +67,7 @@ def save_checkpoint(path, ckpt: AgentCheckpoint):
             "epsilon": adam.epsilon,
             "step_count": adam.step_count,
         },
-        "rng_state": ckpt.rng_state,
+        "rng_state": None,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
@@ -126,6 +125,4 @@ def _from_header(header: dict, raw: bytes, offset: int, path) -> AgentCheckpoint
             beta2=a["beta2"],
             epsilon=a["epsilon"],
         )
-    return AgentCheckpoint(
-        net=net, adam=adam, manifest=header["manifest"], rng_state=header["rng_state"]
-    )
+    return AgentCheckpoint(net=net, adam=adam, manifest=header["manifest"])

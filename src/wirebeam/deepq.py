@@ -186,11 +186,11 @@ class AdamState:
 class ReplayMemory:
     """Bounded FIFO ring of transitions with uniform sampling (with replacement)."""
 
-    def __init__(self, capacity: int = 100_000, rng: np.random.Generator | None = None):
+    def __init__(self, capacity: int, rng: np.random.Generator):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.rng = rng if rng is not None else np.random.default_rng()
+        self.rng = rng
         self._states = None
         self._actions = np.empty(capacity, dtype=np.int64)
         self._rewards = np.empty(capacity, dtype=np.float64)
@@ -251,19 +251,6 @@ def _coerce_batch(batch):
         np.asarray(rewards, dtype=np.float64),
         np.asarray(next_states, dtype=np.float64),
     )
-
-
-def batch_loss(net: QNetwork, target_net: QNetwork, batch, gamma: float) -> float:
-    """Mean Huber loss of the TD errors on a batch (no parameter update).
-
-    Targets are r + gamma * max_a' Q(s', a') under the target network,
-    which is treated as a constant.
-    """
-    states, actions, rewards, next_states = _coerce_batch(batch)
-    targets = rewards + gamma * forward(target_net, next_states).max(axis=1)
-    q, _, _ = _forward_cached(net, states)
-    td = targets - q[np.arange(len(actions)), actions]
-    return float(huber(td).mean())
 
 
 def loss_and_gradients(net: QNetwork, target_net: QNetwork, batch, gamma: float):

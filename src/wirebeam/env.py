@@ -9,7 +9,6 @@ reward is its exact negation (zero-sum).
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -73,19 +72,6 @@ class BeamState:
         t = math.radians(self.steer_zenith)
         p = math.radians(self.steer_azimuth)
         return np.array([math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)])
-
-
-@dataclass
-class Observation:
-    """What both agents see: SBS position, velocity, and beam direction."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    beam_dir: np.ndarray
-
-    def vector(self) -> np.ndarray:
-        """Flattened 9-dim input for the Q networks."""
-        return np.concatenate([self.position, self.velocity, self.beam_dir])
 
 
 def apply_protagonist_action(beam: BeamState, action: ProtagonistAction, beta_deg: float) -> BeamState:
@@ -175,16 +161,16 @@ class BeamTrackingEnv:
     at the new position and steering.
     """
 
-    def __init__(self, cfg: EnvConfig, seed=None, rng: np.random.Generator | None = None):
+    def __init__(self, cfg: EnvConfig, seed=None):
         self.cfg = cfg
-        self.rng = rng if rng is not None else np.random.default_rng(seed)
+        self.rng = np.random.default_rng(seed)
         self.gateway = resolve_gateway(cfg)
         self.wire_state: wire.WireState = None  # set by reset
         self.beam: BeamState = None
         self.steps_taken = 0
         self.reset()
 
-    def reset(self) -> Observation:
+    def reset(self) -> np.ndarray:
         """Equilibrium wire, time zero, beam aligned to the gateway."""
         self.wire_state = wire.equilibrium_shape(self.cfg.phys)
         aod = radio.aod_geometry(self.sbs_position, self.gateway)
@@ -204,12 +190,10 @@ class BeamTrackingEnv:
     def time(self) -> float:
         return self.wire_state.time
 
-    def observe(self) -> Observation:
-        return Observation(
-            position=self.sbs_position.copy(),
-            velocity=self.sbs_velocity.copy(),
-            beam_dir=self.beam.direction(),
-        )
+    def observe(self) -> np.ndarray:
+        """What both agents see: the 9-vector of SBS position, velocity and
+        beam direction."""
+        return np.concatenate([self.sbs_position, self.sbs_velocity, self.beam.direction()])
 
     def received_power_now(self) -> float:
         """Received power at the current position and steering, dBm."""
@@ -256,7 +240,3 @@ class BeamTrackingEnv:
         r_p = reward_from_power(p_r, self.cfg.clip_offset, self.cfg.clip_scale)
         self.steps_taken += 1
         return self.observe(), r_p, -r_p, p_r
-
-    def clone(self) -> "BeamTrackingEnv":
-        return copy.deepcopy(self)
-

@@ -129,10 +129,9 @@ class ObsNormalizer:
         return {"anchor": "env_rest", "scale": self.scale.tolist()}
 
 
-def make_normalizer(env_cfg: EnvConfig, scale=None) -> ObsNormalizer:
+def make_normalizer(env_cfg: EnvConfig) -> ObsNormalizer:
     """Normalizer anchored at the rest state of the given environment."""
-    rest = BeamTrackingEnv(env_cfg, seed=0).observe().vector()
-    return ObsNormalizer(offset=rest, scale=np.asarray(scale) if scale is not None else OBS_SCALE.copy())
+    return ObsNormalizer(offset=BeamTrackingEnv(env_cfg, seed=0).observe(), scale=OBS_SCALE.copy())
 
 
 def _apply_norm(norm, vec):
@@ -236,7 +235,7 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
     vel = np.array([e.wire_state.velocities for e in envs])
     beam = np.array([(e.beam.steer_zenith, e.beam.steer_azimuth) for e in envs])
     gateways = np.array([e.gateway for e in envs])
-    obs = np.array([e.observe().vector() for e in envs])  # the rest observations
+    obs = np.array([e.observe() for e in envs])  # the rest observations
     sbs, beta, budget, antenna = env_cfg.sbs_index, env_cfg.beta, env_cfg.budget, env_cfg.antenna
 
     def greedy(agent, rows):  # (rows, act), the normalizer anchored on the rows' rest observations
@@ -320,6 +319,17 @@ def check_adversary(adv_net, proxy_net, env_cfg: EnvConfig, test_steps: int, see
     return float(avg[0])
 
 
+@dataclass
+class _Learner:
+    """One learning agent of `train`."""
+
+    net: deepq.QNetwork
+    target: deepq.QNetwork
+    memory: deepq.ReplayMemory
+    adam: deepq.AdamState
+    rng: np.random.Generator  # exploration stream
+
+
 def train(cfg: TrainConfig) -> TrainResult:
     """Run the full two-agent training loop and return checkpoints + records.
 
@@ -342,21 +352,15 @@ def train(cfg: TrainConfig) -> TrainResult:
     phys_seeds = rng_phys.integers(0, 2**63, size=cfg.episodes)
     eval_seeds = rng_eval.integers(0, 2**63, size=(cfg.episodes, 2))
 
-    net_p = deepq.init_qnetwork(
-        N_PROTAGONIST_ACTIONS, rng_init_p, hidden=cfg.hidden, head_scale=cfg.head_init_scale
-    )
-    tgt_p = net_p.copy()
-    mem_p = deepq.ReplayMemory(cfg.replay_capacity, rng_replay_p)
-    adam_p = deepq.AdamState.init_like(net_p, cfg.learning_rate)
+    def learner(n_actions, rng_init, rng_replay, rng_eps):
+        net = deepq.init_qnetwork(n_actions, rng_init, hidden=cfg.hidden, head_scale=cfg.head_init_scale)
+        memory = deepq.ReplayMemory(cfg.replay_capacity, rng_replay)
+        return _Learner(net, net.copy(), memory, deepq.AdamState.init_like(net, cfg.learning_rate), rng_eps)
 
-    net_a = tgt_a = mem_a = adam_a = None
+    # the tracker first, then the adversary when it learns
+    agents = [learner(N_PROTAGONIST_ACTIONS, rng_init_p, rng_replay_p, rng_eps_p)]
     if trains_adversary:
-        net_a = deepq.init_qnetwork(
-            N_ADVERSARY_ACTIONS, rng_init_a, hidden=cfg.hidden, head_scale=cfg.head_init_scale
-        )
-        tgt_a = net_a.copy()
-        mem_a = deepq.ReplayMemory(cfg.replay_capacity, rng_replay_a)
-        adam_a = deepq.AdamState.init_like(net_a, cfg.learning_rate)
+        agents.append(learner(N_ADVERSARY_ACTIONS, rng_init_a, rng_replay_a, rng_eps_a))
 
     env_cfg = replace(cfg.env, adversary_active=cfg.variant != "no_adversary")
     # read a proxy path once, so that a file replaced mid-run cannot change the probe
@@ -369,55 +373,45 @@ def train(cfg: TrainConfig) -> TrainResult:
     for ep in range(1, cfg.episodes + 1):
         t0 = time.perf_counter()
         e = BeamTrackingEnv(env_cfg, seed=phys_seeds[ep - 1])
-        state = _apply_norm(norm, e.observe().vector())
-        losses_p, losses_a = [], []
+        state = _apply_norm(norm, e.observe())
+        losses = [[], []]  # per agent; the adversary's stays empty unless it learns
 
         for _ in range(env_cfg.horizon):
-            a_p = deepq.act_epsilon_greedy(net_p, state, cfg.epsilon, rng_eps_p)
-            if cfg.variant == "rarl":
-                a_a = deepq.act_epsilon_greedy(net_a, state, cfg.epsilon, rng_eps_a)
-            elif cfg.variant == "random_adversary":
-                a_a = random_adversary_action(rng_eps_a)
-            else:
-                a_a = int(AdversaryAction.STAY)
+            actions = [deepq.act_epsilon_greedy(ag.net, state, cfg.epsilon, ag.rng) for ag in agents]
+            if cfg.variant == "random_adversary":
+                actions.append(random_adversary_action(rng_eps_a))
+            elif cfg.variant == "no_adversary":
+                actions.append(int(AdversaryAction.STAY))
 
-            obs, r_p, r_a, _ = e.step(ProtagonistAction(a_p), AdversaryAction(a_a))
-            next_state = _apply_norm(norm, obs.vector())
-            mem_p.push(state, a_p, r_p, next_state)
-            if trains_adversary:
-                mem_a.push(state, a_a, r_a, next_state)
-
-            if len(mem_p) >= cfg.batch_size:
-                losses_p.append(
-                    deepq.train_batch(net_p, tgt_p, mem_p.sample(cfg.batch_size), cfg.gamma, adam_p)
-                )
-            if trains_adversary and len(mem_a) >= cfg.batch_size:
-                losses_a.append(
-                    deepq.train_batch(net_a, tgt_a, mem_a.sample(cfg.batch_size), cfg.gamma, adam_a)
-                )
+            obs, r_p, r_a, _ = e.step(ProtagonistAction(actions[0]), AdversaryAction(actions[1]))
+            next_state = _apply_norm(norm, obs)
+            for ag, action, reward, agent_losses in zip(agents, actions, (r_p, r_a), losses):
+                ag.memory.push(state, action, reward, next_state)
+                if len(ag.memory) >= cfg.batch_size:
+                    batch = ag.memory.sample(cfg.batch_size)
+                    agent_losses.append(deepq.train_batch(ag.net, ag.target, batch, cfg.gamma, ag.adam))
             state = next_state
 
         synced = ep % cfg.target_period == 0
         if synced:
-            deepq.sync_target(net_p, tgt_p)
-            if trains_adversary:
-                deepq.sync_target(net_a, tgt_a)
+            for ag in agents:
+                deepq.sync_target(ag.net, ag.target)
 
         p4_seed, p5_seed = int(eval_seeds[ep - 1, 0]), int(eval_seeds[ep - 1, 1])
         probe_manifest = {"obs_norm": norm.manifest_entry() if norm else None}
-        probe_p = AgentCheckpoint(net_p, manifest=probe_manifest)
-        p4 = check_protagonist(probe_p, cfg.env, cfg.test_steps, p4_seed)
+        probes = [AgentCheckpoint(ag.net, manifest=probe_manifest) for ag in agents]
+        p4 = check_protagonist(probes[0], cfg.env, cfg.test_steps, p4_seed)
         p5 = float("nan")
         if trains_adversary:
-            probe_a = AgentCheckpoint(net_a, manifest=probe_manifest)
-            p5 = check_adversary(probe_a, proxy, cfg.env, cfg.test_steps, p5_seed)
+            p5 = check_adversary(probes[1], proxy, cfg.env, cfg.test_steps, p5_seed)
+        loss_p, loss_a = (float(np.mean(x)) if x else float("nan") for x in losses)
         records.append(
             EpisodeRecord(
                 episode=ep,
                 protagonist_avg_power=p4,
                 adversary_check_avg_power=p5,
-                loss_p=float(np.mean(losses_p)) if losses_p else float("nan"),
-                loss_a=float(np.mean(losses_a)) if losses_a else float("nan"),
+                loss_p=loss_p,
+                loss_a=loss_a,
                 wall_clock=time.perf_counter() - t0,
                 p4_seed=p4_seed,
                 p5_seed=p5_seed,
@@ -425,24 +419,20 @@ def train(cfg: TrainConfig) -> TrainResult:
             )
         )
 
-    def _ckpt(net, adam, agent):
-        manifest = {
-            "agent": agent,
-            "n_actions": net.n_actions,
-            "variant": cfg.variant,
-            "seed": cfg.seed,
-            "episodes": cfg.episodes,
-            "config_hash": fingerprint,
-            "obs_norm": norm.manifest_entry() if norm else None,
-        }
-        return AgentCheckpoint(net=net, adam=adam, manifest=manifest)
-
-    return TrainResult(
-        protagonist=_ckpt(net_p, adam_p, "protagonist"),
-        adversary=_ckpt(net_a, adam_a, "adversary") if trains_adversary else None,
-        records=records,
-        memories=(mem_p, mem_a) if cfg.keep_memories else None,
-    )
+    manifest = {
+        "variant": cfg.variant,
+        "seed": cfg.seed,
+        "episodes": cfg.episodes,
+        "config_hash": fingerprint,
+        "obs_norm": norm.manifest_entry() if norm else None,
+    }
+    ckpts = [
+        AgentCheckpoint(ag.net, ag.adam, {"agent": name, "n_actions": ag.net.n_actions, **manifest})
+        for name, ag in zip(("protagonist", "adversary"), agents)
+    ]
+    adversary = ckpts[1] if trains_adversary else None
+    memories = (agents[0].memory, agents[1].memory if trains_adversary else None)
+    return TrainResult(ckpts[0], adversary, records, memories if cfg.keep_memories else None)
 
 
 def pretrain_proxy(cfg: TrainConfig) -> AgentCheckpoint:

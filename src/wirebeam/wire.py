@@ -143,17 +143,6 @@ def equilibrium_shape(params: PhysParams) -> WireState:
     return WireState(positions, np.zeros((n, 3)), 0.0)
 
 
-def tensile_acceleration(state: WireState, i: int, params: PhysParams) -> np.ndarray:
-    """Acceleration of interior point i: gravity plus the tensile term."""
-    if not 1 <= i <= params.n_points - 2:
-        raise IndexError(
-            f"point {i} is an endpoint (or out of range); endpoints have zero "
-            f"acceleration by definition"
-        )
-    x = state.positions
-    return params.gravity + params.tension_coeff * (x[i + 1] + x[i - 1] - 2.0 * x[i])
-
-
 class Integrator:
     """Semi-implicit Euler-Maruyama stepper for B wires that share n_points,
     the decision interval dt and the substep count n_sub.

@@ -50,6 +50,13 @@ def training_stock():
     return stock
 
 
+def tensile_acceleration(state, i, params):
+    """Acceleration of interior wire point i, gravity plus the tensile term:
+    the closed form that wire.Integrator applies to every interior point."""
+    x = state.positions
+    return params.gravity + params.tension_coeff * (x[i + 1] + x[i - 1] - 2.0 * x[i])
+
+
 def reference_average(policy, env_cfg, seed, steps, adversary=None):
     """Average received power of one environment stepped by
     BeamTrackingEnv.step, with the one-step oracle looking ahead through
@@ -60,7 +67,7 @@ def reference_average(policy, env_cfg, seed, steps, adversary=None):
     cfg = replace(env_cfg, adversary_active=adversary is not None, horizon=steps)
     env = BeamTrackingEnv(cfg, seed=env_stream)
     rng = np.random.default_rng(act_stream)
-    rest = env.observe().vector()
+    rest = env.observe()
 
     def greedy(ckpt, state):
         scale = np.asarray(ckpt.manifest["obs_norm"]["scale"])
@@ -68,7 +75,7 @@ def reference_average(policy, env_cfg, seed, steps, adversary=None):
 
     total = 0.0
     for _ in range(steps):
-        state = env.observe().vector()
+        state = env.observe()
         a_a = greedy(adversary, state) if adversary is not None else AdversaryAction.STAY
         if policy.kind is PolicyKind.STAY:
             a_p = ProtagonistAction.STAY

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -14,7 +15,7 @@ from wirebeam import bench, wire
 from wirebeam.bench import main, resolve_policy
 from wirebeam.checkpoint import AgentCheckpoint, load_checkpoint, save_checkpoint
 from wirebeam.config import train_config_from_text
-from wirebeam.deepq import init_qnetwork
+from wirebeam.deepq import QNetwork, init_qnetwork
 from wirebeam.env import EnvConfig
 from wirebeam.rarl import make_normalizer, rollout
 from conftest import reference_average
@@ -221,6 +222,22 @@ class TestSweepCommand:
         assert [(c["mass_kg"], c["policy"]) for c in failed] == [(5.0, "stay"), (5.0, "upper_limit")]
         assert all(c["error"].startswith("SimulationDivergedError") for c in failed)
 
+    def test_failing_policy_leaves_the_others_batched(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench, "rollout", lambda *args, **kw: calls.append(len(args[0])) or rollout(*args, **kw))
+        grid = "mass_grid_kg: 10,5\nspring_grid_n_per_m: 100,50\n"
+        spec = tmp_path / "sweep.spec"
+        spec.write_text(grid + "policies: stay,/nope/missing.ckpt\n")
+        argv = ["sweep", "--config", write_cfg(tmp_path), "--spec", str(spec), "--out"]
+        assert main(argv + [str(tmp_path / "mixed")]) == 3
+        # the whole batch, then one batch per policy, then the failing policy one unit at a time
+        assert calls == [8, 4, 4, 1, 1, 1, 1]
+        spec.write_text(grid + "policies: stay\n")
+        assert main(argv + [str(tmp_path / "stay")]) == 0
+        _, mixed = read_rows(tmp_path / "mixed" / "heatmap.csv")
+        assert mixed[0::2] == read_rows(tmp_path / "stay" / "heatmap.csv")[1]
+        assert [r[3:] for r in mixed[1::2]] == [["nan", "nan"]] * 4
+
     def test_failing_cell_flags_partial_exit(self, tmp_path):
         cfg = write_cfg(tmp_path)
         spec = tmp_path / "sweep.spec"
@@ -346,6 +363,22 @@ class TestOrchestrationPurity:
 
 
 class TestBenchmarkTracer:
+    def test_harness_imports_resolve(self):
+        # every name the benchmark harness takes from the package must still exist
+        source = (Path(__file__).resolve().parents[1] / "benchmarks" / "run.py").read_text(encoding="utf-8")
+        names = []
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.module in ("wirebeam", "wirebeam.bench"):
+                names += [(node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names += [(alias.name, None) for alias in node.names if alias.name.startswith("wirebeam")]
+        assert ("wirebeam.bench", "main") in names
+        for module, name in names:
+            owner = importlib.import_module(module)
+            assert name is None or hasattr(owner, name), f"benchmarks/run.py imports {module}.{name}, which is gone"
+        assert callable(QNetwork.parameters)  # run.py checks every parameter array of a written checkpoint
+
+
     def test_targets_resolve(self):
         # every function the traced benchmark run wraps must still exist
         path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"

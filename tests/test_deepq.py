@@ -11,7 +11,6 @@ from wirebeam.deepq import (
     QNetwork,
     ReplayMemory,
     act_epsilon_greedy,
-    batch_loss,
     forward,
     huber,
     init_qnetwork,
@@ -159,16 +158,16 @@ class TestTrainBatch:
         tgt = init_qnetwork(5, rng, hidden=(4,))
         batch = random_batch(rng, n=8)
         gamma = 0.9
-        _, grad = loss_and_gradients(net, tgt, batch, gamma)
+        grad = loss_and_gradients(net, tgt, batch, gamma)[1].copy()  # the net's buffer, reused below
         assert grad.shape == net.flat.shape
 
         h = 1e-5
         for i in range(net.flat.size):
             orig = net.flat[i]
             net.flat[i] = orig + h
-            lp = batch_loss(net, tgt, batch, gamma)
+            lp = loss_and_gradients(net, tgt, batch, gamma)[0]
             net.flat[i] = orig - h
-            lm = batch_loss(net, tgt, batch, gamma)
+            lm = loss_and_gradients(net, tgt, batch, gamma)[0]
             net.flat[i] = orig
             g_fd = (lp - lm) / (2 * h)
             g_an = float(grad[i])

@@ -35,20 +35,21 @@ class TestReset:
 
     def test_reset_deterministic(self):
         cfg = EnvConfig()
-        a = BeamTrackingEnv(cfg, seed=3).observe().vector()
-        b = BeamTrackingEnv(cfg, seed=3).observe().vector()
+        a = BeamTrackingEnv(cfg, seed=3).observe()
+        b = BeamTrackingEnv(cfg, seed=3).observe()
         np.testing.assert_array_equal(a, b)
         env = BeamTrackingEnv(cfg, seed=3)
-        first = env.observe().vector()
+        first = env.observe()
         env.step(ProtagonistAction.UP, AdversaryAction.UP)
-        np.testing.assert_array_equal(env.reset().vector(), first)
+        np.testing.assert_array_equal(env.reset(), first)
 
     def test_observation_at_rest(self):
         env = BeamTrackingEnv(EnvConfig(), seed=0)
         obs = env.observe()
-        np.testing.assert_array_equal(obs.velocity, np.zeros(3))
-        np.testing.assert_allclose(obs.beam_dir, [1.0, 0.0, 0.0], atol=1e-12)
-        assert obs.vector().shape == (9,)
+        assert obs.shape == (9,)
+        np.testing.assert_array_equal(obs[0:3], env.sbs_position)
+        np.testing.assert_array_equal(obs[3:6], np.zeros(3))
+        np.testing.assert_allclose(obs[6:9], [1.0, 0.0, 0.0], atol=1e-12)
 
 
 class TestActions:
@@ -156,7 +157,7 @@ class TestStep:
                 obs, _, _, p = env.step(
                     ProtagonistAction(k % 5), AdversaryAction(k % 7)
                 )
-                out.append((obs.vector(), p))
+                out.append((obs, p))
             return out
 
         for (va, pa), (vb, pb) in zip(run(), run()):

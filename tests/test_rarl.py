@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -187,7 +189,7 @@ class TestRunPolicy:
         for k in range(steps):
             outcomes = []
             for a in ProtagonistAction:
-                clone = env.clone()
+                clone = copy.deepcopy(env)
                 _, _, _, p = clone.step(a, AdversaryAction.STAY)
                 outcomes.append(p)
             best = int(np.argmax(outcomes))

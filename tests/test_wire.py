@@ -10,8 +10,8 @@ from wirebeam.wire import (
     effective_substeps,
     env_wind,
     equilibrium_shape,
-    tensile_acceleration,
 )
+from conftest import tensile_acceleration
 
 TAU = 0.01
 
@@ -89,20 +89,17 @@ class TestTensileAcceleration:
 
     def test_hand_value(self):
         # neighbors at the origin, point at (0,0,-1): 110 * 2 - 9.8 = 210.2
-        p = PhysParams(n_points=11, total_mass=10.0, spring_constant=100.0)
+        p = PhysParams(n_points=11, total_mass=10.0, spring_constant=100.0, drag_constant=0.0,
+                       wind_cov=np.zeros((3, 3)))
         state = wire.WireState(np.zeros((11, 3)), np.zeros((11, 3)))
         state.positions[5] = [0.0, 0.0, -1.0]
         np.testing.assert_allclose(
             tensile_acceleration(state, 5, p), [0.0, 0.0, 210.2], atol=1e-12
         )
-
-    def test_endpoint_rejected(self):
-        p = PhysParams()
-        eq = equilibrium_shape(p)
-        with pytest.raises(IndexError):
-            tensile_acceleration(eq, 0, p)
-        with pytest.raises(IndexError):
-            tensile_acceleration(eq, p.n_points - 1, p)
+        # the integrator applies the same acceleration: one drag-free, noise-free substep
+        h = 1e-3
+        nxt = wire.step(state, np.zeros(3), p, h, 1, np.random.default_rng(0))
+        np.testing.assert_allclose(nxt.velocities[5] / h, [0.0, 0.0, 210.2], atol=1e-9)
 
 
 class TestStep:
