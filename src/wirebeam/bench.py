@@ -184,8 +184,8 @@ def _sweep_units(cfg, spec, units):
     """(mass, spring, policy token, mean, std, error) of each (mass, spring,
     policy token) unit over its episodes x seeds runs, all in one batched
     rollout. A failed batch is rerun one policy at a time, and a failing
-    policy one unit at a time, so only failing units are marked and the
-    healthy policies stay batched."""
+    policy in halves, so only failing units are marked, the healthy policies
+    stay batched, and one failing unit among n costs about 2*log2(n) reruns."""
     policies = {token: resolve_policy(token) for _, _, token in units}
     ids = {token: int(hashlib.sha256(token.encode()).hexdigest()[:8], 16) for token in policies}
     runs = [(*u, ep, s) for u in units for ep, s in np.ndindex(spec.episodes_per_cell, spec.seeds_per_cell)]
@@ -199,7 +199,7 @@ def _sweep_units(cfg, spec, units):
         if len(policies) > 1:
             parts = [[u for u in units if u[2] == token] for token in policies]
         else:
-            parts = [[u] for u in units]
+            parts = [units[: len(units) // 2], units[len(units) // 2 :]]
         done = {}
         for part in parts:
             done.update(zip(part, _sweep_units(cfg, spec, part)))

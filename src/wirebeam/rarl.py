@@ -8,8 +8,11 @@ with the adversary disabled, and the adversary is scored greedily against
 a frozen proxy tracker that was pre-trained without any adversary.
 
 Every evaluation is one call of `rollout`, which steps B environments, each
-with its own policy, exactly as lone BeamTrackingEnvs would go: the probes
-and `run_policy` with B = 1, a whole robustness sweep with one call.
+with its own policy and adversary (or none), exactly as lone
+BeamTrackingEnvs would go: both probes of a `rarl` episode with B = 2 (the
+other variants' one probe and `run_policy` with B = 1), a whole robustness
+sweep with one call. `pretrain_proxy` runs no probes, since it keeps only
+the proxy checkpoint.
 """
 
 from __future__ import annotations
@@ -205,12 +208,14 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
 
     Environment b runs `env_cfg` with the physics `physes[b]` (one n_points
     for all) under `seeds[b]`, its tracker plays `policies[b]`, and it follows
-    exactly the trajectory it would follow alone. Given an `adversary` (net,
-    checkpoint or path) its wind is on and it acts greedily everywhere, else
-    it is off. A step runs one integrator per group of equal substep count,
-    one forward pass per distinct greedy checkpoint on its own rows, and one
-    broadcast gain evaluation of each oracle row's five candidate beams and
-    every other row's chosen beam, on the wire state the step keeps.
+    exactly the trajectory it would follow alone. `adversary` is one agent
+    (net, checkpoint or path) for every row or a list with one agent or None
+    per row: a row with an agent has the adversary wind on and the agent
+    acting greedily, a row without one has it off. A step runs one
+    integrator per group of equal substep count, one forward pass per
+    distinct greedy checkpoint (tracker or adversary) on its own rows, and
+    one broadcast gain evaluation of each oracle row's five candidate beams
+    and every other row's chosen beam, on the wire state the step keeps.
 
     Returns the (B,) average powers in dBm and, with `trajectory`, one list
     of rows (step, t, p_r_dbm, r_p, a_p, a_a, sbs_x, sbs_y, sbs_z, theta_s,
@@ -220,6 +225,10 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
         raise ValueError("steps must be >= 1")
     if not len(policies) == len(physes) == len(seeds):
         raise ValueError("need one Policy and one PhysParams per seed")
+    if not isinstance(adversary, (list, tuple)):
+        adversary = [adversary] * len(seeds)
+    elif len(adversary) != len(seeds):
+        raise ValueError("need one adversary (or None) per seed")
     substeps = [effective_substeps(p, env_cfg.tau, env_cfg.substeps) for p in physes]
     order, groups = [], []  # environments sorted by substep count: each group is a slice
     for n_sub in sorted(set(substeps)):
@@ -228,6 +237,7 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
         groups.append((part, Integrator([physes[i] for i in members], env_cfg.tau, n_sub)))
         order += members
     policies = [policies[i] for i in order]
+    adversaries = [adversary[i] for i in order]
     streams = [_eval_streams(seeds[i]) for i in order]
     envs = [BeamTrackingEnv(replace(env_cfg, phys=physes[i]), seed=s[0]) for i, s in zip(order, streams)]
     rngs = [e.rng for e in envs]
@@ -243,13 +253,16 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
         norm = ObsNormalizer(offset=obs[rows], scale=np.asarray(scale)) if scale is not None else None
         return rows, lambda: np.argmax(deepq.forward(net, _apply_norm(norm, obs[rows])), axis=1)
 
+    def grouped(agents):  # one greedy per distinct agent (by identity), on the rows that play it
+        distinct = {id(a): a for a in agents if a is not None}
+        return [greedy(agent, np.flatnonzero([a is agent for a in agents])) for agent in distinct.values()]
+
     every = np.arange(len(envs))
     kinds = np.array([p.kind for p in policies])
-    ckpts = [p.checkpoint if p.kind is PolicyKind.GREEDY_DQN else None for p in policies]
-    agents = {id(c): c for c in ckpts if c is not None}  # each distinct greedy checkpoint once
-    trackers = [greedy(agent, np.flatnonzero([c is agent for c in ckpts])) for agent in agents.values()]
-    act_a = greedy(adversary, every)[1] if adversary is not None else None
-    reads = adversary is not None or kinds == PolicyKind.GREEDY_DQN  # the rows a network reads
+    trackers = grouped([p.checkpoint if p.kind is PolicyKind.GREEDY_DQN else None for p in policies])
+    pushers = grouped(adversaries)
+    windy = np.array([a is not None for a in adversaries])
+    reads = windy | (kinds == PolicyKind.GREEDY_DQN)  # the rows a network reads
     observed = slice(None) if np.all(reads) else np.flatnonzero(reads)
     randoms = np.flatnonzero(kinds == PolicyKind.RANDOM_UNIFORM)
     act_rngs = [np.random.default_rng(s[1]) for s in streams]
@@ -269,9 +282,11 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
         a_p[randoms] = [act_rngs[b].integers(N_PROTAGONIST_ACTIONS) for b in randoms]
 
         wind = env_wind(t) if env_cfg.ambient_wind else np.zeros(3)
-        if act_a is not None:
-            a_a = act_a()
-            wind = (wind + np.array([adversary_wind(a, env_cfg.adversary_speed) for a in a_a]))[:, None, :]
+        if pushers:  # per-row wind; rows without an adversary keep the shared one and a_a = STAY
+            for pushed, act in pushers:
+                a_a[pushed] = act()
+            wind = np.repeat(wind[None, None, :], len(envs), axis=0)
+            wind[windy, 0] += [adversary_wind(a, env_cfg.adversary_speed) for a in a_a[windy]]
         for part, integrator in groups:
             integrator.advance(pos[part], vel[part], wind if wind.ndim == 1 else wind[part], rngs[part], t)
         t = t + env_cfg.tau
@@ -330,13 +345,15 @@ class _Learner:
     rng: np.random.Generator  # exploration stream
 
 
-def train(cfg: TrainConfig) -> TrainResult:
+def train(cfg: TrainConfig, *, _probe: bool = True) -> TrainResult:
     """Run the full two-agent training loop and return checkpoints + records.
 
     Variants: "rarl" trains both agents (and requires a proxy checkpoint
     for the adversary probe), "no_adversary" disables the adversary wind
     entirely, "random_adversary" keeps the wind but picks adversary
-    actions uniformly at random without training a network.
+    actions uniformly at random without training a network. The private
+    `_probe=False` skips the per-episode probes (their powers read NaN);
+    their seeds are drawn up front either way, so no other draw moves.
     """
     trains_adversary = cfg.variant == "rarl"
     if trains_adversary and cfg.proxy_checkpoint is None:
@@ -398,12 +415,18 @@ def train(cfg: TrainConfig) -> TrainResult:
                 deepq.sync_target(ag.net, ag.target)
 
         p4_seed, p5_seed = int(eval_seeds[ep - 1, 0]), int(eval_seeds[ep - 1, 1])
-        probe_manifest = {"obs_norm": norm.manifest_entry() if norm else None}
-        probes = [AgentCheckpoint(ag.net, manifest=probe_manifest) for ag in agents]
-        p4 = check_protagonist(probes[0], cfg.env, cfg.test_steps, p4_seed)
-        p5 = float("nan")
-        if trains_adversary:
-            p5 = check_adversary(probes[1], proxy, cfg.env, cfg.test_steps, p5_seed)
+        p4 = p5 = float("nan")
+        if _probe:  # one rollout: the tracker, wind off; for rarl also the proxy against the adversary
+            probe_manifest = {"obs_norm": norm.manifest_entry() if norm else None}
+            probes = [AgentCheckpoint(ag.net, manifest=probe_manifest) for ag in agents]
+            rows = [(probes[0], None, p4_seed), (proxy, probes[-1], p5_seed)][: len(agents)]
+            trackers, adversaries, seeds = zip(*rows)
+            policies = [Policy(PolicyKind.GREEDY_DQN, tracker) for tracker in trackers]
+            physes = [cfg.env.phys] * len(rows)
+            avg, _ = rollout(policies, cfg.env, physes, seeds, cfg.test_steps, adversary=adversaries)
+            p4 = float(avg[0])
+            if trains_adversary:
+                p5 = float(avg[1])
         loss_p, loss_a = (float(np.mean(x)) if x else float("nan") for x in losses)
         records.append(
             EpisodeRecord(
@@ -437,5 +460,5 @@ def train(cfg: TrainConfig) -> TrainResult:
 
 def pretrain_proxy(cfg: TrainConfig) -> AgentCheckpoint:
     """Train the proxy tracker (no adversary) used by the adversary probe."""
-    result = train(replace(cfg, variant="no_adversary", proxy_checkpoint=None))
+    result = train(replace(cfg, variant="no_adversary", proxy_checkpoint=None), _probe=False)
     return result.protagonist

@@ -212,6 +212,14 @@ class TestSweepCommand:
             pos[self.coeff[:, 0, 0] == 100.0 * 11 / 5.0, 1] = np.nan
             advance(self, pos, vel, wind, rngs, time)
 
+        # a 4 x 4 single-policy grid whose only diverging cell is 5 kg / 100 N/m
+        big = tmp_path / "big.spec"
+        big.write_text("mass_grid_kg: 10,5,20,40\nspring_grid_n_per_m: 100,50,150,25\npolicies: stay\n")
+        big_argv = ["sweep", "--config", cfg, "--spec", str(big), "--out"]
+        assert main(big_argv + [str(tmp_path / "big_ok")]) == 0
+
+        calls = []
+        monkeypatch.setattr(bench, "rollout", lambda *args, **kw: calls.append(len(args[0])) or rollout(*args, **kw))
         monkeypatch.setattr(wire.Integrator, "advance", diverge_at_5_kg)
         assert main(argv + [str(tmp_path / "bad")]) == 3
         _, ok_rows = read_rows(tmp_path / "ok" / "heatmap.csv")
@@ -221,6 +229,17 @@ class TestSweepCommand:
         failed = json.loads((tmp_path / "bad" / "manifest.json").read_text())["failed_cells"]
         assert [(c["mass_kg"], c["policy"]) for c in failed] == [(5.0, "stay"), (5.0, "upper_limit")]
         assert all(c["error"].startswith("SimulationDivergedError") for c in failed)
+        assert calls == [4, 2, 1, 1, 2, 1, 1]  # the batch, each policy, each policy's halves
+
+        # halving finds the one failing cell of 16 in 2 * log2(16) reruns, not 16
+        calls.clear()
+        assert main(big_argv + [str(tmp_path / "big_bad")]) == 3
+        assert calls == [16, 8, 4, 4, 2, 1, 1, 2, 8]  # depth first: each failing half before its sibling
+        assert len(calls) <= 1 + 2 * np.ceil(np.log2(16))
+        _, big_ok = read_rows(tmp_path / "big_ok" / "heatmap.csv")
+        _, big_bad = read_rows(tmp_path / "big_bad" / "heatmap.csv")
+        assert big_bad[:4] + big_bad[5:] == big_ok[:4] + big_ok[5:]
+        assert big_bad[4][:2] == ["5.0", "100.0"] and big_bad[4][3:] == ["nan", "nan"]
 
     def test_failing_policy_leaves_the_others_batched(self, tmp_path, monkeypatch):
         calls = []
@@ -230,8 +249,8 @@ class TestSweepCommand:
         spec.write_text(grid + "policies: stay,/nope/missing.ckpt\n")
         argv = ["sweep", "--config", write_cfg(tmp_path), "--spec", str(spec), "--out"]
         assert main(argv + [str(tmp_path / "mixed")]) == 3
-        # the whole batch, then one batch per policy, then the failing policy one unit at a time
-        assert calls == [8, 4, 4, 1, 1, 1, 1]
+        # the whole batch, then one batch per policy, then the failing policy in halves
+        assert calls == [8, 4, 4, 2, 1, 1, 2, 1, 1]
         spec.write_text(grid + "policies: stay\n")
         assert main(argv + [str(tmp_path / "stay")]) == 0
         _, mixed = read_rows(tmp_path / "mixed" / "heatmap.csv")

@@ -290,6 +290,23 @@ class TestRollout:
         probe_cfg = replace(cfg, phys=MIXED_PHYSES[0])
         assert check_adversary(adversary, proxy.checkpoint, probe_cfg, steps, 11) == expected[0]
 
+    def test_per_row_adversaries_match_reference_loop(self):
+        # every tracker kind with and without wind; two adversaries and no adversary in both substep groups
+        adv_a, adv_b = greedy_ckpt(7, 4), greedy_ckpt(7, 9)
+        kinds = [Policy(k) for k in PolicyKind if k is not PolicyKind.GREEDY_DQN]
+        kinds.append(Policy(PolicyKind.GREEDY_DQN, greedy_ckpt(5, 3)))
+        policies = [policy for policy in kinds for _ in MIXED_PHYSES]
+        physes = MIXED_PHYSES * len(kinds)
+        adversaries = [None, adv_a, None, adv_b] * 3
+        cfg, steps = wb.EnvConfig(), 60
+        seeds = [[19, i] for i in range(len(physes))]
+        avg, _ = rollout(policies, cfg, physes, seeds, steps, adversary=adversaries)
+        expected = [
+            reference_average(policy, replace(cfg, phys=p), s, steps, adversary=adv)
+            for policy, p, s, adv in zip(policies, physes, seeds, adversaries)
+        ]
+        assert avg.tolist() == expected
+
     def test_batch_rows_equal_single_rows(self):
         policy, cfg = Policy(PolicyKind.UPPER_LIMIT), wb.EnvConfig()
         _, rows = rollout([policy] * 3, cfg, MIXED_PHYSES, [1, 2, 3], 30, trajectory=True)
@@ -301,6 +318,8 @@ class TestRollout:
             rollout([Policy(PolicyKind.STAY)] * 3, wb.EnvConfig(), MIXED_PHYSES, [1], 10)
         with pytest.raises(ValueError, match="one Policy and one PhysParams per seed"):
             rollout([Policy(PolicyKind.STAY)], wb.EnvConfig(), MIXED_PHYSES, [1, 2, 3], 10)
+        with pytest.raises(ValueError, match=r"one adversary \(or None\) per seed"):
+            rollout([Policy(PolicyKind.STAY)] * 3, wb.EnvConfig(), MIXED_PHYSES, [1, 2, 3], 10, adversary=[None] * 2)
 
 
 class TestRandomAdversary:
@@ -324,6 +343,39 @@ class TestProxy:
         adv = zero_bias_net(7)
         val = check_adversary(adv, loaded.net, wb.EnvConfig(), 20, seed=1)
         assert np.isfinite(val)
+
+
+def count_rollouts(monkeypatch):
+    """Batch sizes of every rollout that rarl makes from now on."""
+    calls = []
+    monkeypatch.setattr(rarl, "rollout", lambda *args, **kw: calls.append(len(args[0])) or rollout(*args, **kw))
+    return calls
+
+
+class TestProbes:
+    def test_probes_equal_standalone_checks(self):
+        proxy = train(tiny_cfg(episodes=1, test_steps=10)).protagonist
+        cfg = tiny_cfg(variant="rarl", episodes=1, proxy_checkpoint=proxy)
+        result = train(cfg)  # after one episode, the final nets are the probe nets
+        (record,) = result.records
+        p4 = check_protagonist(result.protagonist, cfg.env, cfg.test_steps, record.p4_seed)
+        p5 = check_adversary(result.adversary, proxy, cfg.env, cfg.test_steps, record.p5_seed)
+        assert (record.protagonist_avg_power, record.adversary_check_avg_power) == (p4, p5)
+
+    def test_pretrain_proxy_makes_no_rollout(self, monkeypatch):
+        cfg = tiny_cfg(variant="rarl")
+        reference = train(replace(cfg, variant="no_adversary")).protagonist
+        calls = count_rollouts(monkeypatch)
+        proxy = pretrain_proxy(cfg)
+        assert calls == []
+        assert proxy.net.flat.tobytes() == reference.net.flat.tobytes()
+        assert proxy.manifest == reference.manifest
+
+    def test_rarl_train_makes_one_rollout_per_episode(self, monkeypatch):
+        proxy = train(tiny_cfg(episodes=1, test_steps=10)).protagonist
+        calls = count_rollouts(monkeypatch)
+        train(tiny_cfg(variant="rarl", episodes=3, horizon=20, test_steps=10, proxy_checkpoint=proxy))
+        assert calls == [2, 2, 2]
 
 
 @pytest.mark.slow
