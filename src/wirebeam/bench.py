@@ -31,7 +31,7 @@ from .config import (
     train_config_from_text,
 )
 from .rarl import Policy, PolicyKind, pretrain_proxy, rollout, run_policy, train
-from .wire import effective_substeps
+from .wire import effective_substeps, equilibrium_shape
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -223,6 +223,7 @@ def cmd_sweep(args) -> int:
     grid = [(m, k) for m in spec.mass_grid for k in spec.spring_grid]
     physes = [replace(cfg.env.phys, total_mass=m, spring_constant=k) for m, k in grid]
     substeps = [effective_substeps(p, cfg.env.tau, cfg.env.substeps) for p in physes]
+    rest_z = [float(equilibrium_shape(p).positions[cfg.env.sbs_index, 2]) for p in physes]  # of the station
     results = _sweep_units(cfg, spec, [(m, k, token) for m, k in grid for token in spec.policies])
     failures = [r for r in results if r[5]]
     heatmap_path = out / "heatmap.csv"
@@ -239,8 +240,9 @@ def cmd_sweep(args) -> int:
         {"__started__": started, "heatmap.csv": heatmap_path},
         extra={
             "cells": len(results),
-            "substeps": [
-                {"mass_kg": m, "spring_n_per_m": k, "substeps": n} for (m, k), n in zip(grid, substeps)
+            "substeps": [  # per cell; a station resting below the ground plane (z < 0) is flagged
+                {"mass_kg": m, "spring_n_per_m": k, "substeps": n, "rest_z_m": z, "below_ground": z < 0}
+                for (m, k), n, z in zip(grid, substeps, rest_z)
             ],
             "failed_cells": [
                 {"mass_kg": r[0], "spring_n_per_m": r[1], "policy": r[2], "error": r[5]}

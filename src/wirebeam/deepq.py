@@ -10,10 +10,14 @@ target network, with a hand-derived backward pass and Adam updates. All
 parameters and activations are 64-bit floats. A network keeps all of its
 parameters in one contiguous vector (layout in param_layout), so Adam,
 target sync, copying and checkpoint I/O are whole-vector operations.
+The kernels take any leading stack axes: `forward`, `loss_and_gradients`
+and `train_batch` run them on one network, a QBlock on K networks and their
+targets at once through stacked np.matmul, which gives each the same bits.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +48,9 @@ def param_layout(n_inputs: int, hidden: tuple, n_actions: int) -> list:
 
 
 def _views(flat: np.ndarray, layout: list) -> list:
-    return [flat[offset : offset + int(np.prod(shape))].reshape(shape) for _, shape, offset in layout]
+    """Views of the parameters in `layout`, over any leading axes of `flat`."""
+    lead = flat.shape[:-1]
+    return [flat[..., at : at + int(np.prod(shape))].reshape(lead + shape) for _, shape, at in layout]
 
 
 class QNetwork:
@@ -52,19 +58,17 @@ class QNetwork:
     vector, `flat`, laid out by param_layout. trunk_w, trunk_b (lists of
     (fan_in, fan_out) and (fan_out,) arrays), value_w (hidden, 1), value_b
     (1,), adv_w (hidden, n_actions) and adv_b (n_actions,) are views into it.
+    `flat`, when given, is the vector to use (a QBlock row), else a new zero one.
     """
 
-    def __init__(self, n_inputs: int, hidden: tuple, n_actions: int):
+    def __init__(self, n_inputs: int, hidden: tuple, n_actions: int, flat: np.ndarray | None = None):
         self.n_inputs, self.hidden, self.n_actions = n_inputs, tuple(hidden), n_actions
         self.layout = param_layout(n_inputs, self.hidden, n_actions)
         size = sum(int(np.prod(shape)) for _, shape, _ in self.layout)
-        self.flat = np.zeros(size)
+        self.flat = np.zeros(size) if flat is None else flat
         self._params = _views(self.flat, self.layout)
         self.trunk_w, self.trunk_b = self._params[0:-4:2], self._params[1:-4:2]
         self.value_w, self.value_b, self.adv_w, self.adv_b = self._params[-4:]
-        # loss_and_gradients writes into this buffer through views built once here
-        self._grad = np.zeros(size)
-        self._grad_views = _views(self._grad, self.layout)
 
     def parameters(self) -> list:
         """All parameter arrays (views into `flat`) in layout order."""
@@ -102,45 +106,40 @@ def init_qnetwork(
     return net
 
 
-def _locate_nonfinite_layer(net: QNetwork, x: np.ndarray) -> str:
-    h = x
+def _nonfinite(net: QNetwork, x: np.ndarray) -> NumericError:
+    """The error for a non-finite Q of `net` on x, naming the first layer at fault."""
+    h, stages = np.atleast_2d(x), []
     for i, (w, b) in enumerate(zip(net.trunk_w, net.trunk_b)):
         h = np.maximum(h @ w + b, 0.0)
-        if not np.isfinite(h).all():
-            return f"trunk layer {i}"
-    if not np.isfinite(h @ net.value_w + net.value_b).all():
-        return "value head"
-    if not np.isfinite(h @ net.adv_w + net.adv_b).all():
-        return "advantage head"
-    return "combine"
+        stages.append((f"trunk layer {i}", h))
+    stages += [("value head", h @ net.value_w + net.value_b), ("advantage head", h @ net.adv_w + net.adv_b)]
+    layer = next((name for name, out in stages if not np.isfinite(out).all()), "combine")
+    return NumericError(f"non-finite activations in {layer}")
 
 
-def _forward_cached(net: QNetwork, x: np.ndarray):
-    """Forward pass keeping pre-activations for the backward pass."""
-    hs = [x]
-    zs = []
-    h = x
-    for w, b in zip(net.trunk_w, net.trunk_b):
-        z = h @ w + b
-        zs.append(z)
-        h = np.maximum(z, 0.0)
-        hs.append(h)
-    v = h @ net.value_w + net.value_b  # (B, 1)
-    a = h @ net.adv_w + net.adv_b  # (B, n_actions)
-    q = v + a - a.mean(axis=1, keepdims=True)
-    return q, hs, zs
+def _trunk(weights: list, biases: list, x: np.ndarray):
+    """Layer inputs (x first) and pre-activations of the ReLU trunk on x (..., B, n_inputs)."""
+    hs, zs = [x], []
+    for w, b in zip(weights, biases):
+        zs.append(hs[-1] @ w + b)
+        hs.append(np.maximum(zs[-1], 0.0))
+    return hs, zs
+
+
+def _head(h, value_w, value_b, adv_w, adv_b):
+    """Dueling Q = V + A - mean(A) on the last hidden layer h (..., B, hidden)."""
+    a = h @ adv_w + adv_b
+    return h @ value_w + value_b + a - np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
 
 
 def forward(net: QNetwork, state: np.ndarray) -> np.ndarray:
     """Q values for one state (9,) or a batch (B, 9)."""
     x = np.asarray(state, dtype=np.float64)
-    single = x.ndim == 1
-    q, _, _ = _forward_cached(net, x[None, :] if single else x)
+    hs, _ = _trunk(net.trunk_w, net.trunk_b, np.atleast_2d(x))
+    q = _head(hs[-1], net.value_w, net.value_b, net.adv_w, net.adv_b)
     if not np.isfinite(q).all():
-        raise NumericError(
-            f"non-finite activations in {_locate_nonfinite_layer(net, np.atleast_2d(x))}"
-        )
-    return q[0] if single else q
+        raise _nonfinite(net, x)
+    return q[0] if x.ndim == 1 else q
 
 
 def act_epsilon_greedy(
@@ -243,64 +242,61 @@ class ReplayMemory:
         )
 
 
-def _coerce_batch(batch):
-    states, actions, rewards, next_states = batch
-    return (
-        np.asarray(states, dtype=np.float64),
-        np.asarray(actions, dtype=np.int64),
-        np.asarray(rewards, dtype=np.float64),
-        np.asarray(next_states, dtype=np.float64),
-    )
+def _head_backward(h, g, actions, value_w, adv_w, grads: list):
+    """Head gradients into `grads` and dLoss/dh, from g_j = dLoss/dQ(s_j, a_j): the
+    value head receives g_j, the advantage head g_j * (1[a = a_j] - 1/|A|)."""
+    n_actions = adv_w.shape[-1]
+    d_adv = np.zeros(g.shape + (n_actions,))
+    d_adv.reshape(-1, n_actions)[np.arange(g.size), actions.ravel()] = g.ravel()
+    d_adv -= g[..., None] / n_actions
+    d_val = g[..., None]
+    np.matmul(h.mT, d_val, out=grads[0])
+    np.add.reduce(d_val, axis=-2, out=grads[1])
+    np.matmul(h.mT, d_adv, out=grads[2])
+    np.add.reduce(d_adv, axis=-2, out=grads[3])
+    return d_val @ value_w.mT + d_adv @ adv_w.mT
+
+
+def _trunk_backward(hs: list, zs: list, weights: list, dh, grads: list):
+    """Carry dLoss/dh back through the ReLU trunk (subgradient 0 at the kinks)."""
+    for layer in range(len(weights) - 1, -1, -1):
+        dz = dh * (zs[layer] > 0.0)
+        np.matmul(hs[layer].mT, dz, out=grads[2 * layer])
+        np.add.reduce(dz, axis=-2, out=grads[2 * layer + 1])
+        if layer > 0:
+            dh = dz @ weights[layer].mT
+
+
+def _check_finite(loss, grad):
+    if not np.isfinite(loss).all():
+        raise NumericError("non-finite loss in train_batch")
+    if not np.isfinite(grad).all():
+        raise NumericError("non-finite gradient in train_batch")
 
 
 def loss_and_gradients(net: QNetwork, target_net: QNetwork, batch, gamma: float):
     """Mean Huber TD loss and its exact gradient w.r.t. every parameter.
 
-    The backward pass is hand-derived for the piecewise loss and ReLU
-    trunk (subgradient 0 at the kinks). Sketch, with g_j = -huber'(td_j)/B
-    routed to the chosen action of sample j: the value head receives g_j,
-    the advantage head receives g_j * (1[a = a_j] - 1/|A|), and both flow
-    back through the trunk. The gradient comes out as one vector laid out
-    like net.flat; it is the network's own buffer, overwritten by the next
-    call on the same network.
+    The backward pass is hand-derived for the piecewise loss and the ReLU
+    trunk, from dLoss/dQ(s_j, a_j) = -huber'(td_j)/B. The gradient comes out
+    as one new vector laid out like net.flat.
     """
-    states, actions, rewards, next_states = _coerce_batch(batch)
+    states, actions, rewards, next_states = batch
+    states, rewards, next_states = (np.asarray(a, dtype=np.float64) for a in (states, rewards, next_states))
+    actions = np.asarray(actions, dtype=np.int64)
     if len(actions) == 0:
         raise ValueError("batch must be non-empty")
-    b = len(actions)
-
     targets = rewards + gamma * forward(target_net, next_states).max(axis=1)
-    q, hs, zs = _forward_cached(net, states)
-    rows = np.arange(b)
-    td = targets - q[rows, actions]
+    hs, zs = _trunk(net.trunk_w, net.trunk_b, states)
+    q = _head(hs[-1], net.value_w, net.value_b, net.adv_w, net.adv_b)
+    td = targets - q[np.arange(len(actions)), actions]
     loss = float(huber(td).mean())
-
-    g = -_huber_grad(td) / b  # dLoss/dQ(s_j, a_j)
-    d_adv = np.zeros_like(q)
-    d_adv[rows, actions] = g
-    d_adv -= g[:, None] / net.n_actions
-    d_val = g[:, None]
-
-    h_last = hs[-1]
-    grads = net._grad_views
-    np.matmul(h_last.T, d_val, out=grads[-4])
-    np.sum(d_val, axis=0, out=grads[-3])
-    np.matmul(h_last.T, d_adv, out=grads[-2])
-    np.sum(d_adv, axis=0, out=grads[-1])
-
-    dh = d_val @ net.value_w.T + d_adv @ net.adv_w.T
-    for layer in range(len(net.trunk_w) - 1, -1, -1):
-        dz = dh * (zs[layer] > 0.0)
-        np.matmul(hs[layer].T, dz, out=grads[2 * layer])
-        np.sum(dz, axis=0, out=grads[2 * layer + 1])
-        if layer > 0:
-            dh = dz @ net.trunk_w[layer].T
-
-    if not np.isfinite(loss):
-        raise NumericError("non-finite loss in train_batch")
-    if not np.isfinite(net._grad).all():
-        raise NumericError("non-finite gradient in train_batch")
-    return loss, net._grad
+    grad = np.zeros_like(net.flat)
+    grads = _views(grad, net.layout)
+    dh = _head_backward(hs[-1], -_huber_grad(td) / len(td), actions, net.value_w, net.adv_w, grads[-4:])
+    _trunk_backward(hs, zs, net.trunk_w, dh, grads[:-4])
+    _check_finite(loss, grad)
+    return loss, grad
 
 
 def train_batch(net: QNetwork, target_net: QNetwork, batch, gamma: float, adam: AdamState) -> float:
@@ -312,15 +308,101 @@ def train_batch(net: QNetwork, target_net: QNetwork, batch, gamma: float, adam: 
 
 def _adam_update(net: QNetwork, grad: np.ndarray, adam: AdamState):
     adam.step_count += 1
-    t = adam.step_count
-    bc1 = 1.0 - adam.beta1**t
-    bc2 = 1.0 - adam.beta2**t
-    m, v = adam.first_moment, adam.second_moment
+    _adam_step(net.flat, grad, adam.first_moment, adam.second_moment, adam)
+
+
+def _adam_step(flat, grad, m, v, adam: AdamState):
+    """Adam step of `flat` in place; element-wise, so any stack of rows takes one call."""
+    bc1, bc2 = 1.0 - adam.beta1**adam.step_count, 1.0 - adam.beta2**adam.step_count
     m *= adam.beta1
     m += (1.0 - adam.beta1) * grad
     v *= adam.beta2
     v += (1.0 - adam.beta2) * grad * grad
-    net.flat -= adam.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + adam.epsilon)
+    flat -= adam.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + adam.epsilon)
+
+
+class QBlock:
+    """K networks with one n_inputs and hidden as one parameter block: `flat`
+    (2, K, P_max) holds the online networks in role 0 and their targets in
+    role 1, row k laid out by param_layout and zero-padded. Each run of equal
+    action count is a head group. Adam moments are (K, P_max) with one step
+    count. `nets` and `adams` are plain QNetworks and AdamStates over rows."""
+
+    def __init__(self, nets: list, learning_rate: float = 1e-3):
+        n_inputs, hidden = nets[0].n_inputs, nets[0].hidden
+        if any((net.n_inputs, net.hidden) != (n_inputs, hidden) for net in nets):
+            raise ValueError("block networks must share n_inputs and hidden")
+        self.flat = np.zeros((2, len(nets), max(net.flat.size for net in nets)))
+        self.grad, self.moments = np.zeros(self.flat.shape[1:]), np.zeros(self.flat.shape)
+        self.nets, self.adams = [], []
+        for k, net in enumerate(nets):
+            self.flat[:, k, : net.flat.size] = net.flat
+            self.nets.append(QNetwork(n_inputs, hidden, net.n_actions, self.flat[0, k, : net.flat.size]))
+            self.adams.append(AdamState(*self.moments[:, k, : net.flat.size], learning_rate=learning_rate))
+
+        def views(rows, layout):  # of both roles (biases get a unit batch axis), and of the gradient
+            params = [p[..., None, :] if p.ndim == 3 else p for p in _views(self.flat[:, rows], layout)]
+            return params, _views(self.grad[rows], layout)
+
+        self._trunk, self._trunk_grad = views(slice(None), nets[0].layout[:-4])
+        self._groups, start = [], 0  # (rows, head views, head gradient views) per head group
+        for n_actions, run in itertools.groupby(net.n_actions for net in nets):
+            rows = slice(start, start := start + len(list(run)))
+            self._groups.append((rows, *views(rows, param_layout(n_inputs, hidden, n_actions)[-4:])))
+
+    def _forward(self, x, role):
+        """Trunk activations and head-group Qs of `role` (0, 1 or both) on x (..., K, B, n_in)."""
+        hs, zs = _trunk([w[role] for w in self._trunk[0::2]], [b[role] for b in self._trunk[1::2]], x)
+        qs = [_head(hs[-1][..., rows, :, :], *(p[role] for p in head)) for rows, head, _ in self._groups]
+        return hs, zs, qs
+
+    def forward(self, x: np.ndarray, check=None) -> list:
+        """Q of online network k on x[k]; NumericError if a `check` row (default: any) is non-finite."""
+        q = [row for group in self._forward(x, 0)[2] for row in group]
+        for k in range(len(q)) if check is None else check:
+            if not np.isfinite(q[k]).all():
+                raise _nonfinite(self.nets[k], x[k])
+        return q
+
+    def act(self, state: np.ndarray, epsilon: float, rngs: list) -> list:
+        """act_epsilon_greedy of every online network, each on its own stream; the
+        networks that act greedily share one stacked (K, 1, n_inputs) forward."""
+        draws = zip(self.nets, rngs)
+        actions = [int(r.integers(net.n_actions)) if r.random() < epsilon else None for net, r in draws]
+        greedy = [k for k, action in enumerate(actions) if action is None]
+        if greedy:
+            q = self.forward(np.array([[state]] * len(self.nets)), greedy)
+            for k in greedy:
+                actions[k] = int(np.argmax(q[k][0]))
+        return actions
+
+    def train(self, batches: list, gamma: float) -> np.ndarray:
+        """train_batch of every online network on its own batch, as one trunk forward
+        over (2, K, B, n_inputs) (online weights on states, target weights on next
+        states), heads per group, one stacked backward and one Adam update; K losses."""
+        states, actions, rewards, next_states = zip(*batches)
+        actions, rewards = np.array(actions), np.array(rewards)
+        hs, zs, qs = self._forward(np.array([states, next_states]), slice(None))
+        td = np.empty(rewards.shape)
+        for (rows, _, _), q in zip(self._groups, qs):
+            a = actions[rows]
+            chosen = q[0].reshape(-1, q.shape[-1])[np.arange(a.size), a.ravel()].reshape(a.shape)
+            td[rows] = rewards[rows] + gamma * np.maximum.reduce(q[1], axis=-1) - chosen
+        losses = np.add.reduce(huber(td), axis=-1) / td.shape[-1]
+        g, dh = -_huber_grad(td) / td.shape[-1], np.empty(hs[-1].shape[1:])
+        for rows, (value_w, _, adv_w, _), grads in self._groups:
+            dh[rows] = _head_backward(hs[-1][0, rows], g[rows], actions[rows], value_w[0], adv_w[0], grads)
+        trunk_w = [w[0] for w in self._trunk[0::2]]
+        _trunk_backward([h[0] for h in hs], [z[0] for z in zs], trunk_w, dh, self._trunk_grad)
+        _check_finite(losses, self.grad)
+        for adam in self.adams:
+            adam.step_count += 1
+        _adam_step(self.flat[0], self.grad, *self.moments, self.adams[0])
+        return losses
+
+    def sync_target(self):
+        """Overwrite every target with a byte-identical copy of its network."""
+        np.copyto(self.flat[1], self.flat[0])
 
 
 def sync_target(net: QNetwork, target_net: QNetwork):

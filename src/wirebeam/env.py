@@ -165,6 +165,8 @@ class BeamTrackingEnv:
         self.cfg = cfg
         self.rng = np.random.default_rng(seed)
         self.gateway = resolve_gateway(cfg)
+        n_sub = wire.effective_substeps(cfg.phys, cfg.tau, cfg.substeps)  # wire.step's stepper, built once
+        self._integrator = wire.Integrator([cfg.phys], cfg.tau, n_sub)
         self.wire_state: wire.WireState = None  # set by reset
         self.beam: BeamState = None
         self.steps_taken = 0
@@ -213,9 +215,7 @@ class BeamTrackingEnv:
         the real step will draw (the RNG state is copied, not consumed)."""
         peek = np.random.Generator(np.random.PCG64())
         peek.bit_generator.state = self.rng.bit_generator.state
-        return wire.step(
-            self.wire_state, self._total_wind(a_a), self.cfg.phys, self.cfg.tau, self.cfg.substeps, peek
-        )
+        return self._integrator.step(self.wire_state, self._total_wind(a_a), peek)
 
     def step(self, a_p: ProtagonistAction, a_a: AdversaryAction = AdversaryAction.STAY):
         """Advance one decision interval.
@@ -227,14 +227,7 @@ class BeamTrackingEnv:
             raise EpisodeFinishedError(
                 f"episode horizon of {self.cfg.horizon} steps already reached"
             )
-        self.wire_state = wire.step(
-            self.wire_state,
-            self._total_wind(a_a),
-            self.cfg.phys,
-            self.cfg.tau,
-            self.cfg.substeps,
-            self.rng,
-        )
+        self.wire_state = self._integrator.step(self.wire_state, self._total_wind(a_a), self.rng)
         self.beam = apply_protagonist_action(self.beam, a_p, self.cfg.beta)
         p_r = self.received_power_now()
         r_p = reward_from_power(p_r, self.cfg.clip_offset, self.cfg.clip_scale)

@@ -1,18 +1,18 @@
 """Two-agent adversarial training loop and the fixed evaluation policies.
 
 Per episode, both agents explore epsilon-greedily on a shared environment
-tick, every transition is stored and both networks take one gradient step
-per environment step, targets re-sync every few episodes, and two
-per-episode probes track progress: the tracking agent is scored greedily
-with the adversary disabled, and the adversary is scored greedily against
-a frozen proxy tracker that was pre-trained without any adversary.
+tick, every transition is stored, and the networks, the rows of one
+deepq.QBlock, act through one stacked forward and take one stacked gradient
+step per environment step; targets re-sync every few episodes, and probes
+score the greedy tracker with the adversary off and the greedy adversary
+against a frozen proxy tracker that was pre-trained without an adversary.
 
 Every evaluation is one call of `rollout`, which steps B environments, each
 with its own policy and adversary (or none), exactly as lone
-BeamTrackingEnvs would go: both probes of a `rarl` episode with B = 2 (the
-other variants' one probe and `run_policy` with B = 1), a whole robustness
-sweep with one call. `pretrain_proxy` runs no probes, since it keeps only
-the proxy checkpoint.
+BeamTrackingEnvs would go, with one stacked forward per step for its greedy
+agents: both probes of a `rarl` episode with B = 2 (the other variants' one
+probe and `run_policy` with B = 1), a whole sweep with one call.
+`pretrain_proxy` runs no probes, since it keeps only the proxy checkpoint.
 """
 
 from __future__ import annotations
@@ -76,6 +76,14 @@ class TrainConfig:
             raise ValueError("epsilon must lie in [0, 1]")
         if self.target_period < 1:
             raise ValueError("target_period must be >= 1")
+        if not 1 <= self.batch_size <= self.replay_capacity:  # else the memory never fills a batch
+            raise ValueError("batch_size must lie in [1, replay_capacity]")
+        if not 0.0 < self.learning_rate < float("inf"):
+            raise ValueError("learning_rate must be finite and > 0")
+        if not 0.0 <= self.gamma < 1.0:  # episodes never terminate, so 1 lets Q grow without bound
+            raise ValueError("gamma must lie in [0, 1)")
+        if min(self.hidden, default=1) < 1:
+            raise ValueError("hidden widths must be >= 1")
 
 
 @dataclass
@@ -212,10 +220,11 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
     (net, checkpoint or path) for every row or a list with one agent or None
     per row: a row with an agent has the adversary wind on and the agent
     acting greedily, a row without one has it off. A step runs one
-    integrator per group of equal substep count, one forward pass per
-    distinct greedy checkpoint (tracker or adversary) on its own rows, and
-    one broadcast gain evaluation of each oracle row's five candidate beams
-    and every other row's chosen beam, on the wire state the step keeps.
+    integrator per group of equal substep count, one forward pass (a QBlock
+    one if stacked) per group of distinct greedy agents, trackers and
+    adversaries alike, that share a trunk shape and a row count, and one
+    broadcast gain evaluation of each oracle row's five candidate beams and
+    every other row's chosen beam, on the wire state the step keeps.
 
     Returns the (B,) average powers in dBm and, with `trajectory`, one list
     of rows (step, t, p_r_dbm, r_p, a_p, a_a, sbs_x, sbs_y, sbs_z, theta_s,
@@ -248,19 +257,20 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
     obs = np.array([e.observe() for e in envs])  # the rest observations
     sbs, beta, budget, antenna = env_cfg.sbs_index, env_cfg.beta, env_cfg.budget, env_cfg.antenna
 
-    def greedy(agent, rows):  # (rows, act), the normalizer anchored on the rows' rest observations
-        net, scale = _resolve_agent(agent)
-        norm = ObsNormalizer(offset=obs[rows], scale=np.asarray(scale)) if scale is not None else None
-        return rows, lambda: np.argmax(deepq.forward(net, _apply_norm(norm, obs[rows])), axis=1)
-
-    def grouped(agents):  # one greedy per distinct agent (by identity), on the rows that play it
-        distinct = {id(a): a for a in agents if a is not None}
-        return [greedy(agent, np.flatnonzero([a is agent for a in agents])) for agent in distinct.values()]
+    # one player per distinct greedy agent (by identity): 0 for a tracker or 1 for an adversary, the
+    # rows it plays, its net and its normalizer, anchored on those rows' rest observations
+    shared, trackers = {}, [p.checkpoint if p.kind is PolicyKind.GREEDY_DQN else None for p in policies]
+    for slot, agents in enumerate((trackers, adversaries)):
+        for agent in {id(a): a for a in agents if a is not None}.values():
+            own, (net, scale) = np.flatnonzero([a is agent for a in agents]), _resolve_agent(agent)
+            norm = ObsNormalizer(offset=obs[own], scale=np.asarray(scale)) if scale is not None else None
+            shared.setdefault((net.n_inputs, net.hidden, len(own)), []).append((slot, own, net, norm))
+    # players that share a trunk shape and a row count act through one stacked forward (heads by count)
+    players = [sorted(group, key=lambda player: player[2].n_actions) for group in shared.values()]
+    stacks = [(group, deepq.QBlock([p[2] for p in group]) if len(group) > 1 else None) for group in players]
 
     every = np.arange(len(envs))
     kinds = np.array([p.kind for p in policies])
-    trackers = grouped([p.checkpoint if p.kind is PolicyKind.GREEDY_DQN else None for p in policies])
-    pushers = grouped(adversaries)
     windy = np.array([a is not None for a in adversaries])
     reads = windy | (kinds == PolicyKind.GREEDY_DQN)  # the rows a network reads
     observed = slice(None) if np.all(reads) else np.flatnonzero(reads)
@@ -268,7 +278,7 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
     act_rngs = [np.random.default_rng(s[1]) for s in streams]
     oracle = (kinds == PolicyKind.UPPER_LIMIT)[:, None]
     moves = np.arange(N_PROTAGONIST_ACTIONS)[None, :]
-    a_a, a_p = np.zeros((2, len(envs)), dtype=np.int64)
+    a_p, a_a = chosen = np.zeros((2, len(envs)), dtype=np.int64)  # views of `chosen`, written in place
     total = np.zeros(len(envs))
     rows = [[] for _ in envs]
     t = 0.0
@@ -277,14 +287,15 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
             obs[observed, 0:3] = pos[observed, sbs]
             obs[observed, 3:6] = vel[observed, sbs]
             obs[observed, 6:9] = [BeamState(*b).direction() for b in beam[observed]]
-        for tracked, act in trackers:
-            a_p[tracked] = act()
+        for group, block in stacks:
+            x = [_apply_norm(norm, obs[own]) for _, own, _, norm in group]
+            qs = block.forward(np.array(x)) if block else [deepq.forward(group[0][2], x[0])]
+            for (slot, own, _, _), q in zip(group, qs):
+                chosen[slot, own] = np.argmax(q, axis=1)
         a_p[randoms] = [act_rngs[b].integers(N_PROTAGONIST_ACTIONS) for b in randoms]
 
         wind = env_wind(t) if env_cfg.ambient_wind else np.zeros(3)
-        if pushers:  # per-row wind; rows without an adversary keep the shared one and a_a = STAY
-            for pushed, act in pushers:
-                a_a[pushed] = act()
+        if windy.any():  # per-row wind; rows without an adversary keep the shared one and a_a = STAY
             wind = np.repeat(wind[None, None, :], len(envs), axis=0)
             wind[windy, 0] += [adversary_wind(a, env_cfg.adversary_speed) for a in a_a[windy]]
         for part, integrator in groups:
@@ -298,7 +309,7 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
         b, m = np.nonzero(oracle | (moves == a_p[:, None]))
         powers = np.full(beams.shape[:2], -np.inf)
         powers[b, m] = link_power(aod_zen[b], aod_azi[b], path[b], *beams[b, m].T, antenna, budget)
-        a_p = np.argmax(powers, axis=1)
+        a_p[:] = np.argmax(powers, axis=1)
         beam, p_r = beams[every, a_p], powers[every, a_p]
         total += p_r
 
@@ -334,17 +345,6 @@ def check_adversary(adv_net, proxy_net, env_cfg: EnvConfig, test_steps: int, see
     return float(avg[0])
 
 
-@dataclass
-class _Learner:
-    """One learning agent of `train`."""
-
-    net: deepq.QNetwork
-    target: deepq.QNetwork
-    memory: deepq.ReplayMemory
-    adam: deepq.AdamState
-    rng: np.random.Generator  # exploration stream
-
-
 def train(cfg: TrainConfig, *, _probe: bool = True) -> TrainResult:
     """Run the full two-agent training loop and return checkpoints + records.
 
@@ -369,15 +369,15 @@ def train(cfg: TrainConfig, *, _probe: bool = True) -> TrainResult:
     phys_seeds = rng_phys.integers(0, 2**63, size=cfg.episodes)
     eval_seeds = rng_eval.integers(0, 2**63, size=(cfg.episodes, 2))
 
-    def learner(n_actions, rng_init, rng_replay, rng_eps):
-        net = deepq.init_qnetwork(n_actions, rng_init, hidden=cfg.hidden, head_scale=cfg.head_init_scale)
-        memory = deepq.ReplayMemory(cfg.replay_capacity, rng_replay)
-        return _Learner(net, net.copy(), memory, deepq.AdamState.init_like(net, cfg.learning_rate), rng_eps)
-
-    # the tracker first, then the adversary when it learns
-    agents = [learner(N_PROTAGONIST_ACTIONS, rng_init_p, rng_replay_p, rng_eps_p)]
+    # the tracker first, then the adversary when it learns: one row of the parameter block each
+    agents = [(N_PROTAGONIST_ACTIONS, rng_init_p, rng_replay_p, rng_eps_p)]
     if trains_adversary:
-        agents.append(learner(N_ADVERSARY_ACTIONS, rng_init_a, rng_replay_a, rng_eps_a))
+        agents.append((N_ADVERSARY_ACTIONS, rng_init_a, rng_replay_a, rng_eps_a))
+    nets = [deepq.init_qnetwork(n, rng, hidden=cfg.hidden, head_scale=cfg.head_init_scale)
+            for n, rng, *_ in agents]
+    block = deepq.QBlock(nets, cfg.learning_rate)
+    memories = [deepq.ReplayMemory(cfg.replay_capacity, rng) for *_, rng, _ in agents]
+    explore = [rng for *_, rng in agents]
 
     env_cfg = replace(cfg.env, adversary_active=cfg.variant != "no_adversary")
     # read a proxy path once, so that a file replaced mid-run cannot change the probe
@@ -394,7 +394,7 @@ def train(cfg: TrainConfig, *, _probe: bool = True) -> TrainResult:
         losses = [[], []]  # per agent; the adversary's stays empty unless it learns
 
         for _ in range(env_cfg.horizon):
-            actions = [deepq.act_epsilon_greedy(ag.net, state, cfg.epsilon, ag.rng) for ag in agents]
+            actions = block.act(state, cfg.epsilon, explore)
             if cfg.variant == "random_adversary":
                 actions.append(random_adversary_action(rng_eps_a))
             elif cfg.variant == "no_adversary":
@@ -402,24 +402,24 @@ def train(cfg: TrainConfig, *, _probe: bool = True) -> TrainResult:
 
             obs, r_p, r_a, _ = e.step(ProtagonistAction(actions[0]), AdversaryAction(actions[1]))
             next_state = _apply_norm(norm, obs)
-            for ag, action, reward, agent_losses in zip(agents, actions, (r_p, r_a), losses):
-                ag.memory.push(state, action, reward, next_state)
-                if len(ag.memory) >= cfg.batch_size:
-                    batch = ag.memory.sample(cfg.batch_size)
-                    agent_losses.append(deepq.train_batch(ag.net, ag.target, batch, cfg.gamma, ag.adam))
+            for memory, action, reward in zip(memories, actions, (r_p, r_a)):
+                memory.push(state, action, reward, next_state)
+            if len(memories[0]) >= cfg.batch_size:  # every memory holds as many transitions
+                batches = [memory.sample(cfg.batch_size) for memory in memories]
+                for agent_losses, loss in zip(losses, block.train(batches, cfg.gamma)):
+                    agent_losses.append(float(loss))
             state = next_state
 
         synced = ep % cfg.target_period == 0
         if synced:
-            for ag in agents:
-                deepq.sync_target(ag.net, ag.target)
+            block.sync_target()
 
         p4_seed, p5_seed = int(eval_seeds[ep - 1, 0]), int(eval_seeds[ep - 1, 1])
         p4 = p5 = float("nan")
         if _probe:  # one rollout: the tracker, wind off; for rarl also the proxy against the adversary
             probe_manifest = {"obs_norm": norm.manifest_entry() if norm else None}
-            probes = [AgentCheckpoint(ag.net, manifest=probe_manifest) for ag in agents]
-            rows = [(probes[0], None, p4_seed), (proxy, probes[-1], p5_seed)][: len(agents)]
+            probes = [AgentCheckpoint(net, manifest=probe_manifest) for net in block.nets]
+            rows = [(probes[0], None, p4_seed), (proxy, probes[-1], p5_seed)][: len(probes)]
             trackers, adversaries, seeds = zip(*rows)
             policies = [Policy(PolicyKind.GREEDY_DQN, tracker) for tracker in trackers]
             physes = [cfg.env.phys] * len(rows)
@@ -450,12 +450,12 @@ def train(cfg: TrainConfig, *, _probe: bool = True) -> TrainResult:
         "obs_norm": norm.manifest_entry() if norm else None,
     }
     ckpts = [
-        AgentCheckpoint(ag.net, ag.adam, {"agent": name, "n_actions": ag.net.n_actions, **manifest})
-        for name, ag in zip(("protagonist", "adversary"), agents)
+        AgentCheckpoint(net, adam, {"agent": name, "n_actions": net.n_actions, **manifest})
+        for name, net, adam in zip(("protagonist", "adversary"), block.nets, block.adams)
     ]
     adversary = ckpts[1] if trains_adversary else None
-    memories = (agents[0].memory, agents[1].memory if trains_adversary else None)
-    return TrainResult(ckpts[0], adversary, records, memories if cfg.keep_memories else None)
+    kept = (memories[0], memories[1] if trains_adversary else None)
+    return TrainResult(ckpts[0], adversary, records, kept if cfg.keep_memories else None)
 
 
 def pretrain_proxy(cfg: TrainConfig) -> AgentCheckpoint:

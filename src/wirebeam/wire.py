@@ -198,6 +198,12 @@ class Integrator:
             bad = np.nonzero(bad_pos[b] | bad_vel[b])[0]
             raise SimulationDivergedError(time + self.dt, self.n_sub, bad)
 
+    def step(self, state: WireState, wind: np.ndarray, rng: np.random.Generator) -> WireState:
+        """The one wire of this integrator advanced by dt from `state`, in new arrays."""
+        pos, vel = state.positions[None].copy(), state.velocities[None].copy()
+        self.advance(pos, vel, np.asarray(wind, dtype=np.float64), [rng], state.time)
+        return WireState(pos[0], vel[0], state.time + self.dt)
+
 
 def step(
     state: WireState,
@@ -218,11 +224,8 @@ def step(
         raise ValueError("dt must be > 0")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    pos = state.positions[None].copy()
-    vel = state.velocities[None].copy()
     integrator = Integrator([params], dt, effective_substeps(params, dt, substeps))
-    integrator.advance(pos, vel, np.asarray(wind_velocity, dtype=np.float64), [rng], state.time)
-    return WireState(pos[0], vel[0], state.time + dt)
+    return integrator.step(state, wind_velocity, rng)
 
 
 def env_wind(t: float) -> np.ndarray:

@@ -5,7 +5,15 @@ from dataclasses import replace
 import wirebeam as wb
 from wirebeam.config import train_config_from_text
 from wirebeam.env import AdversaryAction, BeamTrackingEnv, ProtagonistAction, apply_protagonist_action
-from wirebeam.rarl import PolicyKind, _eval_streams
+from wirebeam.rarl import (
+    EpisodeRecord,
+    Policy,
+    PolicyKind,
+    TrainResult,
+    _eval_streams,
+    config_fingerprint,
+    random_adversary_action,
+)
 
 # Training runs shared by the slow tests: five seeds, 50 episodes each,
 # reference parameters otherwise. The no-adversary arm of each seed doubles
@@ -94,3 +102,73 @@ def reference_average(policy, env_cfg, seed, steps, adversary=None):
         _, _, _, p_r = env.step(ProtagonistAction(a_p), AdversaryAction(a_a))
         total += p_r
     return total / steps
+
+
+def reference_train(cfg):
+    """The per-agent training loop that rarl.train must reproduce bit for bit:
+    each agent acts through act_epsilon_greedy and takes its own train_batch
+    and sync_target, the environment advances through BeamTrackingEnv.step,
+    and the probes run through reference_average. Records carry wall_clock 0.
+    Needs standardize_obs (reference_average reads the input scale)."""
+    assert cfg.standardize_obs
+    rng_init_p, rng_init_a, rng_phys, rng_eps_p, rng_eps_a, rng_replay_p, rng_replay_a, rng_eval = (
+        np.random.default_rng(stream) for stream in np.random.SeedSequence(cfg.seed).spawn(8)
+    )
+    phys_seeds = rng_phys.integers(0, 2**63, size=cfg.episodes)
+    eval_seeds = rng_eval.integers(0, 2**63, size=(cfg.episodes, 2))
+    agents = [(len(ProtagonistAction), rng_init_p, rng_replay_p, rng_eps_p)]
+    if cfg.variant == "rarl":
+        agents.append((len(AdversaryAction), rng_init_a, rng_replay_a, rng_eps_a))
+    nets = [wb.init_qnetwork(n, rng, hidden=cfg.hidden, head_scale=cfg.head_init_scale) for n, rng, _, _ in agents]
+    targets = [net.copy() for net in nets]
+    adams = [wb.AdamState.init_like(net, cfg.learning_rate) for net in nets]
+    memories = [wb.ReplayMemory(cfg.replay_capacity, rng) for _, _, rng, _ in agents]
+    norm = wb.make_normalizer(cfg.env)
+    env_cfg = replace(cfg.env, adversary_active=cfg.variant != "no_adversary")
+
+    records = []
+    for ep in range(1, cfg.episodes + 1):
+        env = BeamTrackingEnv(env_cfg, seed=phys_seeds[ep - 1])
+        state = norm.apply(env.observe())
+        losses = [[], []]
+        for _ in range(env_cfg.horizon):
+            actions = [wb.act_epsilon_greedy(net, state, cfg.epsilon, agent[3]) for net, agent in zip(nets, agents)]
+            if cfg.variant == "random_adversary":
+                actions.append(random_adversary_action(rng_eps_a))
+            elif cfg.variant == "no_adversary":
+                actions.append(AdversaryAction.STAY)
+            obs, r_p, r_a, _ = env.step(ProtagonistAction(actions[0]), AdversaryAction(actions[1]))
+            next_state = norm.apply(obs)
+            for k, reward in enumerate((r_p, r_a)[: len(nets)]):
+                memories[k].push(state, actions[k], reward, next_state)
+                if len(memories[k]) >= cfg.batch_size:
+                    batch = memories[k].sample(cfg.batch_size)
+                    losses[k].append(wb.train_batch(nets[k], targets[k], batch, cfg.gamma, adams[k]))
+            state = next_state
+        synced = ep % cfg.target_period == 0
+        if synced:
+            for net, target in zip(nets, targets):
+                wb.sync_target(net, target)
+
+        p4_seed, p5_seed = int(eval_seeds[ep - 1, 0]), int(eval_seeds[ep - 1, 1])
+        probes = [wb.AgentCheckpoint(net.copy(), manifest={"obs_norm": norm.manifest_entry()}) for net in nets]
+        p4 = reference_average(Policy(PolicyKind.GREEDY_DQN, probes[0]), cfg.env, p4_seed, cfg.test_steps)
+        p5 = float("nan")
+        if cfg.variant == "rarl":
+            proxy = Policy(PolicyKind.GREEDY_DQN, cfg.proxy_checkpoint)
+            p5 = reference_average(proxy, cfg.env, p5_seed, cfg.test_steps, adversary=probes[1])
+        loss_p, loss_a = (float(np.mean(x)) if x else float("nan") for x in losses)
+        records.append(EpisodeRecord(ep, p4, p5, loss_p, loss_a, 0.0, p4_seed, p5_seed, synced))
+
+    manifest = {
+        "variant": cfg.variant,
+        "seed": cfg.seed,
+        "episodes": cfg.episodes,
+        "config_hash": config_fingerprint(cfg),
+        "obs_norm": norm.manifest_entry(),
+    }
+    ckpts = [
+        wb.AgentCheckpoint(net, adam, {"agent": name, "n_actions": net.n_actions, **manifest})
+        for name, net, adam in zip(("protagonist", "adversary"), nets, adams)
+    ]
+    return TrainResult(ckpts[0], ckpts[1] if cfg.variant == "rarl" else None, records)

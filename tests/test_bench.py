@@ -125,6 +125,24 @@ class TestSweepCommand:
         ]
         assert key[4][0] == "5.0"
 
+    def test_manifest_flags_cells_resting_below_ground(self, tmp_path):
+        # the 10 kg / 10 N/m wire sags its station 6.14 m below the ground plane
+        spec = tmp_path / "sweep.spec"
+        spec.write_text("mass_grid_kg: 10\nspring_grid_n_per_m: 10,100\npolicies: stay\n")
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", write_cfg(tmp_path), "--spec", str(spec), "--out", str(out)]) == 0
+        cells = json.loads((out / "manifest.json").read_text())["substeps"]
+        assert [(c["spring_n_per_m"], round(c["rest_z_m"], 2), c["below_ground"]) for c in cells] == [
+            (10.0, -6.14, True),
+            (100.0, 3.89, False),
+        ]
+        sbs = EnvConfig().sbs_index
+        for cell in cells:
+            phys = replace(EnvConfig().phys, total_mass=cell["mass_kg"], spring_constant=cell["spring_n_per_m"])
+            assert cell["rest_z_m"] == wire.equilibrium_shape(phys).positions[sbs, 2]
+        _, rows = read_rows(out / "heatmap.csv")
+        assert len(rows) == 2  # flagged cells are still scored
+
     def test_multi_policy_sweep_matches_single_policy_sweeps(self, tmp_path):
         cfg = write_cfg(tmp_path)
         policies = ["stay", "upper_limit", "random_uniform", greedy_ckpt_path(tmp_path)]
@@ -374,6 +392,23 @@ class TestOrchestrationPurity:
         bad = tmp_path / "bad.cfg"
         bad.write_text("garbage\n")
         assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("batch_size: 64\nreplay_capacity: 16\n", "replay_capacity"),
+            ("learning_rate: -0.1\n", "learning_rate"),
+            ("gamma: 1.5\n", "gamma"),
+            ("batch_size: 0\n", "batch_size"),
+            ("hidden_units: 32,0\n", "hidden"),
+        ],
+    )
+    def test_learner_settings_are_config_errors(self, tmp_path, capsys, text, field):
+        out = tmp_path / "o"
+        assert main(["train", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and field in err
+        assert not (out / "curve.csv").exists()
 
     def test_zero_decision_interval_is_a_config_error(self, tmp_path, capsys):
         bad = write_cfg(tmp_path, "decision_interval_s: 0\n")

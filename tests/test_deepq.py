@@ -8,6 +8,7 @@ from wirebeam import deepq
 from wirebeam.deepq import (
     AdamState,
     NumericError,
+    QBlock,
     QNetwork,
     ReplayMemory,
     act_epsilon_greedy,
@@ -252,6 +253,84 @@ class TestSyncTarget:
         assert a.flat.size == b.flat.size
         with pytest.raises(ValueError, match="layout"):
             sync_target(a, b)
+
+
+class TestQBlock:
+    """A block of K networks must give every row the bits of the K = 1 calls."""
+
+    @staticmethod
+    def mixed_block(rng, counts=(5, 5, 7)):
+        nets = [init_qnetwork(n, rng) for n in counts]
+        return nets, QBlock([net.copy() for net in nets], learning_rate=3e-3)
+
+    def test_rows_match_single_network_calls(self):
+        rng = np.random.default_rng(30)
+        singles, block = self.mixed_block(rng)
+        targets = [net.copy() for net in singles]
+        adams = [AdamState.init_like(net, 3e-3) for net in singles]
+        sizes = [net.flat.size for net in singles]
+        assert block.flat.shape == (2, 3, max(sizes)) and sizes[0] < sizes[2]
+        for step in range(100):
+            batches = [random_batch(rng, n_actions=net.n_actions) for net in singles]
+            losses = block.train(batches, 0.97)
+            for k, (net, target, adam, batch) in enumerate(zip(singles, targets, adams, batches)):
+                loss, grad = loss_and_gradients(net, target, batch, 0.97)
+                assert losses[k] == loss
+                assert block.grad[k, : sizes[k]].tobytes() == grad.tobytes()
+                deepq._adam_update(net, grad, adam)
+                assert block.nets[k].flat.tobytes() == net.flat.tobytes()
+                assert block.adams[k].first_moment.tobytes() == adam.first_moment.tobytes()
+                assert block.adams[k].second_moment.tobytes() == adam.second_moment.tobytes()
+                assert block.adams[k].step_count == adam.step_count == step + 1
+            if step % 10 == 9:
+                block.sync_target()
+                for net, target in zip(singles, targets):
+                    sync_target(net, target)
+            for batch_size in (1, 6):
+                states = rng.normal(size=(3, batch_size, 9))
+                for k, q in enumerate(block.forward(states)):
+                    assert q.tobytes() == forward(singles[k], states[k]).tobytes()
+        for k, size in enumerate(sizes):  # the padding of the 5-action rows never moves
+            assert not block.flat[:, k, size:].any() and not block.grad[k, size:].any()
+            assert not block.moments[:, k, size:].any()
+        assert block.flat[:, 0, sizes[0]:].size > 0
+
+    def test_rows_are_views_for_checkpoints(self):
+        _, block = self.mixed_block(np.random.default_rng(31))
+        for k, (net, adam) in enumerate(zip(block.nets, block.adams)):
+            assert np.shares_memory(net.flat, block.flat[0, k])
+            assert np.shares_memory(adam.first_moment, block.moments[0, k])
+            assert np.shares_memory(adam.second_moment, block.moments[1, k])
+
+    def test_act_matches_act_epsilon_greedy(self):
+        rng = np.random.default_rng(32)
+        singles, block = self.mixed_block(rng, counts=(5, 7))
+        streams = [np.random.default_rng(s) for s in (1, 2)], [np.random.default_rng(s) for s in (1, 2)]
+        for _ in range(200):
+            state = rng.normal(size=9)
+            expected = [act_epsilon_greedy(net, state, 0.5, r) for net, r in zip(singles, streams[0])]
+            assert block.act(state, 0.5, streams[1]) == expected
+        assert [r.random() for r in streams[0]] == [r.random() for r in streams[1]]
+
+    def test_mixed_layouts_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="hidden"):
+            QBlock([init_qnetwork(5, rng), init_qnetwork(7, rng, hidden=(32, 32))])
+
+    def test_nonfinite_q_raised_only_for_a_greedy_agent(self):
+        rng = np.random.default_rng(33)
+        _, block = self.mixed_block(rng, counts=(5, 7))
+        block.nets[1].trunk_w[2][...] = np.inf  # the adversary row turns non-finite in trunk layer 2
+        state = rng.normal(size=9)
+        # first draws: 0.51 for seed 1 (acts greedily at epsilon 0.5), 0.26 for seed 2 (explores)
+        assert block.act(state, 1.0, [np.random.default_rng(0), np.random.default_rng(0)])[1] < 7
+        with np.errstate(invalid="ignore"):  # the explored row is computed, but not checked
+            greedy_tracker = block.act(state, 0.5, [np.random.default_rng(1), np.random.default_rng(2)])
+        assert greedy_tracker[0] == int(np.argmax(forward(block.nets[0], state)))
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="trunk layer 2"):
+            block.act(state, 0.5, [np.random.default_rng(2), np.random.default_rng(1)])
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="trunk layer 2"):
+            block.act(state, 0.0, [np.random.default_rng(0), np.random.default_rng(0)])
 
 
 class TestFlatLayout:

@@ -164,6 +164,25 @@ class TestStep:
             np.testing.assert_array_equal(va, vb)
             assert pa == pb
 
+    def test_step_advances_a_copy_as_wire_step_does(self):
+        cfg = EnvConfig(horizon=20, substeps=3)
+        env = BeamTrackingEnv(cfg, seed=5)
+        for k in range(20):
+            before = env.wire_state
+            snapshot = before.copy()
+            rng = np.random.Generator(np.random.PCG64())
+            rng.bit_generator.state = env.rng.bit_generator.state
+            wind = wb.env_wind(before.time) + adversary_wind(AdversaryAction(k % 7), cfg.adversary_speed)
+            expected = wb.wire.step(before, wind, cfg.phys, cfg.tau, cfg.substeps, rng)
+            env.step(ProtagonistAction.STAY, AdversaryAction(k % 7))
+            after = env.wire_state
+            assert after is not before and not np.shares_memory(after.positions, before.positions)
+            np.testing.assert_array_equal(before.positions, snapshot.positions)  # the old state is untouched
+            np.testing.assert_array_equal(before.velocities, snapshot.velocities)
+            assert after.positions.tobytes() == expected.positions.tobytes()
+            assert after.velocities.tobytes() == expected.velocities.tobytes()
+            assert after.time == expected.time
+
 
 class TestEnvConfigValidation:
     def test_invariants(self):

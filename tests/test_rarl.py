@@ -23,7 +23,7 @@ from wirebeam.rarl import (
     run_policy,
     train,
 )
-from conftest import reference_average
+from conftest import reference_average, reference_train
 
 STATIC_POWER = -12.881197714043807
 
@@ -59,6 +59,27 @@ class TestTrainValidation:
             tiny_cfg(variant="bogus")
         with pytest.raises(ValueError):
             tiny_cfg(epsilon=1.5)
+
+    @pytest.mark.parametrize(
+        "bad, field",
+        [
+            ({"batch_size": 64, "replay_capacity": 16}, "replay_capacity"),  # would never train
+            ({"batch_size": 0}, "batch_size"),
+            ({"learning_rate": -0.1}, "learning_rate"),
+            ({"learning_rate": float("nan")}, "learning_rate"),
+            ({"gamma": 1.5}, "gamma"),
+            ({"gamma": 1.0}, "gamma"),
+            ({"gamma": -0.1}, "gamma"),
+            ({"hidden": (32, 0)}, "hidden"),
+        ],
+    )
+    def test_learner_settings_rejected(self, bad, field):
+        with pytest.raises(ValueError, match=field):
+            tiny_cfg(**bad)
+
+    def test_learner_setting_edges_accepted(self):
+        cfg = tiny_cfg(batch_size=16, replay_capacity=16, gamma=0.0, hidden=(1,), episodes=1, horizon=20)
+        assert np.isfinite(train(cfg).records[0].loss_p)
 
 
 class TestConfigFingerprint:
@@ -140,6 +161,33 @@ class TestTrainLoop:
         np.testing.assert_array_equal(rp, -ra)  # exact zero-sum
         np.testing.assert_array_equal(sp, sa)  # both agents saw the same s_k
         np.testing.assert_array_equal(np_next, na_next)
+
+
+class TestTrainMatchesReference:
+    """train runs every agent through one parameter block; the per-agent loop
+    of conftest.reference_train must give the same bits."""
+
+    @pytest.mark.parametrize("variant", ["no_adversary", "random_adversary", "rarl"])
+    def test_block_training_equals_per_agent_loop(self, variant):
+        proxy = train(tiny_cfg(episodes=1, horizon=40, test_steps=10)).protagonist
+        # six episodes with the default target period of 5: a target sync falls inside the run
+        cfg = tiny_cfg(variant=variant, episodes=6, horizon=50, test_steps=15, seed=5)
+        if variant == "rarl":
+            cfg = replace(cfg, proxy_checkpoint=proxy)
+        result, reference = train(cfg), reference_train(cfg)
+
+        assert [r.target_synced for r in result.records] == [False] * 4 + [True, False]
+        assert [repr(replace(r, wall_clock=0.0)) for r in result.records] == [repr(r) for r in reference.records]
+        pairs = [(result.protagonist, reference.protagonist)]
+        assert (result.adversary is None) == (reference.adversary is None) == (variant != "rarl")
+        if variant == "rarl":
+            pairs.append((result.adversary, reference.adversary))
+        for got, want in pairs:
+            assert got.net.flat.tobytes() == want.net.flat.tobytes()
+            assert got.adam.first_moment.tobytes() == want.adam.first_moment.tobytes()
+            assert got.adam.second_moment.tobytes() == want.adam.second_moment.tobytes()
+            assert got.adam.step_count == want.adam.step_count == 6 * 50 - (cfg.batch_size - 1)
+            assert got.manifest == want.manifest
 
 
 class TestChecks:
