@@ -100,6 +100,8 @@ def _set_wavelength(cfg, value):
 def _set_observation_time(cfg, value):
     if not cfg.env.tau > 0:  # the horizon divides by it
         raise ConfigError(f"decision_interval_s must be > 0, got {cfg.env.tau!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"observation_time_s must be finite, got {value!r}")
     cfg.env.horizon = int(math.floor(value / cfg.env.tau + 1e-9))
 
 

@@ -18,6 +18,7 @@ targets at once through stacked np.matmul, which gives each the same bits.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,14 +44,14 @@ def param_layout(n_inputs: int, hidden: tuple, n_actions: int) -> list:
     layout, offset = [], 0
     for name, shape in shapes:
         layout.append((name, shape, offset))
-        offset += int(np.prod(shape))
+        offset += math.prod(shape)
     return layout
 
 
 def _views(flat: np.ndarray, layout: list) -> list:
     """Views of the parameters in `layout`, over any leading axes of `flat`."""
     lead = flat.shape[:-1]
-    return [flat[..., at : at + int(np.prod(shape))].reshape(lead + shape) for _, shape, at in layout]
+    return [flat[..., at : at + math.prod(shape)].reshape(lead + shape) for _, shape, at in layout]
 
 
 class QNetwork:
@@ -64,7 +65,7 @@ class QNetwork:
     def __init__(self, n_inputs: int, hidden: tuple, n_actions: int, flat: np.ndarray | None = None):
         self.n_inputs, self.hidden, self.n_actions = n_inputs, tuple(hidden), n_actions
         self.layout = param_layout(n_inputs, self.hidden, n_actions)
-        size = sum(int(np.prod(shape)) for _, shape, _ in self.layout)
+        size = sum(math.prod(shape) for _, shape, _ in self.layout)
         self.flat = np.zeros(size) if flat is None else flat
         self._params = _views(self.flat, self.layout)
         self.trunk_w, self.trunk_b = self._params[0:-4:2], self._params[1:-4:2]
@@ -326,7 +327,10 @@ class QBlock:
     (2, K, P_max) holds the online networks in role 0 and their targets in
     role 1, row k laid out by param_layout and zero-padded. Each run of equal
     action count is a head group. Adam moments are (K, P_max) with one step
-    count. `nets` and `adams` are plain QNetworks and AdamStates over rows."""
+    count. `nets` and `adams` are plain QNetworks and AdamStates over rows.
+    The parameter views of the online role and of both roles are built once,
+    so a block of one network acts as cheaply as `forward`, which stays the
+    K = 1 reference that the stacked kernels must match bit for bit."""
 
     def __init__(self, nets: list, learning_rate: float = 1e-3):
         n_inputs, hidden = nets[0].n_inputs, nets[0].hidden
@@ -344,21 +348,28 @@ class QBlock:
             params = [p[..., None, :] if p.ndim == 3 else p for p in _views(self.flat[:, rows], layout)]
             return params, _views(self.grad[rows], layout)
 
-        self._trunk, self._trunk_grad = views(slice(None), nets[0].layout[:-4])
+        trunk, self._trunk_grad = views(slice(None), nets[0].layout[:-4])
         self._groups, start = [], 0  # (rows, head views, head gradient views) per head group
         for n_actions, run in itertools.groupby(net.n_actions for net in nets):
             rows = slice(start, start := start + len(list(run)))
             self._groups.append((rows, *views(rows, param_layout(n_inputs, hidden, n_actions)[-4:])))
 
-    def _forward(self, x, role):
-        """Trunk activations and head-group Qs of `role` (0, 1 or both) on x (..., K, B, n_in)."""
-        hs, zs = _trunk([w[role] for w in self._trunk[0::2]], [b[role] for b in self._trunk[1::2]], x)
-        qs = [_head(hs[-1][..., rows, :, :], *(p[role] for p in head)) for rows, head, _ in self._groups]
+        def role(r):  # trunk weights, trunk biases and per-group head parameters of role r
+            heads = [[p[r] for p in head] for _, head, _ in self._groups]
+            return [w[r] for w in trunk[0::2]], [b[r] for b in trunk[1::2]], heads
+
+        self._online, self._both = role(0), role(slice(None))  # built once, used by every pass
+
+    def _forward(self, x, params):
+        """Trunk activations and head-group Qs of the role views `params` on x (..., K, B, n_in)."""
+        trunk_w, trunk_b, heads = params
+        hs, zs = _trunk(trunk_w, trunk_b, x)
+        qs = [_head(hs[-1][..., rows, :, :], *head) for (rows, _, _), head in zip(self._groups, heads)]
         return hs, zs, qs
 
     def forward(self, x: np.ndarray, check=None) -> list:
         """Q of online network k on x[k]; NumericError if a `check` row (default: any) is non-finite."""
-        q = [row for group in self._forward(x, 0)[2] for row in group]
+        q = [row for group in self._forward(x, self._online)[2] for row in group]
         for k in range(len(q)) if check is None else check:
             if not np.isfinite(q[k]).all():
                 raise _nonfinite(self.nets[k], x[k])
@@ -382,7 +393,7 @@ class QBlock:
         states), heads per group, one stacked backward and one Adam update; K losses."""
         states, actions, rewards, next_states = zip(*batches)
         actions, rewards = np.array(actions), np.array(rewards)
-        hs, zs, qs = self._forward(np.array([states, next_states]), slice(None))
+        hs, zs, qs = self._forward(np.array([states, next_states]), self._both)
         td = np.empty(rewards.shape)
         for (rows, _, _), q in zip(self._groups, qs):
             a = actions[rows]
@@ -390,9 +401,9 @@ class QBlock:
             td[rows] = rewards[rows] + gamma * np.maximum.reduce(q[1], axis=-1) - chosen
         losses = np.add.reduce(huber(td), axis=-1) / td.shape[-1]
         g, dh = -_huber_grad(td) / td.shape[-1], np.empty(hs[-1].shape[1:])
-        for rows, (value_w, _, adv_w, _), grads in self._groups:
-            dh[rows] = _head_backward(hs[-1][0, rows], g[rows], actions[rows], value_w[0], adv_w[0], grads)
-        trunk_w = [w[0] for w in self._trunk[0::2]]
+        trunk_w, _, heads = self._online
+        for (rows, _, grads), (value_w, _, adv_w, _) in zip(self._groups, heads):
+            dh[rows] = _head_backward(hs[-1][0, rows], g[rows], actions[rows], value_w, adv_w, grads)
         _trunk_backward([h[0] for h in hs], [z[0] for z in zs], trunk_w, dh, self._trunk_grad)
         _check_finite(losses, self.grad)
         for adam in self.adams:

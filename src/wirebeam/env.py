@@ -40,24 +40,12 @@ class AdversaryAction(IntEnum):
     BACK = 6
 
 
-# (a_theta, a_phi) per protagonist action; at most one entry is nonzero.
-ANGLE_STEPS = {
-    ProtagonistAction.STAY: (0.0, 0.0),
-    ProtagonistAction.UP: (-1.0, 0.0),
-    ProtagonistAction.DOWN: (1.0, 0.0),
-    ProtagonistAction.LEFT: (0.0, 1.0),
-    ProtagonistAction.RIGHT: (0.0, -1.0),
-}
+# (a_theta, a_phi) per protagonist action, in units of beta, rows in ProtagonistAction order;
+# at most one entry is nonzero
+ANGLE_STEPS = np.array([(0.0, 0.0), (-1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
 
-_WIND_DIRS = {
-    AdversaryAction.STAY: np.array([0.0, 0.0, 0.0]),
-    AdversaryAction.UP: np.array([0.0, 0.0, 1.0]),
-    AdversaryAction.DOWN: np.array([0.0, 0.0, -1.0]),
-    AdversaryAction.LEFT: np.array([-1.0, 0.0, 0.0]),
-    AdversaryAction.RIGHT: np.array([1.0, 0.0, 0.0]),
-    AdversaryAction.FRONT: np.array([0.0, 1.0, 0.0]),
-    AdversaryAction.BACK: np.array([0.0, -1.0, 0.0]),
-}
+# unit direction of the adversary's wind, rows in AdversaryAction order (STAY adds none)
+WIND_DIRS = np.array([(0, 0, 0), (0, 0, 1), (0, 0, -1), (-1, 0, 0), (1, 0, 0), (0, 1, 0), (0, -1, 0)], dtype=np.float64)
 
 
 @dataclass
@@ -76,13 +64,13 @@ class BeamState:
 
 def apply_protagonist_action(beam: BeamState, action: ProtagonistAction, beta_deg: float) -> BeamState:
     """New beam after moving zenith/azimuth by beta per the action table."""
-    a_theta, a_phi = ANGLE_STEPS[ProtagonistAction(action)]
+    a_theta, a_phi = ANGLE_STEPS[ProtagonistAction(action)].tolist()
     return BeamState(beam.steer_zenith + a_theta * beta_deg, beam.steer_azimuth + a_phi * beta_deg)
 
 
 def adversary_wind(action: AdversaryAction, speed: float) -> np.ndarray:
     """Additional wind vector appended by the adversary (zero for STAY)."""
-    return _WIND_DIRS[AdversaryAction(action)] * speed
+    return WIND_DIRS[AdversaryAction(action)] * speed
 
 
 def reward_from_power(p_r_dbm: float, clip_offset: float, clip_scale: float) -> float:
@@ -120,6 +108,9 @@ class EnvConfig:
     substeps: int = 1
 
     def __post_init__(self):
+        for name in ("gateway_distance", "gateway_height", "tau", "beta", "clip_offset", "clip_scale", "adversary_speed"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.beta <= 0:
@@ -161,7 +152,7 @@ class BeamTrackingEnv:
     at the new position and steering.
     """
 
-    def __init__(self, cfg: EnvConfig, seed=None):
+    def __init__(self, cfg: EnvConfig, seed):
         self.cfg = cfg
         self.rng = np.random.default_rng(seed)
         self.gateway = resolve_gateway(cfg)

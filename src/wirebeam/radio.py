@@ -19,7 +19,7 @@ All angles at this interface are degrees; zenith is measured from +z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,6 +54,9 @@ class AntennaConfig:
     wavelength: float = 0.005
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.n_v < 1 or self.n_h < 1:
             raise ValueError("n_v and n_h must be >= 1")
         if self.spacing_v <= 0 or self.spacing_h <= 0:
@@ -77,6 +80,9 @@ class LinkBudget:
     wavelength: float = 0.005
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.wavelength <= 0:
             raise ValueError("wavelength must be > 0")
 

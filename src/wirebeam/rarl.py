@@ -9,8 +9,8 @@ against a frozen proxy tracker that was pre-trained without an adversary.
 
 Every evaluation is one call of `rollout`, which steps B environments, each
 with its own policy and adversary (or none), exactly as lone
-BeamTrackingEnvs would go, with one stacked forward per step for its greedy
-agents: both probes of a `rarl` episode with B = 2 (the other variants' one
+BeamTrackingEnvs would go, through one code path per step whatever the mix
+of rows: both probes of a `rarl` episode with B = 2 (the other variants' one
 probe and `run_policy` with B = 1), a whole sweep with one call.
 `pretrain_proxy` runs no probes, since it keeps only the proxy checkpoint.
 """
@@ -29,12 +29,12 @@ from . import deepq
 from .checkpoint import AgentCheckpoint, load_checkpoint
 from .env import (
     ANGLE_STEPS,
+    WIND_DIRS,
     AdversaryAction,
     BeamState,
     BeamTrackingEnv,
     EnvConfig,
     ProtagonistAction,
-    adversary_wind,
     reward_from_power,
 )
 from .radio import aod_batch, link_power, path_gain_db
@@ -84,6 +84,8 @@ class TrainConfig:
             raise ValueError("gamma must lie in [0, 1)")
         if min(self.hidden, default=1) < 1:
             raise ValueError("hidden widths must be >= 1")
+        if not np.isfinite(self.head_init_scale):
+            raise ValueError("head_init_scale must be finite")
 
 
 @dataclass
@@ -207,10 +209,6 @@ def _eval_streams(seed):
     return [np.random.SeedSequence(ss.entropy, spawn_key=(*key, i), pool_size=size) for i in (0, 1)]
 
 
-# (zenith, azimuth) beam step per protagonist action, in units of beta
-_BEAM_STEPS = np.array([ANGLE_STEPS[a] for a in ProtagonistAction])
-
-
 def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=None, trajectory=False):
     """Roll B = len(seeds) environments together for `steps` decision intervals.
 
@@ -219,12 +217,14 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
     exactly the trajectory it would follow alone. `adversary` is one agent
     (net, checkpoint or path) for every row or a list with one agent or None
     per row: a row with an agent has the adversary wind on and the agent
-    acting greedily, a row without one has it off. A step runs one
-    integrator per group of equal substep count, one forward pass (a QBlock
-    one if stacked) per group of distinct greedy agents, trackers and
-    adversaries alike, that share a trunk shape and a row count, and one
-    broadcast gain evaluation of each oracle row's five candidate beams and
-    every other row's chosen beam, on the wire state the step keeps.
+    acting greedily, a row without one has it off. Every step takes one path
+    for every row: one stacked QBlock forward per group of distinct greedy
+    agents, trackers and adversaries alike, that share a trunk shape and a
+    row count (a group of one included); one (B, 1, 3) wind, the ambient
+    wind plus the chosen gust on the rows with an adversary; one integrator
+    per group of equal substep count; and one broadcast gain evaluation of
+    each oracle row's five candidate beams and every other row's chosen
+    beam, on the wire state the step keeps.
 
     Returns the (B,) average powers in dBm and, with `trajectory`, one list
     of rows (step, t, p_r_dbm, r_p, a_p, a_a, sbs_x, sbs_y, sbs_z, theta_s,
@@ -267,13 +267,13 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
             shared.setdefault((net.n_inputs, net.hidden, len(own)), []).append((slot, own, net, norm))
     # players that share a trunk shape and a row count act through one stacked forward (heads by count)
     players = [sorted(group, key=lambda player: player[2].n_actions) for group in shared.values()]
-    stacks = [(group, deepq.QBlock([p[2] for p in group]) if len(group) > 1 else None) for group in players]
+    stacks = [(group, deepq.QBlock([p[2] for p in group])) for group in players]
 
     every = np.arange(len(envs))
     kinds = np.array([p.kind for p in policies])
-    windy = np.array([a is not None for a in adversaries])
-    reads = windy | (kinds == PolicyKind.GREEDY_DQN)  # the rows a network reads
-    observed = slice(None) if np.all(reads) else np.flatnonzero(reads)
+    windy = np.flatnonzero([a is not None for a in adversaries])  # the rows with the adversary wind on
+    observed = np.union1d(windy, np.flatnonzero(kinds == PolicyKind.GREEDY_DQN))  # the rows a network reads
+    wind, gusts = np.zeros((len(envs), 1, 3)), WIND_DIRS * env_cfg.adversary_speed
     randoms = np.flatnonzero(kinds == PolicyKind.RANDOM_UNIFORM)
     act_rngs = [np.random.default_rng(s[1]) for s in streams]
     oracle = (kinds == PolicyKind.UPPER_LIMIT)[:, None]
@@ -283,29 +283,26 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
     rows = [[] for _ in envs]
     t = 0.0
     for k in range(steps):
-        if np.any(reads):
+        if observed.size:
             obs[observed, 0:3] = pos[observed, sbs]
             obs[observed, 3:6] = vel[observed, sbs]
             obs[observed, 6:9] = [BeamState(*b).direction() for b in beam[observed]]
         for group, block in stacks:
-            x = [_apply_norm(norm, obs[own]) for _, own, _, norm in group]
-            qs = block.forward(np.array(x)) if block else [deepq.forward(group[0][2], x[0])]
+            qs = block.forward(np.array([_apply_norm(norm, obs[own]) for _, own, _, norm in group]))
             for (slot, own, _, _), q in zip(group, qs):
                 chosen[slot, own] = np.argmax(q, axis=1)
         a_p[randoms] = [act_rngs[b].integers(N_PROTAGONIST_ACTIONS) for b in randoms]
 
-        wind = env_wind(t) if env_cfg.ambient_wind else np.zeros(3)
-        if windy.any():  # per-row wind; rows without an adversary keep the shared one and a_a = STAY
-            wind = np.repeat(wind[None, None, :], len(envs), axis=0)
-            wind[windy, 0] += [adversary_wind(a, env_cfg.adversary_speed) for a in a_a[windy]]
+        wind[:] = env_wind(t) if env_cfg.ambient_wind else 0.0
+        wind[windy, 0] += gusts[a_a[windy]]
         for part, integrator in groups:
-            integrator.advance(pos[part], vel[part], wind if wind.ndim == 1 else wind[part], rngs[part], t)
+            integrator.advance(pos[part], vel[part], wind[part], rngs[part], t)
         t = t + env_cfg.tau
 
         dist, aod_zen, aod_azi = aod_batch(pos[:, sbs], gateways)
         path = np.array([path_gain_db(d, budget) for d in dist.tolist()])
         # score the oracle's five moves and every other row's chosen one, on the wire state the step keeps
-        beams = beam[:, None, :] + _BEAM_STEPS[moves] * beta  # (B, moves, 2)
+        beams = beam[:, None, :] + ANGLE_STEPS * beta  # (B, moves, 2)
         b, m = np.nonzero(oracle | (moves == a_p[:, None]))
         powers = np.full(beams.shape[:2], -np.inf)
         powers[b, m] = link_power(aod_zen[b], aod_azi[b], path[b], *beams[b, m].T, antenna, budget)

@@ -62,6 +62,9 @@ class PhysParams:
         self.wind_cov = np.asarray(self.wind_cov, dtype=np.float64)
         self.endpoint_a = np.asarray(self.endpoint_a, dtype=np.float64)
         self.endpoint_b = np.asarray(self.endpoint_b, dtype=np.float64)
+        for name in ("total_mass", "spring_constant", "drag_constant", "gravity", "wind_cov", "endpoint_a", "endpoint_b"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if self.n_points < 3:
             raise ValueError("n_points must be >= 3 (need at least one interior point)")
         if self.total_mass <= 0:
@@ -105,10 +108,12 @@ def stability_bound(params: PhysParams) -> float:
 
 
 def effective_substeps(params: PhysParams, dt: float, substeps: int) -> int:
-    """Raise the substep count if needed to keep h strictly below half the
-    stability bound (matters only for extreme mass/stiffness corners)."""
+    """Raise the substep count if needed to keep h strictly below half of
+    each stability bound: the spring's (stability_bound) and the drag's,
+    c0*h < 2 for the semi-implicit drag term, so c0*h < 1 (matters only for
+    extreme mass, stiffness or drag corners)."""
     half = 0.5 * stability_bound(params)
-    needed = int(math.floor(dt / half)) + 1
+    needed = int(math.floor(max(dt / half, dt * params.drag_constant))) + 1
     return max(substeps, needed)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wirebeam import bench, wire
+from wirebeam import bench, deepq, wire
 from wirebeam.bench import main, resolve_policy
 from wirebeam.checkpoint import AgentCheckpoint, load_checkpoint, save_checkpoint
 from wirebeam.config import train_config_from_text
@@ -166,6 +166,14 @@ class TestSweepCommand:
         argv = ["sweep", "--config", write_cfg(tmp_path), "--spec", str(spec), "--out", str(tmp_path / "sw")]
         assert main(argv) == 0
         assert calls == [2 * 2 * 2 * 2]  # cells x policies x seeds, in one batch
+
+    def test_one_checkpoint_sweep_acts_through_the_block(self, tmp_path, monkeypatch):
+        calls = []
+        forward = deepq.forward
+        monkeypatch.setattr(deepq, "forward", lambda *args: calls.append(1) or forward(*args))
+        argv = ["sweep", "--config", write_cfg(tmp_path), "--checkpoint", greedy_ckpt_path(tmp_path)]
+        assert main(argv + ["--out", str(tmp_path / "sw")]) == 0
+        assert calls == []
 
     @pytest.mark.parametrize("from_env", [False, True])
     def test_spec_and_checkpoint_rejected(self, tmp_path, monkeypatch, capsys, from_env):
@@ -409,6 +417,11 @@ class TestOrchestrationPurity:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and field in err
         assert not (out / "curve.csv").exists()
+
+    def test_non_finite_value_is_a_config_error(self, tmp_path, capsys):
+        bad = write_cfg(tmp_path, SMALL_CFG + "adversary_speed_m_per_s: nan\n")  # trains and exits 0 if accepted
+        assert main(["train", "--config", bad, "--out", str(tmp_path / "o")]) == 1
+        assert "config error: adversary_speed must be finite" in capsys.readouterr().err
 
     def test_zero_decision_interval_is_a_config_error(self, tmp_path, capsys):
         bad = write_cfg(tmp_path, "decision_interval_s: 0\n")

@@ -145,6 +145,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             train_config_from_text("observation_time_s: 0.001\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", [key for key, (parser, _) in SCHEMA.items() if parser is float])
+    def test_non_finite_float_rejected(self, key, value):
+        with pytest.raises(ConfigError):
+            train_config_from_text(f"{key}: {value}\n")
+
     @pytest.mark.parametrize("tau", ["0", "-0.01", "nan"])
     def test_nonpositive_decision_interval_rejected_with_key(self, tau):
         with pytest.raises(ConfigError, match="decision_interval_s must be > 0"):

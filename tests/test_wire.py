@@ -286,6 +286,18 @@ class TestInvariants:
         # default parameters keep the requested count
         assert effective_substeps(PhysParams(), TAU, 1) == 1
 
+    def test_auto_substepping_heavy_drag(self):
+        # the semi-implicit drag term is stable only while c0*h < 2; one substep gives c0*h = 10
+        p = PhysParams(drag_constant=1000.0)
+        n = effective_substeps(p, TAU, 1)
+        assert p.drag_constant * TAU / n < 1.0
+        st, rng = equilibrium_shape(p), np.random.default_rng(0)
+        for _ in range(1000):
+            st = wire.step(st, env_wind(st.time), p, TAU, 1, rng)
+        # the wire is dragged along with the wind but stays within tens of metres of its span
+        assert np.abs(st.positions).max() < 100.0
+        assert effective_substeps(PhysParams(drag_constant=99.0), TAU, 1) == 1
+
 
 class TestEnvWind:
     def test_reference_values(self):
