@@ -11,8 +11,9 @@ Byte layout (format version 1, all integers little-endian):
                          row-major float64 little-endian
 
 The header records the trunk/head shapes, the manifest (agent kind,
-action count, training variant, seed, config hash), the Adam scalars, and
-an "rng_state" slot that is always null. Array order is deepq.param_layout's:
+action count, training variant, seed, config hash) and the Adam scalars;
+keys it does not use, such as the always-null "rng_state" of files written
+by earlier versions, are ignored on load. Array order is deepq.param_layout's:
 trunk.{i}.w, trunk.{i}.b for each trunk layer, value.w, value.b, adv.w,
 adv.b, then (when Adam state is saved) adam.m.* and adam.v.* repeating the
 same order. The payload is therefore the network's flat parameter vector,
@@ -67,7 +68,6 @@ def save_checkpoint(path, ckpt: AgentCheckpoint):
             "epsilon": adam.epsilon,
             "step_count": adam.step_count,
         },
-        "rng_state": None,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:

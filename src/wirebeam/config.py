@@ -87,16 +87,6 @@ def _set_endpoint_separation(cfg, value):
     cfg.env.phys.endpoint_a[1], cfg.env.phys.endpoint_b[1] = -value / 2.0, value / 2.0
 
 
-def _wavelength(cfg) -> float:
-    if cfg.env.antenna.wavelength != cfg.env.budget.wavelength:
-        raise ValueError("antenna and link-budget wavelengths must agree to be serialized")
-    return cfg.env.budget.wavelength
-
-
-def _set_wavelength(cfg, value):
-    cfg.env.antenna.wavelength = cfg.env.budget.wavelength = value
-
-
 def _set_observation_time(cfg, value):
     if not cfg.env.tau > 0:  # the horizon divides by it
         raise ConfigError(f"decision_interval_s must be > 0, got {cfg.env.tau!r}")
@@ -132,7 +122,7 @@ SCHEMA = {
     "gateway_level_with_sbs": (_parse_bool, "env.gateway_level_with_sbs"),
     "sbs_point": (int, "env.sbs_point"),
     "tx_power_dbm": (float, "env.budget.tx_power"),
-    "wavelength_m": (float, (_wavelength, _set_wavelength)),
+    "wavelength_m": (float, "env.antenna.wavelength"),
     "rx_gain_dbi": (float, "env.budget.rx_gain"),
     "element_gain_dbi": (float, "env.antenna.g_max"),
     "front_back_db": (float, "env.antenna.front_back"),
@@ -251,13 +241,9 @@ def serialize_train_config(cfg: TrainConfig) -> str:
     """Canonical text form; load(serialize(cfg)) reproduces cfg exactly.
 
     Raises ValueError for a config the text cannot state: a proxy
-    checkpoint that is not a path, a fixed gateway_pos, a wind_cov that is
-    not a multiple of the identity, endpoints other than (0, -s/2, h) and
-    (0, s/2, h), or antenna and link-budget wavelengths that differ. The
-    run-time switches env.adversary_active and keep_memories have no key.
+    checkpoint that is not a path, a wind_cov that is not a multiple of the
+    identity, or endpoints other than (0, -s/2, h) and (0, s/2, h).
     """
-    if cfg.env.gateway_pos is not None:
-        raise ValueError("a fixed gateway_pos cannot be serialized; leave it None to derive the gateway")
     return "".join(f"{key}: {_fmt(_read(cfg, attr))}\n" for key, (_, attr) in SCHEMA.items())
 
 
@@ -276,6 +262,9 @@ class SweepSpec:
         self.spring_grid = list(dict.fromkeys(self.spring_grid))
         if not self.mass_grid or not self.spring_grid:
             raise ValueError("mass_grid and spring_grid must be non-empty")
+        for name in ("mass_grid", "spring_grid"):
+            if not all(map(math.isfinite, getattr(self, name))):
+                raise ValueError(f"{name} values must be finite")
         if min(self.mass_grid) <= 0 or min(self.spring_grid) <= 0:
             raise ValueError("grid values must be positive")
         if not self.policies:

@@ -218,16 +218,6 @@ class ReplayMemory:
         self._cursor = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
-    def contents(self):
-        """Snapshot of the stored transitions in storage order (oldest first)."""
-        idx = (np.arange(self._size) + (self._cursor - self._size)) % self.capacity
-        return (
-            self._states[idx].copy(),
-            self._actions[idx].copy(),
-            self._rewards[idx].copy(),
-            self._next_states[idx].copy(),
-        )
-
     def sample(self, k: int):
         """k transitions drawn uniformly with replacement as stacked arrays."""
         if k < 1:

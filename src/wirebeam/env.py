@@ -82,17 +82,16 @@ def reward_from_power(p_r_dbm: float, clip_offset: float, clip_scale: float) -> 
 class EnvConfig:
     """Everything needed to build one beam-tracking episode.
 
-    gateway_pos, when None, is derived at construction time: the gateway
-    sits at horizontal distance gateway_distance from the resting SBS, at
-    the resting SBS height if gateway_level_with_sbs else at
-    gateway_height. This makes the resting link distance exactly
-    gateway_distance and the aligned steering (90, 0) degrees.
+    The gateway sits at horizontal distance gateway_distance from the
+    resting SBS, at the resting SBS height if gateway_level_with_sbs else
+    at gateway_height; level with the SBS, the resting link distance is
+    exactly gateway_distance and the aligned steering (90, 0) degrees. An
+    adversary that plays STAY adds no wind.
     """
 
     phys: wire.PhysParams = field(default_factory=wire.PhysParams)
     antenna: radio.AntennaConfig = field(default_factory=radio.AntennaConfig)
     budget: radio.LinkBudget = field(default_factory=radio.LinkBudget)
-    gateway_pos: np.ndarray | None = None
     gateway_distance: float = 5.0
     gateway_height: float = 5.0
     gateway_level_with_sbs: bool = True
@@ -103,7 +102,6 @@ class EnvConfig:
     clip_offset: float = -27.0
     clip_scale: float = 3.0
     adversary_speed: float = 10.0
-    adversary_active: bool = True
     ambient_wind: bool = True
     substeps: int = 1
 
@@ -125,8 +123,6 @@ class EnvConfig:
             raise ValueError("tau must be > 0")
         if self.substeps < 1:
             raise ValueError("substeps must be >= 1")
-        if self.gateway_pos is not None:
-            self.gateway_pos = np.asarray(self.gateway_pos, dtype=np.float64)
 
     @property
     def sbs_index(self) -> int:
@@ -134,9 +130,7 @@ class EnvConfig:
 
 
 def resolve_gateway(cfg: EnvConfig) -> np.ndarray:
-    """Concrete gateway position (explicit value wins over the derivation)."""
-    if cfg.gateway_pos is not None:
-        return np.asarray(cfg.gateway_pos, dtype=np.float64)
+    """Gateway position, derived from the resting wire."""
     rest = wire.equilibrium_shape(cfg.phys).positions[cfg.sbs_index]
     z = rest[2] if cfg.gateway_level_with_sbs else cfg.gateway_height
     return np.array([rest[0] - cfg.gateway_distance, rest[1], z])
@@ -197,9 +191,7 @@ class BeamTrackingEnv:
 
     def _total_wind(self, a_a: AdversaryAction) -> np.ndarray:
         v = wire.env_wind(self.time) if self.cfg.ambient_wind else np.zeros(3)
-        if self.cfg.adversary_active:
-            v = v + adversary_wind(a_a, self.cfg.adversary_speed)
-        return v
+        return v + adversary_wind(a_a, self.cfg.adversary_speed)
 
     def preview_wire(self, a_a: AdversaryAction) -> wire.WireState:
         """Next wire state without mutating the env; reuses the exact noise

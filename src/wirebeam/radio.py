@@ -39,7 +39,7 @@ class AntennaConfig:
     n_v, n_h    number of vertical / horizontal array elements
     spacing_v   vertical element spacing, m
     spacing_h   horizontal element spacing, m
-    wavelength  carrier wavelength, m
+    wavelength  carrier wavelength, m (array phases and free-space path gain)
     """
 
     g_max: float = 8.0
@@ -73,18 +73,15 @@ class AntennaConfig:
 
 @dataclass
 class LinkBudget:
-    """Scalar link constants: transmit power (dBm), receive gain (dBi), wavelength (m)."""
+    """Scalar link constants: transmit power (dBm) and receive gain (dBi)."""
 
     tx_power: float = 23.0
     rx_gain: float = 8.0
-    wavelength: float = 0.005
 
     def __post_init__(self):
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")
-        if self.wavelength <= 0:
-            raise ValueError("wavelength must be > 0")
 
 
 @dataclass
@@ -179,11 +176,11 @@ def tx_gain(
     )
 
 
-def path_gain_db(distance: float, budget: LinkBudget) -> float:
+def path_gain_db(distance: float, wavelength: float) -> float:
     """Free-space path gain 20*log10(lambda / (4*pi*d)) in dB at distance d, m."""
     if distance <= 0:
         raise ValueError("distance must be > 0")
-    return 20.0 * math.log10(budget.wavelength / (4.0 * math.pi * distance))
+    return 20.0 * math.log10(wavelength / (4.0 * math.pi * distance))
 
 
 def link_power(zenith_deg, azimuth_deg, path_db, steer_zenith_deg, steer_azimuth_deg, cfg, budget):
@@ -202,7 +199,7 @@ def received_power(
     budget: LinkBudget,
 ) -> float:
     """Received power in dBm over a line-of-sight free-space link."""
-    path_db = path_gain_db(aod.distance, budget)
+    path_db = path_gain_db(aod.distance, cfg.wavelength)
     gain = tx_gain(aod.zenith, aod.azimuth, steer_zenith_deg, steer_azimuth_deg, cfg)
     return budget.tx_power + float(gain) + budget.rx_gain + path_db
 

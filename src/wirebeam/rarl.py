@@ -63,7 +63,6 @@ class TrainConfig:
     hidden: tuple = (32, 32, 32, 32)
     standardize_obs: bool = True  # feed (obs - rest obs) / characteristic scales to the nets
     head_init_scale: float = 0.0  # 0 starts the heads at indifference (greedy = no-op)
-    keep_memories: bool = False  # expose replay contents on the result (diagnostics)
 
     def __post_init__(self):
         if self.episodes < 1:
@@ -106,7 +105,6 @@ class TrainResult:
     protagonist: AgentCheckpoint
     adversary: AgentCheckpoint | None
     records: list
-    memories: tuple | None = None  # (protagonist, adversary) replay memories when kept
 
 
 class PolicyKind(Enum):
@@ -300,7 +298,7 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
         t = t + env_cfg.tau
 
         dist, aod_zen, aod_azi = aod_batch(pos[:, sbs], gateways)
-        path = np.array([path_gain_db(d, budget) for d in dist.tolist()])
+        path = np.array([path_gain_db(d, antenna.wavelength) for d in dist.tolist()])
         # score the oracle's five moves and every other row's chosen one, on the wire state the step keeps
         beams = beam[:, None, :] + ANGLE_STEPS * beta  # (B, moves, 2)
         b, m = np.nonzero(oracle | (moves == a_p[:, None]))
@@ -346,8 +344,8 @@ def train(cfg: TrainConfig, *, _probe: bool = True) -> TrainResult:
     """Run the full two-agent training loop and return checkpoints + records.
 
     Variants: "rarl" trains both agents (and requires a proxy checkpoint
-    for the adversary probe), "no_adversary" disables the adversary wind
-    entirely, "random_adversary" keeps the wind but picks adversary
+    for the adversary probe), "no_adversary" has the adversary play STAY,
+    which adds no wind, "random_adversary" keeps the wind but picks adversary
     actions uniformly at random without training a network. The private
     `_probe=False` skips the per-episode probes (their powers read NaN);
     their seeds are drawn up front either way, so no other draw moves.
@@ -376,7 +374,6 @@ def train(cfg: TrainConfig, *, _probe: bool = True) -> TrainResult:
     memories = [deepq.ReplayMemory(cfg.replay_capacity, rng) for *_, rng, _ in agents]
     explore = [rng for *_, rng in agents]
 
-    env_cfg = replace(cfg.env, adversary_active=cfg.variant != "no_adversary")
     # read a proxy path once, so that a file replaced mid-run cannot change the probe
     proxy = cfg.proxy_checkpoint
     if proxy is not None and not isinstance(proxy, (AgentCheckpoint, deepq.QNetwork)):
@@ -386,11 +383,11 @@ def train(cfg: TrainConfig, *, _probe: bool = True) -> TrainResult:
     records = []
     for ep in range(1, cfg.episodes + 1):
         t0 = time.perf_counter()
-        e = BeamTrackingEnv(env_cfg, seed=phys_seeds[ep - 1])
+        e = BeamTrackingEnv(cfg.env, seed=phys_seeds[ep - 1])
         state = _apply_norm(norm, e.observe())
         losses = [[], []]  # per agent; the adversary's stays empty unless it learns
 
-        for _ in range(env_cfg.horizon):
+        for _ in range(cfg.env.horizon):
             actions = block.act(state, cfg.epsilon, explore)
             if cfg.variant == "random_adversary":
                 actions.append(random_adversary_action(rng_eps_a))
@@ -450,9 +447,7 @@ def train(cfg: TrainConfig, *, _probe: bool = True) -> TrainResult:
         AgentCheckpoint(net, adam, {"agent": name, "n_actions": net.n_actions, **manifest})
         for name, net, adam in zip(("protagonist", "adversary"), block.nets, block.adams)
     ]
-    adversary = ckpts[1] if trains_adversary else None
-    kept = (memories[0], memories[1] if trains_adversary else None)
-    return TrainResult(ckpts[0], adversary, records, kept if cfg.keep_memories else None)
+    return TrainResult(ckpts[0], ckpts[1] if trains_adversary else None, records)
 
 
 def pretrain_proxy(cfg: TrainConfig) -> AgentCheckpoint:

@@ -120,31 +120,21 @@ def effective_substeps(params: PhysParams, dt: float, substeps: int) -> int:
 def equilibrium_shape(params: PhysParams) -> WireState:
     """Static wire shape: zero velocities and zero interior acceleration.
 
-    For each axis the interior positions solve the tridiagonal system
-    x_{i-1} - 2*x_i + x_{i+1} = -g_c * m / (k0 * N) with the pinned
-    endpoints folded into the right-hand side.
+    The interior positions of all three axes solve one tridiagonal system
+    x_{i-1} - 2*x_i + x_{i+1} = -g_c * m / (k0 * N), one right-hand-side
+    column per axis, with the pinned endpoints folded into the right-hand
+    side. The matrix is nonsingular for every n_points.
     """
     n = params.n_points
-    n_int = n - 2
-    rhs_const = -params.gravity * params.total_mass / (params.spring_constant * n)
+    rhs = np.tile(-params.gravity * params.total_mass / (params.spring_constant * n), (n - 2, 1))
+    rhs[0] -= params.endpoint_a
+    rhs[-1] -= params.endpoint_b
 
-    positions = np.empty((n, 3), dtype=np.float64)
-    positions[0] = params.endpoint_a
-    positions[-1] = params.endpoint_b
-
-    ab = np.zeros((3, n_int))
+    ab = np.zeros((3, n - 2))
     ab[0, 1:] = 1.0
     ab[1, :] = -2.0
     ab[2, :-1] = 1.0
-    for axis in range(3):
-        rhs = np.full(n_int, rhs_const[axis])
-        rhs[0] -= params.endpoint_a[axis]
-        rhs[-1] -= params.endpoint_b[axis]
-        try:
-            positions[1:-1, axis] = solve_banded((1, 1), ab, rhs)
-        except np.linalg.LinAlgError as exc:  # cannot occur for k0 > 0
-            raise ValueError("singular equilibrium system") from exc
-
+    positions = np.vstack([params.endpoint_a, solve_banded((1, 1), ab, rhs), params.endpoint_b])
     return WireState(positions, np.zeros((n, 3)), 0.0)
 
 

@@ -40,7 +40,6 @@ def frozen_env_cfg():
     return wb.EnvConfig(
         phys=wb.PhysParams(wind_cov=np.zeros((3, 3))),
         ambient_wind=False,
-        adversary_active=False,
         horizon=100,
     )
 
@@ -72,7 +71,7 @@ def reference_average(policy, env_cfg, seed, steps, adversary=None):
     reproduce bit for bit. Greedy agents are AgentCheckpoints whose
     manifest records the input scale."""
     env_stream, act_stream = _eval_streams(seed)
-    cfg = replace(env_cfg, adversary_active=adversary is not None, horizon=steps)
+    cfg = replace(env_cfg, horizon=steps)
     env = BeamTrackingEnv(cfg, seed=env_stream)
     rng = np.random.default_rng(act_stream)
     rest = env.observe()
@@ -124,14 +123,13 @@ def reference_train(cfg):
     adams = [wb.AdamState.init_like(net, cfg.learning_rate) for net in nets]
     memories = [wb.ReplayMemory(cfg.replay_capacity, rng) for _, _, rng, _ in agents]
     norm = wb.make_normalizer(cfg.env)
-    env_cfg = replace(cfg.env, adversary_active=cfg.variant != "no_adversary")
 
     records = []
     for ep in range(1, cfg.episodes + 1):
-        env = BeamTrackingEnv(env_cfg, seed=phys_seeds[ep - 1])
+        env = BeamTrackingEnv(cfg.env, seed=phys_seeds[ep - 1])
         state = norm.apply(env.observe())
         losses = [[], []]
-        for _ in range(env_cfg.horizon):
+        for _ in range(cfg.env.horizon):
             actions = [wb.act_epsilon_greedy(net, state, cfg.epsilon, agent[3]) for net, agent in zip(nets, agents)]
             if cfg.variant == "random_adversary":
                 actions.append(random_adversary_action(rng_eps_a))

@@ -49,9 +49,7 @@ def test_criterion_2_first_array_null():
 
 
 def test_criterion_3_static_link_budget():
-    cfg = wb.EnvConfig(
-        phys=wb.PhysParams(wind_cov=np.zeros((3, 3))), ambient_wind=False, adversary_active=False
-    )
+    cfg = wb.EnvConfig(phys=wb.PhysParams(wind_cov=np.zeros((3, 3))), ambient_wind=False)
     env = BeamTrackingEnv(cfg, seed=0)
     env.received_power_now()  # warm up
     t0 = time.perf_counter()
@@ -218,7 +216,7 @@ def test_criterion_8_zero_shot_robustness(training_stock):
     t0 = time.perf_counter()
     base = train_config_from_text("")
     soft_wire = replace(base.env.phys, spring_constant=10.0)  # unseen during training
-    eval_cfg = replace(base.env, phys=soft_wire, adversary_active=False)
+    eval_cfg = replace(base.env, phys=soft_wire)
 
     rarl_scores, no_adv_scores = [], []
     for seed in STOCK_SEEDS:
@@ -257,7 +255,7 @@ def test_criterion_9_baseline_identities(small_env_cfg):
     from wirebeam.rarl import _eval_streams
 
     env_stream, _ = _eval_streams(seed)
-    env = BeamTrackingEnv(replace(cfg, adversary_active=False), seed=env_stream)
+    env = BeamTrackingEnv(cfg, seed=env_stream)
     for k in range(steps):
         best, best_p = None, -np.inf
         for a in ProtagonistAction:

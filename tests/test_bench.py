@@ -423,6 +423,16 @@ class TestOrchestrationPurity:
         assert main(["train", "--config", bad, "--out", str(tmp_path / "o")]) == 1
         assert "config error: adversary_speed must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, grid", [("mass_grid_kg", "mass_grid"), ("spring_grid_n_per_m", "spring_grid")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_sweep_grid_is_a_config_error(self, tmp_path, capsys, key, grid, value):
+        spec = tmp_path / "sweep.spec"
+        spec.write_text(f"{key}: 5,{value}\n")
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", write_cfg(tmp_path), "--spec", str(spec), "--out", str(out)]) == 1
+        assert f"config error: {grid} values must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_decision_interval_is_a_config_error(self, tmp_path, capsys):
         bad = write_cfg(tmp_path, "decision_interval_s: 0\n")
         assert main(["train", "--config", bad, "--out", str(tmp_path / "o")]) == 1

@@ -68,11 +68,30 @@ class TestRoundTrip:
         header = json.loads(raw[12 : 12 + header_len])
         assert [a["name"] for a in header["arrays"][:2]] == ["trunk.0.w", "trunk.0.b"]
         assert len(header["arrays"]) == 3 * len(ckpt.net.parameters())
-        assert header["rng_state"] is None  # a format-1 slot that nothing fills
+        assert "rng_state" not in header
         expected = b"".join(
             v.astype("<f8").tobytes() for v in (ckpt.net.flat, ckpt.adam.first_moment, ckpt.adam.second_moment)
         )
         assert raw[12 + header_len :] == expected
+
+    def test_file_with_null_rng_state_loads(self, tmp_path):
+        # files written before the slot was dropped carry "rng_state": null
+        ckpt = trained_checkpoint(6)
+        path = tmp_path / "agent.ckpt"
+        save_checkpoint(path, ckpt)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12 : 12 + header_len])
+        old_header = json.dumps({**header, "rng_state": None}, sort_keys=True).encode("utf-8")
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(raw[:8] + struct.pack("<I", len(old_header)) + old_header + raw[12 + header_len :])
+        loaded = load_checkpoint(old)
+        np.testing.assert_array_equal(loaded.net.flat, ckpt.net.flat)
+        np.testing.assert_array_equal(loaded.adam.first_moment, ckpt.adam.first_moment)
+        np.testing.assert_array_equal(loaded.adam.second_moment, ckpt.adam.second_moment)
+        assert loaded.adam.step_count == ckpt.adam.step_count
+        assert loaded.adam.learning_rate == ckpt.adam.learning_rate
+        assert loaded.manifest == ckpt.manifest
 
     def test_loaded_training_continues(self, tmp_path):
         # loaded arrays must be writable and usable for further updates

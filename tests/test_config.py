@@ -14,6 +14,7 @@ from wirebeam.config import (
     train_config_from_text,
 )
 from wirebeam.deepq import init_qnetwork
+from wirebeam.radio import AntennaConfig, AoD, array_factor, element_pattern, received_power
 from wirebeam.rarl import TrainConfig
 
 # a valid, non-default value for every key, in canonical text form
@@ -91,7 +92,7 @@ class TestDefaults:
         assert env.antenna.n_v == env.antenna.n_h == 32
         assert env.antenna.g_max == 8.0
         assert env.budget.tx_power == 23.0
-        assert env.budget.wavelength == 0.005
+        assert env.antenna.wavelength == 0.005
         assert env.budget.rx_gain == 8.0
         assert env.tau == 0.01
         assert env.horizon == 1000  # floor(10 / 0.01) with the float guard
@@ -205,8 +206,6 @@ class TestRoundTrip:
         "cfg, message",
         [
             (_with_phys(wind_cov=np.diag([0.1, 0.2, 0.1])), "wind_cov"),
-            (_with_env(antenna=replace(TrainConfig().env.antenna, wavelength=0.004)), "wavelength"),
-            (_with_env(gateway_pos=[-5.0, 0.0, 4.0]), "gateway_pos"),
             (_with_phys(endpoint_a=[0.0, -4.0, 5.0]), "endpoints"),
             (_with_phys(endpoint_b=[0.0, 5.0, 6.0]), "endpoints"),
         ],
@@ -214,6 +213,16 @@ class TestRoundTrip:
     def test_config_without_text_form_rejected(self, cfg, message):
         with pytest.raises(ValueError, match=message):
             serialize_train_config(cfg)
+
+    def test_wavelength_sets_array_factor_and_path_gain(self):
+        env = train_config_from_text("wavelength_m: 0.004\n").env
+        assert env.antenna.wavelength == 0.004
+        aod = AoD(5.0, 88.0, 3.0)  # off the steering direction, so the array factor depends on the wavelength
+        af = array_factor(88.0, 3.0, 90.0, 0.0, AntennaConfig(wavelength=0.004))
+        assert af != array_factor(88.0, 3.0, 90.0, 0.0, AntennaConfig())
+        path_db = 20.0 * np.log10(0.004 / (4 * np.pi * 5.0))
+        expected = 23.0 + element_pattern(88.0, 3.0, env.antenna) + af + 8.0 + path_db
+        assert received_power(aod, 90.0, 0.0, env.antenna, env.budget) == pytest.approx(expected, abs=1e-9)
 
     def test_in_memory_proxy_rejected(self):
         cfg = train_config_from_text("")

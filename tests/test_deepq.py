@@ -365,9 +365,10 @@ class TestReplayMemory:
         for r, tag in zip((0.1, 0.2, 0.3), "abc"):
             mem.push(np.full(9, r), 0, r, np.zeros(9))
         assert len(mem) == 2
-        states, _, rewards, _ = mem.contents()
-        np.testing.assert_allclose(rewards, [0.2, 0.3])
-        np.testing.assert_allclose(states[:, 0], [0.2, 0.3])
+        draws = [mem.sample(2) for _ in range(100)]
+        states, rewards = (np.concatenate([d[i] for d in draws]) for i in (0, 2))
+        assert set(rewards.tolist()) == {0.2, 0.3}  # the oldest transition is gone
+        np.testing.assert_array_equal(states[:, 0], rewards)
 
     def test_sampling_uniformity_chi_square(self):
         # 1e5 draws from 10 stored items (chunked: a draw never exceeds the

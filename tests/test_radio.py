@@ -118,7 +118,7 @@ class TestReceivedPower:
         assert p1 - p2 == pytest.approx(20.0 * math.log10(2.0), abs=1e-12)
 
     def test_unit_path_loss_distance(self):
-        d0 = BUDGET.wavelength / (4.0 * math.pi)
+        d0 = CFG.wavelength / (4.0 * math.pi)
         p = received_power(AoD(d0, 90.0, 0.0), 90.0, 0.0, CFG, BUDGET)
         assert p == pytest.approx(BUDGET.tx_power + BORESIGHT_GAIN + BUDGET.rx_gain, abs=1e-9)
 
@@ -145,7 +145,7 @@ class TestBroadcastPower:
         zen, azi = rng.uniform(30.0, 150.0, n), rng.uniform(-170.0, 170.0, n)
         steer_z, steer_a = np.round(zen + rng.normal(0.0, 10.0, n)), np.round(azi + rng.normal(0.0, 10.0, n))
         aods = [AoD(d, z, a) for d, z, a in zip(rng.uniform(1.0, 50.0, n), zen, azi)]
-        path = np.array([path_gain_db(aod.distance, BUDGET) for aod in aods])
+        path = np.array([path_gain_db(aod.distance, CFG.wavelength) for aod in aods])
         batch = link_power(zen, azi, path, steer_z, steer_a, CFG, BUDGET)
         scalar = [received_power(aod, z, a, CFG, BUDGET) for aod, z, a in zip(aods, steer_z, steer_a)]
         assert batch.tolist() == scalar
@@ -213,4 +213,4 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             AntennaConfig(wavelength=0.0)
         with pytest.raises(ValueError):
-            LinkBudget(wavelength=-1.0)
+            AntennaConfig(wavelength=-1.0)

@@ -84,7 +84,7 @@ class TestTrainValidation:
 
 class TestConfigFingerprint:
     def test_unchanged_without_proxy(self):
-        assert config_fingerprint(TrainConfig()) == "911dd3bbee93326f"
+        assert config_fingerprint(TrainConfig()) == "184d164dc662175c"
 
     def test_proxy_keyed_by_content(self, tmp_path):
         proxy = AgentCheckpoint(net=init_qnetwork(5, np.random.default_rng(3)))
@@ -150,13 +150,18 @@ class TestTrainLoop:
         synced = [r.episode for r in result.records if r.target_synced]
         assert synced == [3, 6]
 
-    def test_zero_sum_bookkeeping_and_synchronization(self):
+    def test_zero_sum_bookkeeping_and_synchronization(self, monkeypatch):
         cfg = tiny_cfg(variant="rarl", horizon=60, episodes=1, test_steps=10)
         proxy = train(tiny_cfg(episodes=1, test_steps=10))
-        result = train(replace(cfg, proxy_checkpoint=proxy.protagonist, keep_memories=True))
-        mem_p, mem_a = result.memories
-        sp, ap, rp, np_next = mem_p.contents()
-        sa, aa, ra, na_next = mem_a.contents()
+        pushed, push = {}, wb.ReplayMemory.push  # per memory, in order of first push: protagonist, adversary
+
+        def recording_push(memory, state, action, reward, next_state):
+            pushed.setdefault(id(memory), []).append((np.array(state), reward, np.array(next_state)))
+            push(memory, state, action, reward, next_state)
+
+        monkeypatch.setattr(wb.ReplayMemory, "push", recording_push)
+        train(replace(cfg, proxy_checkpoint=proxy.protagonist))
+        (sp, rp, np_next), (sa, ra, na_next) = (map(np.array, zip(*calls)) for calls in pushed.values())
         assert len(rp) == len(ra) == 60
         np.testing.assert_array_equal(rp, -ra)  # exact zero-sum
         np.testing.assert_array_equal(sp, sa)  # both agents saw the same s_k
@@ -232,7 +237,7 @@ class TestRunPolicy:
 
         # brute force: clone the environment and try all five actions
         env_stream, _ = _eval_streams(seed)
-        cfg = replace(small_env_cfg, adversary_active=False, horizon=steps)
+        cfg = replace(small_env_cfg, horizon=steps)
         env = BeamTrackingEnv(cfg, seed=env_stream)
         for k in range(steps):
             outcomes = []
