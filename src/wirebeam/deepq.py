@@ -358,11 +358,15 @@ class QBlock:
         return hs, zs, qs
 
     def forward(self, x: np.ndarray, check=None) -> list:
-        """Q of online network k on x[k]; NumericError if a `check` row (default: any) is non-finite."""
-        q = [row for group in self._forward(x, self._online)[2] for row in group]
-        for k in range(len(q)) if check is None else check:
-            if not np.isfinite(q[k]).all():
-                raise _nonfinite(self.nets[k], x[k])
+        """Q of online network k on x[k]; NumericError, naming the network, if a
+        `check` row (default: any) is non-finite. The block is checked whole
+        once per head group; rows are searched only when that check fails."""
+        groups = self._forward(x, self._online)[2]
+        q = [row for group in groups for row in group]
+        if not all(np.isfinite(group).all() for group in groups):
+            for k in range(len(q)) if check is None else check:
+                if not np.isfinite(q[k]).all():
+                    raise NumericError(f"network {k}: {_nonfinite(self.nets[k], x[k])}")
         return q
 
     def act(self, state: np.ndarray, epsilon: float, rngs: list) -> list:

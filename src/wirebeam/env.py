@@ -56,10 +56,16 @@ class BeamState:
     steer_azimuth: float = 0.0
 
     def direction(self) -> np.ndarray:
-        """Unit vector [sin(t)cos(p), sin(t)sin(p), cos(t)] of the beam."""
-        t = math.radians(self.steer_zenith)
-        p = math.radians(self.steer_azimuth)
-        return np.array([math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)])
+        """Unit vector of the beam: beam_direction of one beam."""
+        return beam_direction(self.steer_zenith, self.steer_azimuth)
+
+
+def beam_direction(steer_zenith_deg, steer_azimuth_deg) -> np.ndarray:
+    """Unit vectors [sin(t)cos(p), sin(t)sin(p), cos(t)] of beams steered at
+    (zenith t, azimuth p) degrees: (3,) for one beam, (B, 3) for (B,) arrays."""
+    t, p = np.radians(steer_zenith_deg), np.radians(steer_azimuth_deg)
+    sin_t = np.sin(t)
+    return np.array([sin_t * np.cos(p), sin_t * np.sin(p), np.cos(t)]).T
 
 
 def apply_protagonist_action(beam: BeamState, action: ProtagonistAction, beta_deg: float) -> BeamState:

@@ -8,10 +8,15 @@ sum of per-element phase weights for a uniform n_v x n_h rectangular grid,
     AF = 10*log10(|sum_{p,r} w_{p,r}|^2 / n),    n = n_v * n_h,
 
 where each weight fuses the arrival and steering phases, so AF peaks at
-10*log10(n) exactly when the steering angles equal the arrival angles.
-Received power is evaluated entirely in the log domain:
+10*log10(n) exactly when the steering angles equal the arrival angles. The
+grid factorizes, and each axis's sum has the closed form of a Dirichlet
+kernel. Received power is evaluated entirely in the log domain:
 
     P_r[dBm] = P_t + A_E + AF + A_r + 20*log10(lambda / (4*pi*d)).
+
+Every function here is one numeric path of numpy ufuncs and exact
+arithmetic that takes scalars or arrays alike: a scalar call is the batch
+of one, so it gives each row of a batched call bit for bit.
 
 All angles at this interface are degrees; zenith is measured from +z.
 """
@@ -101,17 +106,7 @@ class AoD:
             raise ValueError("azimuth must lie in (-180, 180] degrees")
 
 
-def _square(x):
-    return x**2  # numpy squares a scalar with libm pow, an array by exact products
-
-
-def _square_each(x):
-    """libm pow(x, 2) per element: what `_square` gives for one scalar, so a
-    broadcast evaluation reproduces scalar evaluations bit for bit."""
-    return np.float_power(x, 2.0)
-
-
-def element_pattern(zenith_deg, azimuth_deg, cfg: AntennaConfig, square=_square):
+def element_pattern(zenith_deg, azimuth_deg, cfg: AntennaConfig):
     """Single-element gain in dB at the given arrival angles.
 
     Parabolic vertical and horizontal cuts, each clipped at its side-lobe
@@ -121,73 +116,69 @@ def element_pattern(zenith_deg, azimuth_deg, cfg: AntennaConfig, square=_square)
 
     Accepts scalars or numpy arrays (broadcast together).
     """
-    theta = np.asarray(zenith_deg, dtype=np.float64)
-    phi = np.asarray(azimuth_deg, dtype=np.float64)
-    a_ev = -np.minimum(12.0 * square((theta - 90.0) / cfg.theta_3db), cfg.sla_v)
-    a_eh = -np.minimum(12.0 * square(phi / cfg.phi_3db), cfg.front_back)
+    v = (np.asarray(zenith_deg, dtype=np.float64) - 90.0) / cfg.theta_3db
+    h = np.asarray(azimuth_deg, dtype=np.float64) / cfg.phi_3db
+    a_ev = -np.minimum(12.0 * (v * v), cfg.sla_v)
+    a_eh = -np.minimum(12.0 * (h * h), cfg.front_back)
     out = cfg.g_max - np.minimum(-(a_ev + a_eh), cfg.front_back)
     return out if out.ndim else float(out)
 
 
 def _phase_sum(count: int, spacing: float, wavelength: float, psi):
-    """|sum_{q=0..count-1} exp(j*2*pi*q*spacing*psi/wavelength)| via broadcasting."""
-    alpha = 2.0 * math.pi * spacing / wavelength * np.asarray(psi, dtype=np.float64)
-    phases = np.multiply.outer(alpha, np.arange(count))
-    return np.abs(np.exp(1j * phases).sum(axis=-1))
+    """|sum_{q=0..count-1} exp(j*2*pi*q*spacing*psi/wavelength)| in closed form:
+    the Dirichlet kernel |sin(count*x) / sin(x)| at x = pi*spacing*psi/wavelength,
+    which is count where |sin x| < 1e-12 (the main and grating lobes). Call it
+    under errstate(invalid="ignore"): the kernel divides 0 by 0 at x = 0."""
+    x = math.pi * spacing / wavelength * psi
+    s = np.sin(x)
+    return np.where(np.abs(s) < 1e-12, float(count), np.abs(np.sin(count * x) / s))
 
 
-def array_factor(
-    zenith_deg, azimuth_deg, steer_zenith_deg, steer_azimuth_deg, cfg: AntennaConfig, square=_square
-):
+def array_factor(zenith_deg, azimuth_deg, steer_zenith_deg, steer_azimuth_deg, cfg: AntennaConfig):
     """Array factor in dB for arrival angles (zenith, azimuth) and steering
-    angles (steer_zenith, steer_azimuth).
+    angles (steer_zenith, steer_azimuth); arrays broadcast together.
 
     The rectangular grid factorizes, so the coherent sum is the product of
     a vertical and a horizontal uniform-array sum over the phase slopes
 
         psi_v = cos(theta) - cos(theta_s)
-        psi_h = sin(theta)*sin(phi) - sin(theta_s)*sin(phi_s).
+        psi_h = sin(theta)*sin(phi) - sin(theta_s)*sin(phi_s),
 
-    Exact nulls are floored at AF_FLOOR_DB to keep downstream rewards finite.
+    each the Dirichlet kernel of `_phase_sum`. Exact nulls are floored at
+    AF_FLOOR_DB to keep downstream rewards finite.
     """
-    theta = np.deg2rad(np.asarray(zenith_deg, dtype=np.float64))
-    phi = np.deg2rad(np.asarray(azimuth_deg, dtype=np.float64))
-    theta_s = np.deg2rad(np.asarray(steer_zenith_deg, dtype=np.float64))
-    phi_s = np.deg2rad(np.asarray(steer_azimuth_deg, dtype=np.float64))
-
+    theta, phi = np.radians(zenith_deg), np.radians(azimuth_deg)
+    theta_s, phi_s = np.radians(steer_zenith_deg), np.radians(steer_azimuth_deg)
     psi_v = np.cos(theta) - np.cos(theta_s)
     psi_h = np.sin(theta) * np.sin(phi) - np.sin(theta_s) * np.sin(phi_s)
-
-    mag = _phase_sum(cfg.n_v, cfg.spacing_v, cfg.wavelength, psi_v) * _phase_sum(
-        cfg.n_h, cfg.spacing_h, cfg.wavelength, psi_h
-    )
-    power = square(mag) / cfg.n_elements
-    with np.errstate(divide="ignore"):
-        out = np.maximum(10.0 * np.log10(power), AF_FLOOR_DB)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mag = _phase_sum(cfg.n_v, cfg.spacing_v, cfg.wavelength, psi_v) * _phase_sum(
+            cfg.n_h, cfg.spacing_h, cfg.wavelength, psi_h
+        )
+        out = np.maximum(10.0 * np.log10(mag * mag / cfg.n_elements), AF_FLOOR_DB)
     return out if out.ndim else float(out)
 
 
-def tx_gain(
-    zenith_deg, azimuth_deg, steer_zenith_deg, steer_azimuth_deg, cfg: AntennaConfig, square=_square
-):
+def tx_gain(zenith_deg, azimuth_deg, steer_zenith_deg, steer_azimuth_deg, cfg: AntennaConfig):
     """Total transmit gain in dB: element pattern plus array factor."""
-    return element_pattern(zenith_deg, azimuth_deg, cfg, square) + array_factor(
-        zenith_deg, azimuth_deg, steer_zenith_deg, steer_azimuth_deg, cfg, square
+    return element_pattern(zenith_deg, azimuth_deg, cfg) + array_factor(
+        zenith_deg, azimuth_deg, steer_zenith_deg, steer_azimuth_deg, cfg
     )
 
 
-def path_gain_db(distance: float, wavelength: float) -> float:
-    """Free-space path gain 20*log10(lambda / (4*pi*d)) in dB at distance d, m."""
-    if distance <= 0:
+def path_gain_db(distance, wavelength: float):
+    """Free-space path gain 20*log10(lambda / (4*pi*d)) in dB at distance d, m
+    (a float or an array of distances)."""
+    if np.count_nonzero(distance <= 0.0):
         raise ValueError("distance must be > 0")
-    return 20.0 * math.log10(wavelength / (4.0 * math.pi * distance))
+    return 20.0 * np.log10(wavelength / (4.0 * math.pi * distance))
 
 
 def link_power(zenith_deg, azimuth_deg, path_db, steer_zenith_deg, steer_azimuth_deg, cfg, budget):
     """Received power in dBm from the arrival angles, the path gain in dB and
-    the steering angles. Arrays broadcast together, and each element equals
-    the scalar evaluation of its inputs bit for bit."""
-    gain = tx_gain(zenith_deg, azimuth_deg, steer_zenith_deg, steer_azimuth_deg, cfg, _square_each)
+    the steering angles. Arrays broadcast together; `received_power` is the
+    call on one row, so each element equals it bit for bit."""
+    gain = tx_gain(zenith_deg, azimuth_deg, steer_zenith_deg, steer_azimuth_deg, cfg)
     return budget.tx_power + gain + budget.rx_gain + path_db
 
 
@@ -198,40 +189,31 @@ def received_power(
     cfg: AntennaConfig,
     budget: LinkBudget,
 ) -> float:
-    """Received power in dBm over a line-of-sight free-space link."""
+    """Received power in dBm over a line-of-sight free-space link: link_power
+    of one row."""
     path_db = path_gain_db(aod.distance, cfg.wavelength)
-    gain = tx_gain(aod.zenith, aod.azimuth, steer_zenith_deg, steer_azimuth_deg, cfg)
-    return budget.tx_power + float(gain) + budget.rx_gain + path_db
-
-
-def _angles(dx: float, dy: float, dz: float, d: float):
-    """Zenith and azimuth in degrees of a separation (dx, dy, dz) of length d."""
-    zenith = math.degrees(math.acos(min(1.0, max(-1.0, dz / d))))
-    azimuth = math.degrees(math.atan2(dy, dx))
-    return zenith, (azimuth + 360.0 if azimuth <= -180.0 else azimuth)
+    return float(link_power(aod.zenith, aod.azimuth, path_db, steer_zenith_deg, steer_azimuth_deg, cfg, budget))
 
 
 def aod_geometry(x_s: np.ndarray, x_g: np.ndarray) -> AoD:
-    """Angle of departure of the transmitter at x_s toward the receiver at x_g.
-
-    Zenith is arccos of the normalized z separation; azimuth uses the
-    quadrant-aware arctangent of the xy separation and is defined as 0 at
-    the poles (zenith 0 or 180, where azimuth is degenerate).
-    """
-    delta = np.asarray(x_s, dtype=np.float64) - np.asarray(x_g, dtype=np.float64)
-    d = math.sqrt(delta.dot(delta))  # the BLAS dot that np.linalg.norm takes
-    if d == 0.0:
-        raise ValueError("transmitter and receiver positions coincide")
-    return AoD(d, *_angles(*delta.tolist(), d))
+    """Angle of departure of the transmitter at x_s toward the receiver at x_g:
+    aod_batch of one row."""
+    return AoD(*map(float, aod_batch(x_s, x_g)))
 
 
 def aod_batch(x_s: np.ndarray, x_g: np.ndarray):
-    """aod_geometry of every row of x_s (B, 3) toward x_g ((B, 3) or one (3,)
-    position), bit for bit: (distance, zenith, azimuth) arrays of shape (B,)."""
+    """Angles of departure of the transmitters at x_s ((B, 3), or one (3,)
+    position) toward the receivers at x_g (the same shape, or one (3,)
+    position): (distance, zenith, azimuth) arrays of shape (B,), or scalars.
+
+    Zenith is arccos of the normalized z separation; azimuth uses the
+    quadrant-aware arctangent of the xy separation, lies in (-180, 180] and
+    is 0 at the poles (zenith 0 or 180, where azimuth is degenerate).
+    """
     delta = np.asarray(x_s, dtype=np.float64) - np.asarray(x_g, dtype=np.float64)
-    dist = np.sqrt(np.vecdot(delta, delta))  # the same BLAS dot, one per row
-    if not dist.all():
+    dist = np.sqrt(np.vecdot(delta, delta))
+    if np.count_nonzero(dist == 0.0):
         raise ValueError("transmitter and receiver positions coincide")
-    # libm per row: numpy's vectorized arccos and arctan2 may round differently
-    zenith, azimuth = np.array([_angles(*row, d) for row, d in zip(delta.tolist(), dist.tolist())]).T
-    return dist, zenith, azimuth
+    zenith = np.degrees(np.arccos(np.minimum(np.maximum(delta[..., 2] / dist, -1.0), 1.0)))
+    azimuth = np.degrees(np.arctan2(delta[..., 1], delta[..., 0]))
+    return dist, zenith, azimuth + 360.0 * (azimuth <= -180.0)  # arctan2 gives -pi where y = -0, x < 0

@@ -31,10 +31,10 @@ from .env import (
     ANGLE_STEPS,
     WIND_DIRS,
     AdversaryAction,
-    BeamState,
     BeamTrackingEnv,
     EnvConfig,
     ProtagonistAction,
+    beam_direction,
     reward_from_power,
 )
 from .radio import aod_batch, link_power, path_gain_db
@@ -284,7 +284,7 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
         if observed.size:
             obs[observed, 0:3] = pos[observed, sbs]
             obs[observed, 3:6] = vel[observed, sbs]
-            obs[observed, 6:9] = [BeamState(*b).direction() for b in beam[observed]]
+            obs[observed, 6:9] = beam_direction(*beam[observed].T)
         for group, block in stacks:
             qs = block.forward(np.array([_apply_norm(norm, obs[own]) for _, own, _, norm in group]))
             for (slot, own, _, _), q in zip(group, qs):
@@ -298,7 +298,7 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
         t = t + env_cfg.tau
 
         dist, aod_zen, aod_azi = aod_batch(pos[:, sbs], gateways)
-        path = np.array([path_gain_db(d, antenna.wavelength) for d in dist.tolist()])
+        path = path_gain_db(dist, antenna.wavelength)
         # score the oracle's five moves and every other row's chosen one, on the wire state the step keeps
         beams = beam[:, None, :] + ANGLE_STEPS * beta  # (B, moves, 2)
         b, m = np.nonzero(oracle | (moves == a_p[:, None]))

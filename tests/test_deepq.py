@@ -332,6 +332,16 @@ class TestQBlock:
         with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="trunk layer 2"):
             block.act(state, 0.0, [np.random.default_rng(0), np.random.default_rng(0)])
 
+    def test_nonfinite_forward_names_the_network(self):
+        rng = np.random.default_rng(34)
+        _, block = self.mixed_block(rng)
+        block.nets[1].value_w[0, 0] = np.nan  # second network of the (5, 5, 7) block, same head group as the first
+        x = rng.normal(size=(3, 4, 9))
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="^network 1: .*value head"):
+            block.forward(x)
+        q = block.forward(x, check=[0, 2])
+        assert np.isnan(q[1]).all() and np.isfinite(q[0]).all() and np.isfinite(q[2]).all()
+
 
 class TestFlatLayout:
     def test_parameters_are_views_into_flat(self):
