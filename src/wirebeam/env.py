@@ -5,10 +5,15 @@ protagonist) nudges the steering angles by +/- beta per step while an
 optional adversary injects additional wind. The per-step reward is the
 received power mapped through a clipped linear band, and the adversary's
 reward is its exact negation (zero-sum).
+
+EnvBatch holds the state once, as arrays of leading shape () for one
+environment (BeamTrackingEnv) or (B,) for a batch (EnvBatch.of, which
+rarl.rollout steps): its methods are the only copy of the step arithmetic.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -80,8 +85,9 @@ def adversary_wind(action: AdversaryAction, speed: float) -> np.ndarray:
 
 
 def reward_from_power(p_r_dbm: float, clip_offset: float, clip_scale: float) -> float:
-    """Clipped linear reward: ((P_r - offset) / scale) clamped to [-1, 1]."""
-    return float(np.clip((p_r_dbm - clip_offset) / clip_scale, -1.0, 1.0))
+    """Clipped linear reward: ((P_r - offset) / scale) clamped to [-1, 1]; a NaN
+    power gives a NaN reward, which ReplayMemory.push then refuses."""
+    return float(np.minimum(np.maximum((p_r_dbm - clip_offset) / clip_scale, -1.0), 1.0))
 
 
 @dataclass
@@ -91,8 +97,7 @@ class EnvConfig:
     The gateway sits at horizontal distance gateway_distance from the
     resting SBS, at the resting SBS height if gateway_level_with_sbs else
     at gateway_height; level with the SBS, the resting link distance is
-    exactly gateway_distance and the aligned steering (90, 0) degrees. An
-    adversary that plays STAY adds no wind.
+    exactly gateway_distance and the aligned steering (90, 0) degrees.
     """
 
     phys: wire.PhysParams = field(default_factory=wire.PhysParams)
@@ -135,15 +140,78 @@ class EnvConfig:
         return self.sbs_point - 1
 
 
-def resolve_gateway(cfg: EnvConfig) -> np.ndarray:
-    """Gateway position, derived from the resting wire."""
-    rest = wire.equilibrium_shape(cfg.phys).positions[cfg.sbs_index]
-    z = rest[2] if cfg.gateway_level_with_sbs else cfg.gateway_height
-    return np.array([rest[0] - cfg.gateway_distance, rest[1], z])
+class EnvBatch:
+    """Environments of one EnvConfig as arrays of leading shape () or (B,):
+    wires (..., N, 3), steering angles (..., 2), gateways (..., 3), one time.
+
+    `groups` holds one (rows, wire.Integrator, generators) triple per
+    substep count: rows index the leading shape (None for one environment,
+    which the integrator sees as a batch of one), one generator per row.
+    """
+
+    def __init__(self, cfg: EnvConfig, rest: np.ndarray, groups: list):
+        self.cfg, self.rest, self.groups = cfg, rest, groups
+        self.gateway = rest[..., cfg.sbs_index, :] - [cfg.gateway_distance, 0.0, 0.0]
+        if not cfg.gateway_level_with_sbs:
+            self.gateway[..., 2] = cfg.gateway_height
+        self.gusts = WIND_DIRS * cfg.adversary_speed  # adversary wind per action
+        self.moves = ANGLE_STEPS * cfg.beta  # steering change per protagonist action, degrees
+        self.reset()
+
+    @classmethod
+    def of(cls, cfg: EnvConfig, physes, seeds) -> "EnvBatch":
+        """B = len(seeds) environments, b with the physics physes[b] (one n_points
+        for all) and the noise of default_rng(seeds[b]); rows are sorted by
+        substep count, so each group is a slice: row j holds environment order[j]."""
+        substeps = [wire.effective_substeps(p, cfg.tau, cfg.substeps) for p in physes]
+        order = sorted(range(len(seeds)), key=substeps.__getitem__)
+        groups = []
+        for n_sub in sorted(set(substeps)):
+            members = [i for i in order if substeps[i] == n_sub]
+            rows = slice(order.index(members[0]), order.index(members[-1]) + 1)
+            rngs = [np.random.default_rng(seeds[i]) for i in members]
+            groups.append((rows, wire.Integrator([physes[i] for i in members], cfg.tau, n_sub), rngs))
+        batch = cls(cfg, np.array([wire.equilibrium_shape(physes[i]).positions for i in order]), groups)
+        batch.order = order
+        return batch
+
+    def reset(self) -> np.ndarray:
+        """Every wire at rest, time zero, every beam aligned to its gateway."""
+        self.pos, self.vel, self.time = self.rest.copy(), np.zeros_like(self.rest), 0.0
+        # (..., 2) steering angles in degrees: the zenith and azimuth of departure
+        self.steer = np.stack(radio.aod_batch(self.sbs_position, self.gateway)[1:], axis=-1)
+        return self.observe()
+
+    @property
+    def sbs_position(self) -> np.ndarray:
+        return self.pos[..., self.cfg.sbs_index, :]
+
+    def observe(self, rows=()) -> np.ndarray:
+        """What both agents see, in new memory: station position, velocity and
+        beam direction, (..., 9), of `rows` (an index of the leading shape)."""
+        velocity = self.vel[..., self.cfg.sbs_index, :][rows]
+        return np.concatenate([self.sbs_position[rows], velocity, beam_direction(*self.steer[rows].T)], axis=-1)
+
+    def advance(self, a_a):
+        """Advance every wire by tau, in place, under the ambient wind plus the
+        gust of each adversary action in a_a (STAY adds none)."""
+        ambient = wire.env_wind(self.time) if self.cfg.ambient_wind else 0.0
+        wind = (ambient + self.gusts[a_a])[..., None, :]  # (..., 1, 3)
+        for rows, integrator, rngs in self.groups:
+            integrator.advance(self.pos[rows], self.vel[rows], wind[rows], rngs, self.time)
+        self.time += self.cfg.tau
+
+    def power(self, beams: np.ndarray, rows=()):
+        """Received power in dBm of the steering angles `beams`, (2,) or (n, 2),
+        on the current geometry of `rows`: one broadcast link_power."""
+        distance, zenith, azimuth = radio.aod_batch(self.sbs_position, self.gateway)
+        path = radio.path_gain_db(distance, self.cfg.antenna.wavelength)
+        return radio.link_power(zenith[rows], azimuth[rows], path[rows], *beams.T, self.cfg.antenna, self.cfg.budget)
 
 
-class BeamTrackingEnv:
-    """One episode of the two-agent beam-tracking process.
+class BeamTrackingEnv(EnvBatch):
+    """One episode of the two-agent beam-tracking process: the EnvBatch of
+    leading shape (), whose `wire_state` and `beam` are snapshots.
 
     The wire starts at its static equilibrium and the beam starts exactly
     aligned with the gateway as seen from that resting position. Each
@@ -153,58 +221,34 @@ class BeamTrackingEnv:
     """
 
     def __init__(self, cfg: EnvConfig, seed):
-        self.cfg = cfg
         self.rng = np.random.default_rng(seed)
-        self.gateway = resolve_gateway(cfg)
-        n_sub = wire.effective_substeps(cfg.phys, cfg.tau, cfg.substeps)  # wire.step's stepper, built once
-        self._integrator = wire.Integrator([cfg.phys], cfg.tau, n_sub)
-        self.wire_state: wire.WireState = None  # set by reset
-        self.beam: BeamState = None
-        self.steps_taken = 0
-        self.reset()
+        n_sub = wire.effective_substeps(cfg.phys, cfg.tau, cfg.substeps)
+        stepper = (None, wire.Integrator([cfg.phys], cfg.tau, n_sub), [self.rng])
+        super().__init__(cfg, wire.equilibrium_shape(cfg.phys).positions, [stepper])
 
     def reset(self) -> np.ndarray:
         """Equilibrium wire, time zero, beam aligned to the gateway."""
-        self.wire_state = wire.equilibrium_shape(self.cfg.phys)
-        aod = radio.aod_geometry(self.sbs_position, self.gateway)
-        self.beam = BeamState(aod.zenith, aod.azimuth)
         self.steps_taken = 0
-        return self.observe()
+        return super().reset()
 
     @property
-    def sbs_position(self) -> np.ndarray:
-        return self.wire_state.positions[self.cfg.sbs_index]
+    def wire_state(self) -> wire.WireState:
+        return wire.WireState(self.pos.copy(), self.vel.copy(), self.time)
 
     @property
-    def sbs_velocity(self) -> np.ndarray:
-        return self.wire_state.velocities[self.cfg.sbs_index]
-
-    @property
-    def time(self) -> float:
-        return self.wire_state.time
-
-    def observe(self) -> np.ndarray:
-        """What both agents see: the 9-vector of SBS position, velocity and
-        beam direction."""
-        return np.concatenate([self.sbs_position, self.sbs_velocity, self.beam.direction()])
+    def beam(self) -> BeamState:
+        return BeamState(*self.steer.tolist())
 
     def received_power_now(self) -> float:
         """Received power at the current position and steering, dBm."""
-        aod = radio.aod_geometry(self.sbs_position, self.gateway)
-        return radio.received_power(
-            aod, self.beam.steer_zenith, self.beam.steer_azimuth, self.cfg.antenna, self.cfg.budget
-        )
-
-    def _total_wind(self, a_a: AdversaryAction) -> np.ndarray:
-        v = wire.env_wind(self.time) if self.cfg.ambient_wind else np.zeros(3)
-        return v + adversary_wind(a_a, self.cfg.adversary_speed)
+        return float(self.power(self.steer))
 
     def preview_wire(self, a_a: AdversaryAction) -> wire.WireState:
-        """Next wire state without mutating the env; reuses the exact noise
-        the real step will draw (the RNG state is copied, not consumed)."""
-        peek = np.random.Generator(np.random.PCG64())
-        peek.bit_generator.state = self.rng.bit_generator.state
-        return self._integrator.step(self.wire_state, self._total_wind(a_a), peek)
+        """Next wire state without mutating the env: a copy advances, drawing
+        the exact noise the real step will draw from a copy of the generator."""
+        peek = copy.deepcopy(self)
+        peek.advance(a_a)
+        return peek.wire_state
 
     def step(self, a_p: ProtagonistAction, a_a: AdversaryAction = AdversaryAction.STAY):
         """Advance one decision interval.
@@ -216,8 +260,8 @@ class BeamTrackingEnv:
             raise EpisodeFinishedError(
                 f"episode horizon of {self.cfg.horizon} steps already reached"
             )
-        self.wire_state = self._integrator.step(self.wire_state, self._total_wind(a_a), self.rng)
-        self.beam = apply_protagonist_action(self.beam, a_p, self.cfg.beta)
+        self.advance(a_a)
+        self.steer += self.moves[a_p]
         p_r = self.received_power_now()
         r_p = reward_from_power(p_r, self.cfg.clip_offset, self.cfg.clip_scale)
         self.steps_taken += 1

@@ -7,12 +7,11 @@ step per environment step; targets re-sync every few episodes, and probes
 score the greedy tracker with the adversary off and the greedy adversary
 against a frozen proxy tracker that was pre-trained without an adversary.
 
-Every evaluation is one call of `rollout`, which steps B environments, each
-with its own policy and adversary (or none), exactly as lone
-BeamTrackingEnvs would go, through one code path per step whatever the mix
-of rows: both probes of a `rarl` episode with B = 2 (the other variants' one
-probe and `run_policy` with B = 1), a whole sweep with one call.
-`pretrain_proxy` runs no probes, since it keeps only the proxy checkpoint.
+Every evaluation is one call of `rollout`, which steps an env.EnvBatch of B
+environments, each with its own policy and adversary (or none): both probes
+of a `rarl` episode with B = 2 (the other variants' one probe and
+`run_policy` with B = 1), a whole sweep with one call. `pretrain_proxy` runs
+no probes, since it keeps only the proxy checkpoint.
 """
 
 from __future__ import annotations
@@ -27,18 +26,7 @@ import numpy as np
 
 from . import deepq
 from .checkpoint import AgentCheckpoint, load_checkpoint
-from .env import (
-    ANGLE_STEPS,
-    WIND_DIRS,
-    AdversaryAction,
-    BeamTrackingEnv,
-    EnvConfig,
-    ProtagonistAction,
-    beam_direction,
-    reward_from_power,
-)
-from .radio import aod_batch, link_power, path_gain_db
-from .wire import Integrator, effective_substeps, env_wind
+from .env import AdversaryAction, BeamTrackingEnv, EnvBatch, EnvConfig, ProtagonistAction, reward_from_power
 
 VARIANTS = ("rarl", "no_adversary", "random_adversary")
 
@@ -214,15 +202,11 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
     for all) under `seeds[b]`, its tracker plays `policies[b]`, and it follows
     exactly the trajectory it would follow alone. `adversary` is one agent
     (net, checkpoint or path) for every row or a list with one agent or None
-    per row: a row with an agent has the adversary wind on and the agent
-    acting greedily, a row without one has it off. Every step takes one path
-    for every row: one stacked QBlock forward per group of distinct greedy
-    agents, trackers and adversaries alike, that share a trunk shape and a
-    row count (a group of one included); one (B, 1, 3) wind, the ambient
-    wind plus the chosen gust on the rows with an adversary; one integrator
-    per group of equal substep count; and one broadcast gain evaluation of
-    each oracle row's five candidate beams and every other row's chosen
-    beam, on the wire state the step keeps.
+    per row; a row without one has its adversary play STAY. The rows are one
+    EnvBatch; per step this loop runs one stacked QBlock forward per group of
+    distinct greedy agents (trackers and adversaries alike) that share a
+    trunk shape and a row count, and takes the argmax of one EnvBatch.power
+    call over each oracle row's five candidate beams and the chosen beams.
 
     Returns the (B,) average powers in dBm and, with `trajectory`, one list
     of rows (step, t, p_r_dbm, r_p, a_p, a_a, sbs_x, sbs_y, sbs_z, theta_s,
@@ -236,24 +220,12 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
         adversary = [adversary] * len(seeds)
     elif len(adversary) != len(seeds):
         raise ValueError("need one adversary (or None) per seed")
-    substeps = [effective_substeps(p, env_cfg.tau, env_cfg.substeps) for p in physes]
-    order, groups = [], []  # environments sorted by substep count: each group is a slice
-    for n_sub in sorted(set(substeps)):
-        members = [i for i, s in enumerate(substeps) if s == n_sub]
-        part = slice(len(order), len(order) + len(members))
-        groups.append((part, Integrator([physes[i] for i in members], env_cfg.tau, n_sub)))
-        order += members
-    policies = [policies[i] for i in order]
-    adversaries = [adversary[i] for i in order]
-    streams = [_eval_streams(seeds[i]) for i in order]
-    envs = [BeamTrackingEnv(replace(env_cfg, phys=physes[i]), seed=s[0]) for i, s in zip(order, streams)]
-    rngs = [e.rng for e in envs]
-    pos = np.array([e.wire_state.positions for e in envs])
-    vel = np.array([e.wire_state.velocities for e in envs])
-    beam = np.array([(e.beam.steer_zenith, e.beam.steer_azimuth) for e in envs])
-    gateways = np.array([e.gateway for e in envs])
-    obs = np.array([e.observe() for e in envs])  # the rest observations
-    sbs, beta, budget, antenna = env_cfg.sbs_index, env_cfg.beta, env_cfg.budget, env_cfg.antenna
+    streams = [_eval_streams(seed) for seed in seeds]
+    env = EnvBatch.of(env_cfg, physes, [stream[0] for stream in streams])
+    policies = [policies[i] for i in env.order]
+    adversaries = [adversary[i] for i in env.order]
+    act_rngs = [np.random.default_rng(streams[i][1]) for i in env.order]
+    obs = env.observe()  # the rest observations
 
     # one player per distinct greedy agent (by identity): 0 for a tracker or 1 for an adversary, the
     # rows it plays, its net and its normalizer, anchored on those rows' rest observations
@@ -267,54 +239,41 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
     players = [sorted(group, key=lambda player: player[2].n_actions) for group in shared.values()]
     stacks = [(group, deepq.QBlock([p[2] for p in group])) for group in players]
 
-    every = np.arange(len(envs))
+    every = np.arange(len(policies))
     kinds = np.array([p.kind for p in policies])
-    windy = np.flatnonzero([a is not None for a in adversaries])  # the rows with the adversary wind on
-    observed = np.union1d(windy, np.flatnonzero(kinds == PolicyKind.GREEDY_DQN))  # the rows a network reads
-    wind, gusts = np.zeros((len(envs), 1, 3)), WIND_DIRS * env_cfg.adversary_speed
+    observed = np.flatnonzero([a is not None or t is not None for a, t in zip(adversaries, trackers)])
     randoms = np.flatnonzero(kinds == PolicyKind.RANDOM_UNIFORM)
-    act_rngs = [np.random.default_rng(s[1]) for s in streams]
     oracle = (kinds == PolicyKind.UPPER_LIMIT)[:, None]
-    moves = np.arange(N_PROTAGONIST_ACTIONS)[None, :]
-    a_p, a_a = chosen = np.zeros((2, len(envs)), dtype=np.int64)  # views of `chosen`, written in place
-    total = np.zeros(len(envs))
-    rows = [[] for _ in envs]
-    t = 0.0
+    actions = np.arange(N_PROTAGONIST_ACTIONS)[None, :]
+    a_p, a_a = chosen = np.zeros((2, len(every)), dtype=np.int64)  # views of `chosen`, written in place
+    total = np.zeros(len(every))
+    rows = [[] for _ in every]
     for k in range(steps):
         if observed.size:
-            obs[observed, 0:3] = pos[observed, sbs]
-            obs[observed, 3:6] = vel[observed, sbs]
-            obs[observed, 6:9] = beam_direction(*beam[observed].T)
+            obs[observed] = env.observe(observed)
         for group, block in stacks:
             qs = block.forward(np.array([_apply_norm(norm, obs[own]) for _, own, _, norm in group]))
             for (slot, own, _, _), q in zip(group, qs):
                 chosen[slot, own] = np.argmax(q, axis=1)
         a_p[randoms] = [act_rngs[b].integers(N_PROTAGONIST_ACTIONS) for b in randoms]
 
-        wind[:] = env_wind(t) if env_cfg.ambient_wind else 0.0
-        wind[windy, 0] += gusts[a_a[windy]]
-        for part, integrator in groups:
-            integrator.advance(pos[part], vel[part], wind[part], rngs[part], t)
-        t = t + env_cfg.tau
-
-        dist, aod_zen, aod_azi = aod_batch(pos[:, sbs], gateways)
-        path = path_gain_db(dist, antenna.wavelength)
+        env.advance(a_a)
         # score the oracle's five moves and every other row's chosen one, on the wire state the step keeps
-        beams = beam[:, None, :] + ANGLE_STEPS * beta  # (B, moves, 2)
-        b, m = np.nonzero(oracle | (moves == a_p[:, None]))
+        beams = env.steer[:, None, :] + env.moves  # (B, moves, 2)
+        b, m = np.nonzero(oracle | (actions == a_p[:, None]))
         powers = np.full(beams.shape[:2], -np.inf)
-        powers[b, m] = link_power(aod_zen[b], aod_azi[b], path[b], *beams[b, m].T, antenna, budget)
+        powers[b, m] = env.power(beams[b, m], b)
         a_p[:] = np.argmax(powers, axis=1)
-        beam, p_r = beams[every, a_p], powers[every, a_p]
+        env.steer, p_r = beams[every, a_p], powers[every, a_p]
         total += p_r
 
         if trajectory:
             for b, env_rows in enumerate(rows):
                 r_p = reward_from_power(p_r[b], env_cfg.clip_offset, env_cfg.clip_scale)
                 names = ProtagonistAction(a_p[b]).name.lower(), AdversaryAction(a_a[b]).name.lower()
-                env_rows.append((k, t, p_r[b], r_p, *names, *pos[b, sbs], *beam[b]))
+                env_rows.append((k, env.time, p_r[b], r_p, *names, *env.sbs_position[b], *env.steer[b]))
 
-    inverse = np.argsort(order)
+    inverse = np.argsort(env.order)
     return (total / steps)[inverse], [rows[j] for j in inverse] if trajectory else None
 
 

@@ -10,7 +10,9 @@ random pressure-drag kick. Interior accelerations:
 and the velocity/position SDE is integrated with a first-order
 semi-implicit Euler-Maruyama scheme (velocity first, position advanced
 with the updated velocity; the fully explicit variant is unstable at the
-default step for the stiffest modes).
+default step for the stiffest modes). Integrator is the one stepper: it
+advances B wires in place (the wires of an env.EnvBatch, for one), and
+`step` advances one wire into new arrays.
 """
 
 from __future__ import annotations
@@ -140,11 +142,9 @@ def equilibrium_shape(params: PhysParams) -> WireState:
 
 class Integrator:
     """Semi-implicit Euler-Maruyama stepper for B wires that share n_points,
-    the decision interval dt and the substep count n_sub.
-
-    Each wire keeps its own gravity, tension coefficient, drag and
-    diffusion matrix (one PhysParams each) and draws its noise from its own
-    generator, so a wire's trajectory does not depend on the others.
+    the decision interval dt and the substep count n_sub. Each wire keeps its
+    own PhysParams and draws its noise from its own generator, so a wire's
+    trajectory does not depend on the others.
     """
 
     def __init__(self, params: list, dt: float, n_sub: int):
@@ -193,12 +193,6 @@ class Integrator:
             bad = np.nonzero(bad_pos[b] | bad_vel[b])[0]
             raise SimulationDivergedError(time + self.dt, self.n_sub, bad)
 
-    def step(self, state: WireState, wind: np.ndarray, rng: np.random.Generator) -> WireState:
-        """The one wire of this integrator advanced by dt from `state`, in new arrays."""
-        pos, vel = state.positions[None].copy(), state.velocities[None].copy()
-        self.advance(pos, vel, np.asarray(wind, dtype=np.float64), [rng], state.time)
-        return WireState(pos[0], vel[0], state.time + self.dt)
-
 
 def step(
     state: WireState,
@@ -208,19 +202,19 @@ def step(
     substeps: int,
     rng: np.random.Generator,
 ) -> WireState:
-    """Advance the wire by dt under a wind held constant over the interval.
-
-    Integrates the interior points with Integrator.advance over `substeps`
+    """The wire advanced by dt from `state`, in new arrays, under a wind held
+    constant over the interval: Integrator.advance of one wire over `substeps`
     (auto-raised when the stability bound demands it) sub-intervals
-    h = dt/substeps. Raises SimulationDivergedError if any component goes
-    non-finite.
+    h = dt/substeps. Raises SimulationDivergedError on non-finite state.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
+    pos, vel = state.positions[None].copy(), state.velocities[None].copy()
     integrator = Integrator([params], dt, effective_substeps(params, dt, substeps))
-    return integrator.step(state, wind_velocity, rng)
+    integrator.advance(pos, vel, np.asarray(wind_velocity, dtype=np.float64), [rng], state.time)
+    return WireState(pos[0], vel[0], state.time + dt)
 
 
 def env_wind(t: float) -> np.ndarray:

@@ -7,6 +7,7 @@ from wirebeam.env import (
     AdversaryAction,
     BeamState,
     BeamTrackingEnv,
+    EnvBatch,
     EnvConfig,
     EpisodeFinishedError,
     ProtagonistAction,
@@ -90,6 +91,18 @@ class TestReward:
         grid = np.linspace(-60.0, 0.0, 400)
         vals = [reward_from_power(p, -27.0, 3.0) for p in grid]
         assert np.all(np.diff(vals) >= 0.0)
+
+    def test_clamp_equals_clip(self):
+        powers = np.random.default_rng(0).normal(-27.0, 6.0, 2000)
+        expected = np.clip((powers + 27.0) / 3.0, -1.0, 1.0).tolist()
+        assert [reward_from_power(p, -27.0, 3.0) for p in powers] == expected
+
+    def test_nan_power_gives_nan_reward_that_replay_refuses(self):
+        reward = reward_from_power(float("nan"), -27.0, 3.0)
+        assert np.isnan(reward)
+        memory = wb.ReplayMemory(10, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            memory.push(np.zeros(9), 0, reward, np.zeros(9))
 
     def test_step_reward_when_aligned(self, frozen_env_cfg):
         env = BeamTrackingEnv(frozen_env_cfg, seed=0)
@@ -216,3 +229,48 @@ class TestEnvConfigValidation:
             + 20.0 * np.log10(0.005 / (4 * np.pi * aod.distance))
         )
         assert env.received_power_now() == pytest.approx(expected, abs=1e-9)
+
+
+class TestHeldState:
+    def test_observation_survives_later_steps(self):
+        # train keeps `state` across a step: a view of the env state would corrupt replay
+        env = BeamTrackingEnv(EnvConfig(), seed=3)
+        first = env.observe()
+        obs, *_ = env.step(ProtagonistAction.UP, AdversaryAction.LEFT)
+        kept = first.copy(), obs.copy()
+        env.step(ProtagonistAction.LEFT, AdversaryAction.UP)
+        np.testing.assert_array_equal(first, kept[0])
+        np.testing.assert_array_equal(obs, kept[1])
+        assert not np.array_equal(env.observe(), kept[1])  # the state itself did move
+
+    def test_batch_observation_survives_advance(self):
+        cfg = EnvConfig()
+        batch = EnvBatch.of(cfg, [cfg.phys, replace(cfg.phys, total_mass=2.0)], [1, 2])
+        every, one = batch.observe(), batch.observe(np.array([1]))
+        kept = every.copy(), one.copy()
+        batch.advance(np.array([AdversaryAction.UP, AdversaryAction.STAY]))
+        batch.steer = batch.steer + batch.moves[[ProtagonistAction.UP, ProtagonistAction.LEFT]]
+        np.testing.assert_array_equal(every, kept[0])
+        np.testing.assert_array_equal(one, kept[1])
+        assert not np.array_equal(batch.observe(), kept[0])
+
+    def test_batch_rows_step_as_lone_envs(self):
+        # 0.3 kg / 200 N/m needs two substeps, the others one: two integrator groups
+        cfg = EnvConfig(horizon=200)
+        physes = [cfg.phys, replace(cfg.phys, total_mass=0.3, spring_constant=200.0), replace(cfg.phys, total_mass=2.0)]
+        seeds = [[4, 0], [4, 1], [4, 2]]
+        batch = EnvBatch.of(cfg, physes, seeds)
+        assert sorted(batch.order) == [0, 1, 2] and batch.order[-1] == 1 and len(batch.groups) == 2
+        lone = [BeamTrackingEnv(replace(cfg, phys=physes[i]), seed=seeds[i]) for i in batch.order]
+        np.testing.assert_array_equal(batch.observe(), [env.observe() for env in lone])
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            a_p, a_a = rng.integers(5, size=3), rng.integers(7, size=3)
+            batch.advance(a_a)
+            batch.steer = batch.steer + batch.moves[a_p]
+            powers = batch.power(batch.steer)
+            for b, env in enumerate(lone):
+                obs, _, _, p_r = env.step(ProtagonistAction(a_p[b]), AdversaryAction(a_a[b]))
+                assert obs.tobytes() == batch.observe(np.array([b]))[0].tobytes()
+                assert p_r == powers[b]
+        assert batch.time == lone[0].wire_state.time
