@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, radio
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, param_digest, save_checkpoint
 from .config import (
     ConfigError,
     SweepSpec,
@@ -180,6 +180,22 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _seed_key(token: str, policy: Policy) -> int:
+    """What a sweep policy's run seeds are keyed by: a greedy policy's
+    checkpoint content (param_digest), so one checkpoint gives the same runs
+    under any path, a baseline's name. The checkpoint is loaded into the
+    policy here; one that cannot be read is keyed by its path, and the
+    rollout, which reads it again, reports the error."""
+    digest = hashlib.sha256(token.encode()).hexdigest()
+    if policy.kind is PolicyKind.GREEDY_DQN:
+        try:
+            policy.checkpoint = load_checkpoint(policy.checkpoint)
+            digest = param_digest(policy.checkpoint.net)
+        except (OSError, ValueError):
+            pass
+    return int(digest[:8], 16)
+
+
 def _sweep_units(cfg, spec, units):
     """(mass, spring, policy token, mean, std, error) of each (mass, spring,
     policy token) unit over its episodes x seeds runs, all in one batched
@@ -187,7 +203,7 @@ def _sweep_units(cfg, spec, units):
     policy in halves, so only failing units are marked, the healthy policies
     stay batched, and one failing unit among n costs about 2*log2(n) reruns."""
     policies = {token: resolve_policy(token) for _, _, token in units}
-    ids = {token: int(hashlib.sha256(token.encode()).hexdigest()[:8], 16) for token in policies}
+    ids = {token: _seed_key(token, policy) for token, policy in policies.items()}
     runs = [(*u, ep, s) for u in units for ep, s in np.ndindex(spec.episodes_per_cell, spec.seeds_per_cell)]
     physes = [replace(cfg.env.phys, total_mass=m, spring_constant=k) for m, k, *_ in runs]
     entropy = [[cfg.seed, int(m * 1000), int(k * 1000), ids[token], ep, s] for m, k, token, ep, s in runs]

@@ -22,6 +22,7 @@ then Adam's first-moment vector, then its second-moment vector.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from dataclasses import dataclass
@@ -32,6 +33,13 @@ from .deepq import AdamState, QNetwork
 
 MAGIC = b"WBQC"
 FORMAT_VERSION = 1
+
+
+def param_digest(net: QNetwork) -> str:
+    """sha256 hex digest of a network's parameters as little-endian float64
+    bytes (a checkpoint's network payload): the same for one set of parameters
+    whatever file or object holds it."""
+    return hashlib.sha256(net.flat.astype("<f8").tobytes()).hexdigest()
 
 
 def _array_specs(layout: list, with_adam: bool) -> list:

@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from . import deepq
-from .checkpoint import AgentCheckpoint, load_checkpoint
+from .checkpoint import AgentCheckpoint, load_checkpoint, param_digest
 from .env import AdversaryAction, BeamTrackingEnv, EnvBatch, EnvConfig, ProtagonistAction, reward_from_power
 
 VARIANTS = ("rarl", "no_adversary", "random_adversary")
@@ -148,11 +148,9 @@ class Policy:
 
 
 def config_fingerprint(cfg: TrainConfig) -> str:
-    """Stable short hash of the full configuration (numpy fields included).
-
-    A proxy checkpoint enters as the sha256 of its float64 parameter bytes,
-    so the same proxy given as an object or as a path hashes alike.
-    """
+    """Stable short hash of the full configuration (numpy fields included); a
+    proxy checkpoint enters as the param_digest of its network, so the same
+    proxy given as an object or as a path hashes alike."""
 
     def default(obj):
         if isinstance(obj, np.ndarray):
@@ -163,8 +161,7 @@ def config_fingerprint(cfg: TrainConfig) -> str:
 
     fields = asdict(replace(cfg, proxy_checkpoint=None))
     if cfg.proxy_checkpoint is not None:
-        proxy_net, _ = _resolve_agent(cfg.proxy_checkpoint)
-        fields["proxy_checkpoint"] = hashlib.sha256(proxy_net.flat.astype("<f8").tobytes()).hexdigest()
+        fields["proxy_checkpoint"] = param_digest(_resolve_agent(cfg.proxy_checkpoint)[0])
     blob = json.dumps(fields, sort_keys=True, default=default)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

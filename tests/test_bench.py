@@ -211,10 +211,12 @@ class TestSweepCommand:
         for mass_kg, spring, token, avg, std in rows:
             mass_kg, spring = float(mass_kg), float(spring)
             policy = resolve_policy(token)
-            if policy.checkpoint is not None:
+            key = hashlib.sha256(token.encode())
+            if policy.checkpoint is not None:  # a greedy run's seeds follow the checkpoint's parameters
                 policy.checkpoint = load_checkpoint(policy.checkpoint)
+                key = hashlib.sha256(policy.checkpoint.net.flat.astype("<f8").tobytes())
             env_cfg = replace(cfg.env, phys=replace(cfg.env.phys, total_mass=mass_kg, spring_constant=spring))
-            token_id = int(hashlib.sha256(token.encode()).hexdigest()[:8], 16)
+            token_id = int(key.hexdigest()[:8], 16)
             powers = [
                 reference_average(
                     policy, env_cfg, [cfg.seed, int(mass_kg * 1000), int(spring * 1000), token_id, ep, s],
@@ -224,6 +226,22 @@ class TestSweepCommand:
                 for s in range(2)
             ]
             assert (avg, std) == (repr(float(np.mean(powers))), repr(float(np.std(powers))))
+
+    def test_one_checkpoint_under_two_paths_sweeps_alike(self, tmp_path):
+        # greedy runs are seeded by the checkpoint's parameters, not by the path as typed
+        first = Path(greedy_ckpt_path(tmp_path))
+        (tmp_path / "elsewhere").mkdir()
+        second = tmp_path / "elsewhere" / "renamed.ckpt"
+        second.write_bytes(first.read_bytes())
+        cfg, spec = write_cfg(tmp_path), tmp_path / "sweep.spec"
+        rows = []
+        for ckpt in (first, second):
+            spec.write_text(f"mass_grid_kg: 10,5\nspring_grid_n_per_m: 100\npolicies: stay,{ckpt}\n")
+            out = tmp_path / ckpt.stem
+            assert main(["sweep", "--config", cfg, "--spec", str(spec), "--out", str(out)]) == 0
+            rows.append(read_rows(out / "heatmap.csv")[1])
+        assert [r[2] for r in rows[0][1::2]] == [str(first)] * 2 and [r[2] for r in rows[1][1::2]] == [str(second)] * 2
+        assert [r[:2] + r[3:] for r in rows[0]] == [r[:2] + r[3:] for r in rows[1]]
 
     def test_diverging_cell_only_fails_itself(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path)
