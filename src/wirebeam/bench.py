@@ -184,15 +184,15 @@ def _seed_key(token: str, policy: Policy) -> int:
     """What a sweep policy's run seeds are keyed by: a greedy policy's
     checkpoint content (param_digest), so one checkpoint gives the same runs
     under any path, a baseline's name. The checkpoint is loaded into the
-    policy here; one that cannot be read is keyed by its path, and the
-    rollout, which reads it again, reports the error."""
+    policy here."""
     digest = hashlib.sha256(token.encode()).hexdigest()
     if policy.kind is PolicyKind.GREEDY_DQN:
         try:
             policy.checkpoint = load_checkpoint(policy.checkpoint)
-            digest = param_digest(policy.checkpoint.net)
         except (OSError, ValueError):
-            pass
+            pass  # keyed by its path; the rollout reads it again and reports the error
+        else:
+            digest = param_digest(policy.checkpoint.net)
     return int(digest[:8], 16)
 
 

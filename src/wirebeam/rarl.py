@@ -238,7 +238,7 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
 
     every = np.arange(len(policies))
     kinds = np.array([p.kind for p in policies])
-    observed = np.flatnonzero([a is not None or t is not None for a, t in zip(adversaries, trackers)])
+    observed = np.flatnonzero([a is not None or t is not None for a, t in zip(adversaries, trackers)])  # read by a net
     randoms = np.flatnonzero(kinds == PolicyKind.RANDOM_UNIFORM)
     oracle = (kinds == PolicyKind.UPPER_LIMIT)[:, None]
     actions = np.arange(N_PROTAGONIST_ACTIONS)[None, :]

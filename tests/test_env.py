@@ -250,9 +250,10 @@ class TestHeldState:
         kept = every.copy(), one.copy()
         batch.advance(np.array([AdversaryAction.UP, AdversaryAction.STAY]))
         batch.steer = batch.steer + batch.moves[[ProtagonistAction.UP, ProtagonistAction.LEFT]]
+        moved = batch.observe(), batch.observe(np.array([1]))
         np.testing.assert_array_equal(every, kept[0])
         np.testing.assert_array_equal(one, kept[1])
-        assert not np.array_equal(batch.observe(), kept[0])
+        assert not np.array_equal(moved[0], kept[0]) and not np.array_equal(moved[1], kept[1])
 
     def test_batch_rows_step_as_lone_envs(self):
         # 0.3 kg / 200 N/m needs two substeps, the others one: two integrator groups
