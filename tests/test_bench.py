@@ -14,7 +14,7 @@ import pytest
 from wirebeam import bench, deepq, wire
 from wirebeam.bench import main, resolve_policy
 from wirebeam.checkpoint import AgentCheckpoint, load_checkpoint, save_checkpoint
-from wirebeam.config import train_config_from_text
+from wirebeam.config import serialize_train_config, train_config_from_text
 from wirebeam.deepq import QNetwork, init_qnetwork
 from wirebeam.env import EnvConfig
 from wirebeam.rarl import make_normalizer, rollout
@@ -383,6 +383,37 @@ class TestEvalCommand:
 
     def test_eval_requires_policy(self, tmp_path):
         assert main(["eval", "--out", str(tmp_path / "x")]) == 1
+
+
+class TestManifest:
+    COMMON = {"command", "code_version", "config", "seeds", "started_utc", "finished_utc", "outputs"}
+
+    @pytest.mark.parametrize(
+        "command, flags, extra",
+        [
+            ("train", ["--variant", "rarl"], {"variant", "episodes"}),
+            ("eval", ["--policy", "stay", "--steps", "20"], set()),
+            ("simulate", ["--policy", "upper_limit", "--steps", "20"], set()),
+            ("sweep", ["--spec", "sweep.spec"], {"cells", "substeps", "failed_cells"}),
+            ("antenna-pattern", ["--az-start", "-2", "--az-stop", "2"], set()),
+        ],
+    )
+    def test_manifest_contract(self, tmp_path, monkeypatch, command, flags, extra):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sweep.spec").write_text("mass_grid_kg: 10,5\nspring_grid_n_per_m: 100\npolicies: stay,upper_limit\n")
+        cfg = write_cfg(tmp_path, SMALL_CFG.replace("episodes: 2", "episodes: 1"))
+        out = tmp_path / "run"
+        assert main([command, "--config", cfg, "--out", str(out)] + flags) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest) == self.COMMON | extra
+        assert manifest["command"] == command
+        files = {p.name for p in out.iterdir()} - {"manifest.json"}
+        assert manifest["outputs"] == {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in files}
+        assert manifest["seeds"] == ([] if command == "antenna-pattern" else [7])
+        snapshot = train_config_from_text(manifest["config"])
+        assert serialize_train_config(snapshot) == manifest["config"]
+        assert snapshot.seed == 7 and snapshot.env.horizon == train_config_from_text(SMALL_CFG).env.horizon
+        assert manifest["started_utc"] <= manifest["finished_utc"]
 
 
 class TestEnvVarOverrides:
