@@ -4,6 +4,11 @@ Pure plumbing: configs in, CSV artifacts and a run manifest out. All
 physics and learning math lives in the library modules. Flags can also be
 supplied through WIREBEAM_* environment variables (a flag wins over its
 variable).
+
+Every command runs in two phases (`_run`). The check phase loads the config
+and parses and checks every other input; a rejected input exits 1 and writes
+nothing. The write phase makes the output directory, runs the command's body,
+which writes its files, and records them in one `manifest.json`.
 """
 
 from __future__ import annotations
@@ -52,23 +57,21 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def write_manifest(out_dir: Path, command: str, config_text: str, seeds, outputs, extra=None):
-    """Record the run: config snapshot, seeds, code version, output hashes."""
+def write_manifest(out_dir: Path, command: str, config_text: str, seeds, outputs, started: str, extra=None):
+    """Record the run: config snapshot, seeds, code version, start and end
+    times, and the sha256 of each output file (names in `out_dir`)."""
     manifest = {
         "command": command,
         "code_version": __version__,
         "config": config_text,
         "seeds": seeds,
-        "started_utc": outputs.pop("__started__", None),
+        "started_utc": started,
         "finished_utc": _utcnow(),
-        "outputs": {name: _sha256(path) for name, path in outputs.items()},
+        "outputs": {name: _sha256(out_dir / name) for name in outputs},
+        **(extra or {}),
     }
-    if extra:
-        manifest.update(extra)
-    path = out_dir / "manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
-    return path
 
 
 def _write_csv(path: Path, header, rows):
@@ -88,11 +91,12 @@ def resolve_policy(token: str) -> Policy:
     return Policy(PolicyKind.GREEDY_DQN, checkpoint=token)
 
 
+class _Rejected(Exception):
+    """An input that the check phase turns down; `main` prints the message as is."""
+
+
 def _load_cfg(args):
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = train_config_from_text("")
+    cfg = load_config(args.config) if args.config else train_config_from_text("")
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if getattr(args, "variant", None):
@@ -100,84 +104,82 @@ def _load_cfg(args):
     return cfg
 
 
-def cmd_train(args) -> int:
-    cfg = _load_cfg(args)
+def _run(args) -> int:
+    """Check, then write. `args.func` checks the command's inputs and returns
+    the config to record and the body, which writes the files and returns
+    (their names, manifest extras or None, summary line, exit code)."""
     out = Path(args.out)
+    cfg, body = args.func(args, _load_cfg(args), out)
+    config_text = serialize_train_config(cfg)
     out.mkdir(parents=True, exist_ok=True)
     started = _utcnow()
-    outputs = {"__started__": started}
+    outputs, extra, summary, code = body()
+    seeds = [] if args.command == "antenna-pattern" else [cfg.seed]  # the pattern draws no random numbers
+    write_manifest(out, args.command, config_text, seeds, outputs, started, extra)
+    print(summary)
+    return code
 
-    run_cfg = cfg
+
+def cmd_train(args, cfg, out):
+    snapshot = cfg
+    # a rarl run without a proxy trains on one pre-trained in memory; the snapshot names its saved file
     if cfg.variant == "rarl" and cfg.proxy_checkpoint is None:
-        proxy = pretrain_proxy(cfg)
-        proxy_path = out / "proxy.ckpt"
-        save_checkpoint(proxy_path, proxy)
-        outputs["proxy.ckpt"] = proxy_path
-        # train on the in-memory proxy; the config snapshot names the saved file
-        run_cfg = replace(cfg, proxy_checkpoint=proxy)
-        cfg = replace(cfg, proxy_checkpoint=str(proxy_path))
+        snapshot = replace(cfg, proxy_checkpoint=str(out / "proxy.ckpt"))
 
-    result = train(run_cfg)
+    def body():
+        run_cfg, names = cfg, []
+        if snapshot is not cfg:
+            proxy = pretrain_proxy(cfg)
+            save_checkpoint(out / "proxy.ckpt", proxy)
+            run_cfg, names = replace(cfg, proxy_checkpoint=proxy), ["proxy.ckpt"]
+        result = train(run_cfg)
+        for name, ckpt in (("protagonist.ckpt", result.protagonist), ("adversary.ckpt", result.adversary)):
+            if ckpt is not None:
+                save_checkpoint(out / name, ckpt)
+                names.append(name)
+        _write_csv(
+            out / "curve.csv",
+            ["episode", "protagonist_avg_power_dbm", "adversary_check_avg_power_dbm", "loss_p", "loss_a"],
+            [
+                (r.episode, r.protagonist_avg_power, r.adversary_check_avg_power, r.loss_p, r.loss_a)
+                for r in result.records
+            ],
+        )
+        extra = {"variant": cfg.variant, "episodes": cfg.episodes}
+        summary = f"train: {cfg.episodes} episodes ({cfg.variant}) -> {out}"
+        return names + ["curve.csv"], extra, summary, EXIT_OK
 
-    ckpt_path = out / "protagonist.ckpt"
-    save_checkpoint(ckpt_path, result.protagonist)
-    outputs["protagonist.ckpt"] = ckpt_path
-    if result.adversary is not None:
-        adv_path = out / "adversary.ckpt"
-        save_checkpoint(adv_path, result.adversary)
-        outputs["adversary.ckpt"] = adv_path
-
-    curve_path = out / "curve.csv"
-    _write_csv(
-        curve_path,
-        ["episode", "protagonist_avg_power_dbm", "adversary_check_avg_power_dbm", "loss_p", "loss_a"],
-        [
-            (r.episode, r.protagonist_avg_power, r.adversary_check_avg_power, r.loss_p, r.loss_a)
-            for r in result.records
-        ],
-    )
-    outputs["curve.csv"] = curve_path
-
-    write_manifest(
-        out,
-        "train",
-        serialize_train_config(cfg),
-        [cfg.seed],
-        outputs,
-        extra={"variant": cfg.variant, "episodes": cfg.episodes},
-    )
-    print(f"train: {cfg.episodes} episodes ({cfg.variant}) -> {out}")
-    return EXIT_OK
+    return snapshot, body
 
 
-def cmd_eval(args) -> int:
-    cfg = _load_cfg(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    started = _utcnow()
-    token = args.checkpoint or args.policy
+def cmd_policy(args, cfg, out):
+    """eval and simulate: roll one policy, a baseline or a checkpoint, and
+    write one CSV, its average (eval) or its trajectory (simulate)."""
+    token = args.checkpoint or args.policy or ("stay" if args.command == "simulate" else None)
     if not token:
-        print("eval: need --checkpoint or --policy", file=sys.stderr)
-        return EXIT_ERROR
+        raise _Rejected("eval: need --checkpoint or --policy")
+    steps = cfg.env.horizon if args.steps is None else args.steps  # an absent --steps takes the horizon
+    if steps < 1:
+        raise _Rejected(f"{args.command}: --steps must be >= 1, got {steps}")
     policy = resolve_policy(token)
-    steps = args.steps or cfg.env.horizon
-    avg, _ = run_policy(policy, cfg.env, steps, cfg.seed)
+    if policy.checkpoint is not None:  # a checkpoint that does not load is rejected here
+        policy.checkpoint = load_checkpoint(policy.checkpoint)
 
-    eval_path = out / "eval.csv"
-    _write_csv(
-        eval_path,
-        ["policy", "steps", "seed", "avg_power_dbm"],
-        [(token, steps, cfg.seed, avg)],
-    )
-    write_manifest(
-        out,
-        "eval",
-        serialize_train_config(cfg),
-        [cfg.seed],
-        {"__started__": started, "eval.csv": eval_path},
-    )
-    print(f"eval: {token} avg power {avg:.4f} dBm over {steps} steps")
-    return EXIT_OK
+    def body():
+        avg, rows = run_policy(policy, cfg.env, steps, cfg.seed)
+        summary = f"{args.command}: {token} avg power {avg:.4f} dBm over {steps} steps"
+        if args.command == "eval":
+            header = ["policy", "steps", "seed", "avg_power_dbm"]
+            _write_csv(out / "eval.csv", header, [(token, steps, cfg.seed, avg)])
+            return ["eval.csv"], None, summary, EXIT_OK
+        _write_csv(
+            out / "trajectory.csv",
+            ["step", "t", "P_r_dbm", "r_p", "a_p", "a_a", "sbs_x", "sbs_y", "sbs_z", "theta_s", "phi_s"],
+            rows,
+        )
+        return ["trajectory.csv"], None, f"{summary} -> {out / 'trajectory.csv'}", EXIT_OK
+
+    return cfg, body
 
 
 def _seed_key(token: str, policy: Policy) -> int:
@@ -223,38 +225,27 @@ def _sweep_units(cfg, spec, units):
     return [(*u, float(np.mean(p)), float(np.std(p)), "") for u, p in zip(units, np.split(avg, len(units)))]
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, cfg, out):
     if args.spec and args.checkpoint:  # a spec names its own policies
-        print("sweep: --spec and --checkpoint (or WIREBEAM_CHECKPOINT) exclude each other", file=sys.stderr)
-        return EXIT_ERROR
-    cfg = _load_cfg(args)
+        raise _Rejected("sweep: --spec and --checkpoint (or WIREBEAM_CHECKPOINT) exclude each other")
     if args.spec:
         spec = load_sweep_spec(args.spec)
     else:
         spec = SweepSpec(policies=[args.checkpoint]) if args.checkpoint else SweepSpec()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    started = _utcnow()
 
-    grid = [(m, k) for m in spec.mass_grid for k in spec.spring_grid]
-    physes = [replace(cfg.env.phys, total_mass=m, spring_constant=k) for m, k in grid]
-    substeps = [effective_substeps(p, cfg.env.tau, cfg.env.substeps) for p in physes]
-    rest_z = [float(equilibrium_shape(p).positions[cfg.env.sbs_index, 2]) for p in physes]  # of the station
-    results = _sweep_units(cfg, spec, [(m, k, token) for m, k in grid for token in spec.policies])
-    failures = [r for r in results if r[5]]
-    heatmap_path = out / "heatmap.csv"
-    _write_csv(
-        heatmap_path,
-        ["mass_kg", "spring_n_per_m", "policy", "avg_power_dbm", "stddev"],
-        [r[:5] for r in results],
-    )
-    write_manifest(
-        out,
-        "sweep",
-        serialize_train_config(cfg),
-        [cfg.seed],
-        {"__started__": started, "heatmap.csv": heatmap_path},
-        extra={
+    def body():
+        grid = [(m, k) for m in spec.mass_grid for k in spec.spring_grid]
+        physes = [replace(cfg.env.phys, total_mass=m, spring_constant=k) for m, k in grid]
+        substeps = [effective_substeps(p, cfg.env.tau, cfg.env.substeps) for p in physes]
+        rest_z = [float(equilibrium_shape(p).positions[cfg.env.sbs_index, 2]) for p in physes]  # station's
+        results = _sweep_units(cfg, spec, [(m, k, token) for m, k in grid for token in spec.policies])
+        failures = [r for r in results if r[5]]
+        _write_csv(
+            out / "heatmap.csv",
+            ["mass_kg", "spring_n_per_m", "policy", "avg_power_dbm", "stddev"],
+            [r[:5] for r in results],
+        )
+        extra = {
             "cells": len(results),
             "substeps": [  # per cell; a station resting below the ground plane (z < 0) is flagged
                 {"mass_kg": m, "spring_n_per_m": k, "substeps": n, "rest_z_m": z, "below_ground": z < 0}
@@ -264,68 +255,30 @@ def cmd_sweep(args) -> int:
                 {"mass_kg": r[0], "spring_n_per_m": r[1], "policy": r[2], "error": r[5]}
                 for r in failures
             ],
-        },
-    )
-    print(f"sweep: {len(results)} cells, {len(failures)} failed -> {heatmap_path}")
-    return EXIT_PARTIAL if failures else EXIT_OK
+        }
+        summary = f"sweep: {len(results)} cells, {len(failures)} failed -> {out / 'heatmap.csv'}"
+        return ["heatmap.csv"], extra, summary, EXIT_PARTIAL if failures else EXIT_OK
+
+    return cfg, body
 
 
-def cmd_antenna_pattern(args) -> int:
-    cfg = _load_cfg(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    started = _utcnow()
+def cmd_antenna_pattern(args, cfg, out):
     if args.az_step <= 0 or args.az_stop < args.az_start:
-        print("antenna-pattern: empty azimuth range", file=sys.stderr)
-        return EXIT_ERROR
-    azimuths = np.arange(
-        args.az_start, args.az_stop + args.az_step / 2, args.az_step
-    )
-    antenna = cfg.env.antenna
-    af = radio.array_factor(90.0, azimuths, 90.0, 0.0, antenna)
-    ae = radio.element_pattern(90.0, azimuths, antenna)
-    pattern_path = out / "antenna_pattern.csv"
-    _write_csv(
-        pattern_path,
-        ["azimuth_deg", "af_db", "ae_db", "at_db"],
-        [(float(az), float(f), float(e), float(f + e)) for az, f, e in zip(azimuths, af, ae)],
-    )
-    write_manifest(
-        out,
-        "antenna-pattern",
-        serialize_train_config(cfg),
-        [],
-        {"__started__": started, "antenna_pattern.csv": pattern_path},
-    )
-    print(f"antenna-pattern: {len(azimuths)} samples -> {pattern_path}")
-    return EXIT_OK
+        raise _Rejected("antenna-pattern: empty azimuth range")
+    azimuths = np.arange(args.az_start, args.az_stop + args.az_step / 2, args.az_step)
 
+    def body():
+        af = radio.array_factor(90.0, azimuths, 90.0, 0.0, cfg.env.antenna)
+        ae = radio.element_pattern(90.0, azimuths, cfg.env.antenna)
+        _write_csv(
+            out / "antenna_pattern.csv",
+            ["azimuth_deg", "af_db", "ae_db", "at_db"],
+            [(float(az), float(f), float(e), float(f + e)) for az, f, e in zip(azimuths, af, ae)],
+        )
+        summary = f"antenna-pattern: {len(azimuths)} samples -> {out / 'antenna_pattern.csv'}"
+        return ["antenna_pattern.csv"], None, summary, EXIT_OK
 
-def cmd_simulate(args) -> int:
-    cfg = _load_cfg(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    started = _utcnow()
-    token = args.checkpoint or args.policy or "stay"
-    policy = resolve_policy(token)
-    steps = args.steps or cfg.env.horizon
-    avg, rows = run_policy(policy, cfg.env, steps, cfg.seed)
-
-    traj_path = out / "trajectory.csv"
-    _write_csv(
-        traj_path,
-        ["step", "t", "P_r_dbm", "r_p", "a_p", "a_a", "sbs_x", "sbs_y", "sbs_z", "theta_s", "phi_s"],
-        rows,
-    )
-    write_manifest(
-        out,
-        "simulate",
-        serialize_train_config(cfg),
-        [cfg.seed],
-        {"__started__": started, "trajectory.csv": traj_path},
-    )
-    print(f"simulate: {token} avg power {avg:.4f} dBm over {steps} steps -> {traj_path}")
-    return EXIT_OK
+    return cfg, body
 
 
 def _env_default(name, cast=str, fallback=None):
@@ -357,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_eval, steps=True)
     p_eval.add_argument("--checkpoint", default=_env_default("CHECKPOINT"))
     p_eval.add_argument("--policy", default=None, help="stay | upper_limit | random_uniform")
-    p_eval.set_defaults(func=cmd_eval)
+    p_eval.set_defaults(func=cmd_policy)
 
     p_sweep = sub.add_parser("sweep", help="robustness grid over mass and spring constant")
     common(p_sweep)
@@ -377,16 +330,18 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sim, steps=True)
     p_sim.add_argument("--checkpoint", default=_env_default("CHECKPOINT"))
     p_sim.add_argument("--policy", default=None)
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=cmd_policy)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
+    except _Rejected as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_ERROR
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_ERROR

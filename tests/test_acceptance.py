@@ -189,25 +189,34 @@ def test_criterion_6_reward_contract_properties():
 def test_criterion_7_learning_sanity(training_stock):
     t0 = time.perf_counter()
     cfg = train_config_from_text("")
-    run = training_stock[STOCK_SEEDS[0]]["rarl"]
-    final5 = run.records[-5:]
-    learned = float(np.mean([r.protagonist_avg_power for r in final5]))
+    final5 = {seed: training_stock[seed]["rarl"].records[-5:] for seed in STOCK_SEEDS}
+    learned = {seed: float(np.mean([r.protagonist_avg_power for r in recs])) for seed, recs in final5.items()}
 
-    stay, upper = [], []
-    for rec in final5:  # baselines under the same evaluation seeds
-        s, _ = run_policy(Policy(PolicyKind.STAY), cfg.env, cfg.test_steps, rec.p4_seed)
-        u, _ = run_policy(Policy(PolicyKind.UPPER_LIMIT), cfg.env, cfg.test_steps, rec.p4_seed)
-        stay.append(s)
-        upper.append(u)
-    stay_mean, upper_mean = float(np.mean(stay)), float(np.mean(upper))
+    # the baselines under every seed's final-5 evaluation seeds, in one rollout
+    probes = [rec.p4_seed for recs in final5.values() for rec in recs]
+    policies = [Policy(kind) for kind in (PolicyKind.STAY, PolicyKind.UPPER_LIMIT) for _ in probes]
+    avg, _ = rollout(policies, cfg.env, [cfg.env.phys] * len(policies), probes * 2, cfg.test_steps)
+    stay, upper = (
+        {seed: float(np.mean(row)) for seed, row in zip(STOCK_SEEDS, half.reshape(len(STOCK_SEEDS), 5))}
+        for half in avg.reshape(2, -1)
+    )
 
     elapsed = time.perf_counter() - t0
-    assert learned > stay_mean, f"learned {learned:.2f} <= stay {stay_mean:.2f}"
-    assert learned >= upper_mean - 3.0, f"learned {learned:.2f} more than 3 dB below upper {upper_mean:.2f}"
+    seed = STOCK_SEEDS[0]
+    learned_mean, stay_mean, upper_mean = learned[seed], stay[seed], upper[seed]
+    assert learned_mean > stay_mean, f"learned {learned_mean:.2f} <= stay {stay_mean:.2f}"
+    assert learned_mean >= upper_mean - 3.0, (
+        f"learned {learned_mean:.2f} more than 3 dB below upper {upper_mean:.2f}"
+    )
+    # the other stock seeds are printed, not asserted: a seed outside the bounds is a finding
+    outside = [s for s in STOCK_SEEDS if not stay[s] < learned[s] >= upper[s] - 3.0]
+    per_seed = ", ".join(f"{s}: {learned[s]:.2f} / {stay[s]:.2f} / {upper[s]:.2f}" for s in STOCK_SEEDS)
     report(
         7,
         elapsed,
-        f"final-5 mean {learned:.2f} dBm vs stay {stay_mean:.2f}, upper {upper_mean:.2f} (gap {upper_mean - learned:.2f} dB)",
+        f"seed {seed}: final-5 mean {learned_mean:.2f} dBm vs stay {stay_mean:.2f}, upper {upper_mean:.2f} "
+        f"(gap {upper_mean - learned_mean:.2f} dB); every seed, learned / stay / upper: {per_seed}; "
+        f"outside the bounds: {outside or 'none'}",
     )
 
 
@@ -242,6 +251,35 @@ def test_criterion_8_zero_shot_robustness(training_stock):
         f"at k0=10 N/m: median rarl {med_rarl:.2f} dBm >= no-adversary {med_no_adv:.2f} dBm "
         f"(full-scale anchors -13.2 vs -14.5); on this wire upper_limit {oracle:.2f} dBm, "
         f"stay {stay:.2f} dBm",
+    )
+
+
+@pytest.mark.slow
+def test_criterion_8_on_a_wire_resting_above_ground(training_stock):
+    # beside criterion 8: at k0 = 50 N/m the station rests above the ground plane and the oracle still tracks
+    t0 = time.perf_counter()
+    base = train_config_from_text("")
+    wire = replace(base.env.phys, spring_constant=50.0)  # unseen during training
+    eval_cfg = replace(base.env, phys=wire)
+    rest_z = float(wb.equilibrium_shape(wire).positions[eval_cfg.sbs_index, 2])
+    eval_seeds = list(range(ROBUSTNESS_EVAL_SEED, ROBUSTNESS_EVAL_SEED + 10))
+
+    variants = ("rarl", "no_adversary")
+    trackers = [training_stock[seed][v].protagonist for v in variants for seed in STOCK_SEEDS]
+    policies = [Policy(PolicyKind.GREEDY_DQN, net) for net in trackers for _ in eval_seeds]
+    avg, _ = rollout(policies, eval_cfg, [wire] * len(policies), eval_seeds * len(trackers), 1000)
+    means = avg.reshape(len(variants), len(STOCK_SEEDS), len(eval_seeds)).mean(axis=2)  # per stock seed
+    med_rarl, med_no_adv = (float(m) for m in np.median(means, axis=1))
+    elapsed = time.perf_counter() - t0
+    assert rest_z > 0.0, f"station rests at z = {rest_z:.2f} m, below the ground plane"
+    assert med_rarl >= med_no_adv, f"median rarl {med_rarl:.2f} < no-adversary {med_no_adv:.2f}"
+    deltas = " / ".join(f"{d:+.2f}" for d in means[0] - means[1])
+    report(
+        "8 (k0=50 N/m)",
+        elapsed,
+        f"rest_z_m {rest_z:.2f}: median of seed means rarl {med_rarl:.2f} dBm >= no-adversary "
+        f"{med_no_adv:.2f} dBm over eval seeds {eval_seeds[0]}-{eval_seeds[-1]}; rarl - no-adversary "
+        f"per stock seed {', '.join(map(str, STOCK_SEEDS))}: {deltas} dB",
     )
 
 

@@ -343,6 +343,7 @@ class TestAntennaPatternCommand:
     def test_empty_range_rejected(self, tmp_path):
         out = tmp_path / "ant"
         assert main(["antenna-pattern", "--az-start", "5", "--az-stop", "-5", "--out", str(out)]) == 1
+        assert not out.exists()
 
 
 class TestSimulateCommand:
@@ -382,7 +383,26 @@ class TestEvalCommand:
         assert rows[0][0] == "stay" and rows[0][1] == "30"
 
     def test_eval_requires_policy(self, tmp_path):
-        assert main(["eval", "--out", str(tmp_path / "x")]) == 1
+        out = tmp_path / "x"
+        assert main(["eval", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert main(["eval", "--checkpoint", str(tmp_path / "missing.ckpt"), "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "simulate"])
+    @pytest.mark.parametrize("steps", [0, -3])
+    @pytest.mark.parametrize("from_env", [False, True])
+    def test_steps_below_one_rejected(self, tmp_path, monkeypatch, capsys, command, steps, from_env):
+        # an absent --steps takes the horizon; a given one below 1 is an error, not the horizon
+        out = tmp_path / "run"
+        argv = [command, "--config", write_cfg(tmp_path), "--policy", "stay", "--out", str(out)]
+        if from_env:
+            monkeypatch.setenv("WIREBEAM_STEPS", str(steps))
+        else:
+            argv += ["--steps", str(steps)]
+        assert main(argv) == 1
+        assert f"{command}: --steps must be >= 1, got {steps}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestManifest:
