@@ -96,7 +96,10 @@ class _Rejected(Exception):
 
 
 def _load_cfg(args):
-    cfg = load_config(args.config) if args.config else train_config_from_text("")
+    if args.config:
+        cfg = load_config(args.config)
+    else:
+        cfg = train_config_from_text("")
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if getattr(args, "variant", None):
@@ -237,7 +240,7 @@ def cmd_sweep(args, cfg, out):
         grid = [(m, k) for m in spec.mass_grid for k in spec.spring_grid]
         physes = [replace(cfg.env.phys, total_mass=m, spring_constant=k) for m, k in grid]
         substeps = [effective_substeps(p, cfg.env.tau, cfg.env.substeps) for p in physes]
-        rest_z = [float(equilibrium_shape(p).positions[cfg.env.sbs_index, 2]) for p in physes]  # station's
+        rest_z = [float(equilibrium_shape(p).positions[cfg.env.sbs_index, 2]) for p in physes]
         results = _sweep_units(cfg, spec, [(m, k, token) for m, k in grid for token in spec.policies])
         failures = [r for r in results if r[5]]
         _write_csv(
@@ -336,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return _run(args)
     except _Rejected as exc:
