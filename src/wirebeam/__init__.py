@@ -60,7 +60,6 @@ from .rarl import (
     check_adversary,
     check_protagonist,
     make_normalizer,
-    pretrain_proxy,
     rollout,
     run_policy,
     train,

@@ -35,7 +35,7 @@ from .config import (
     serialize_train_config,
     train_config_from_text,
 )
-from .rarl import Policy, PolicyKind, pretrain_proxy, rollout, run_policy, train
+from .rarl import N_PROTAGONIST_ACTIONS, Policy, PolicyKind, rollout, run_policy, train
 from .wire import effective_substeps, equilibrium_shape
 
 EXIT_OK = 0
@@ -125,18 +125,17 @@ def _run(args) -> int:
 
 def cmd_train(args, cfg, out):
     snapshot = cfg
-    # a rarl run without a proxy trains on one pre-trained in memory; the snapshot names its saved file
+    # a rarl run without a proxy trains its own; the snapshot names its saved file
     if cfg.variant == "rarl" and cfg.proxy_checkpoint is None:
         snapshot = replace(cfg, proxy_checkpoint=str(out / "proxy.ckpt"))
 
     def body():
-        run_cfg, names = cfg, []
-        if snapshot is not cfg:
-            proxy = pretrain_proxy(cfg)
-            save_checkpoint(out / "proxy.ckpt", proxy)
-            run_cfg, names = replace(cfg, proxy_checkpoint=proxy), ["proxy.ckpt"]
-        result = train(run_cfg)
-        for name, ckpt in (("protagonist.ckpt", result.protagonist), ("adversary.ckpt", result.adversary)):
+        result, names = train(cfg), []
+        for name, ckpt in (
+            ("proxy.ckpt", result.proxy),
+            ("protagonist.ckpt", result.protagonist),
+            ("adversary.ckpt", result.adversary),
+        ):
             if ckpt is not None:
                 save_checkpoint(out / name, ckpt)
                 names.append(name)
@@ -165,8 +164,10 @@ def cmd_policy(args, cfg, out):
     if steps < 1:
         raise _Rejected(f"{args.command}: --steps must be >= 1, got {steps}")
     policy = resolve_policy(token)
-    if policy.checkpoint is not None:  # a checkpoint that does not load is rejected here
+    if policy.checkpoint is not None:  # a checkpoint that does not load, or is no tracker, is rejected here
         policy.checkpoint = load_checkpoint(policy.checkpoint)
+        if (n_actions := policy.checkpoint.net.n_actions) != N_PROTAGONIST_ACTIONS:
+            raise _Rejected(f"{args.command}: {token} has {n_actions} actions; a tracker needs {N_PROTAGONIST_ACTIONS}")
 
     def body():
         avg, rows = run_policy(policy, cfg.env, steps, cfg.seed)
@@ -284,11 +285,10 @@ def cmd_antenna_pattern(args, cfg, out):
     return cfg, body
 
 
-def _env_default(name, cast=str, fallback=None):
-    raw = os.environ.get(f"WIREBEAM_{name}")
-    if raw is None:
-        return fallback
-    return cast(raw)
+def _env_default(name, fallback=None):
+    """The raw text of WIREBEAM_<name>; argparse converts it with the flag's type
+    only when the command that takes the flag runs, and a malformed one is a usage error."""
+    return os.environ.get(f"WIREBEAM_{name}", fallback)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,10 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, steps=False):
         p.add_argument("--config", default=_env_default("CONFIG"), help="config file path")
-        p.add_argument("--seed", type=int, default=_env_default("SEED", int))
+        p.add_argument("--seed", type=int, default=_env_default("SEED"))
         p.add_argument("--out", default=_env_default("OUT", fallback="out"), help="output directory")
         if steps:
-            p.add_argument("--steps", type=int, default=_env_default("STEPS", int))
+            p.add_argument("--steps", type=int, default=_env_default("STEPS"))
 
     p_train = sub.add_parser("train", help="run the training loop, write checkpoints and curve")
     common(p_train)

@@ -118,12 +118,19 @@ def _nonfinite(net: QNetwork, x: np.ndarray) -> NumericError:
     return NumericError(f"non-finite activations in {layer}")
 
 
-def _trunk(weights: list, biases: list, x: np.ndarray):
-    """Layer inputs (x first) and pre-activations of the ReLU trunk on x (..., B, n_inputs)."""
+def _trunk(weights: list, biases: list, x: np.ndarray, out=None):
+    """Layer inputs (x first) and pre-activations of the ReLU trunk on x (..., B, n_inputs),
+    written into `out`, one (pre-activation, activation) pair of buffers per layer, if given
+    (the same arithmetic; without `out` no ufunc takes keywords, which cost acting time)."""
     hs, zs = [x], []
-    for w, b in zip(weights, biases):
-        zs.append(hs[-1] @ w + b)
-        hs.append(np.maximum(zs[-1], 0.0))
+    for layer, (w, b) in enumerate(zip(weights, biases)):
+        if out is None:
+            zs.append(hs[-1] @ w + b)
+            hs.append(np.maximum(zs[-1], 0.0))
+        else:
+            z, h = out[layer]
+            zs.append(np.add(np.matmul(hs[-1], w, out=z), b, out=z))
+            hs.append(np.maximum(z, 0.0, out=h))
     return hs, zs
 
 
@@ -233,9 +240,10 @@ class ReplayMemory:
         )
 
 
-def _head_backward(h, g, actions, value_w, adv_w, grads: list):
+def _head_backward(h, g, actions, value_w, adv_w, grads: list, out=(None, None)):
     """Head gradients into `grads` and dLoss/dh, from g_j = dLoss/dQ(s_j, a_j): the
-    value head receives g_j, the advantage head g_j * (1[a = a_j] - 1/|A|)."""
+    value head receives g_j, the advantage head g_j * (1[a = a_j] - 1/|A|). dLoss/dh
+    is the sum of the two heads' parts, written into the two buffers `out` if given."""
     n_actions = adv_w.shape[-1]
     d_adv = np.zeros(g.shape + (n_actions,))
     d_adv.reshape(-1, n_actions)[np.arange(g.size), actions.ravel()] = g.ravel()
@@ -245,17 +253,21 @@ def _head_backward(h, g, actions, value_w, adv_w, grads: list):
     np.add.reduce(d_val, axis=-2, out=grads[1])
     np.matmul(h.mT, d_adv, out=grads[2])
     np.add.reduce(d_adv, axis=-2, out=grads[3])
-    return d_val @ value_w.mT + d_adv @ adv_w.mT
+    dh = np.matmul(d_val, value_w.mT, out=out[0])
+    dh += np.matmul(d_adv, adv_w.mT, out=out[1])
+    return dh
 
 
-def _trunk_backward(hs: list, zs: list, weights: list, dh, grads: list):
-    """Carry dLoss/dh back through the ReLU trunk (subgradient 0 at the kinks)."""
+def _trunk_backward(hs: list, zs: list, weights: list, dh, grads: list, out=None):
+    """Carry dLoss/dh back through the ReLU trunk (subgradient 0 at the kinks); `out`,
+    if given, holds per layer the (ReLU mask, dLoss/dz, dLoss/dh below) buffers."""
     for layer in range(len(weights) - 1, -1, -1):
-        dz = dh * (zs[layer] > 0.0)
+        mask, dz, below = out[layer] if out else (None, None, None)
+        dz = np.multiply(dh, np.greater(zs[layer], 0.0, out=mask), out=dz)
         np.matmul(hs[layer].mT, dz, out=grads[2 * layer])
         np.add.reduce(dz, axis=-2, out=grads[2 * layer + 1])
         if layer > 0:
-            dh = dz @ weights[layer].mT
+            dh = np.matmul(dz, weights[layer].mT, out=below)
 
 
 def _check_finite(loss, grad):
@@ -302,14 +314,19 @@ def _adam_update(net: QNetwork, grad: np.ndarray, adam: AdamState):
     _adam_step(net.flat, grad, adam.first_moment, adam.second_moment, adam)
 
 
-def _adam_step(flat, grad, m, v, adam: AdamState):
-    """Adam step of `flat` in place; element-wise, so any stack of rows takes one call."""
+def _adam_step(flat, grad, m, v, adam: AdamState, out=None):
+    """Adam step of `flat` in place; element-wise, so any stack of rows takes one call.
+    Its temporaries go to `out`, two arrays shaped like `flat`, if given."""
+    t, u = (np.empty_like(flat), np.empty_like(flat)) if out is None else out
     bc1, bc2 = 1.0 - adam.beta1**adam.step_count, 1.0 - adam.beta2**adam.step_count
     m *= adam.beta1
-    m += (1.0 - adam.beta1) * grad
+    m += np.multiply(1.0 - adam.beta1, grad, out=t)
     v *= adam.beta2
-    v += (1.0 - adam.beta2) * grad * grad
-    flat -= adam.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + adam.epsilon)
+    v += np.multiply(np.multiply(1.0 - adam.beta2, grad, out=t), grad, out=t)
+    np.sqrt(np.divide(v, bc2, out=u), out=u)
+    u += adam.epsilon
+    np.multiply(adam.learning_rate, np.divide(m, bc1, out=t), out=t)  # lr * m_hat / (sqrt(v_hat) + eps)
+    flat -= np.divide(t, u, out=t)
 
 
 class QBlock:
@@ -320,7 +337,11 @@ class QBlock:
     count. `nets` and `adams` are plain QNetworks and AdamStates over rows.
     The parameter views of the online role and of both roles are built once,
     so a block of one network acts as cheaply as `forward`, which stays the
-    K = 1 reference that the stacked kernels must match bit for bit."""
+    K = 1 reference that the stacked kernels must match bit for bit. `train`
+    keeps its activations, ReLU masks, gradients and Adam temporaries in one
+    workspace per batch size, made on its first call: at large K these pass
+    the allocator's mmap threshold, and fresh pages on every call would cost
+    more than stacking saves."""
 
     def __init__(self, nets: list, learning_rate: float = 1e-3):
         n_inputs, hidden = nets[0].n_inputs, nets[0].hidden
@@ -349,11 +370,30 @@ class QBlock:
             return [w[r] for w in trunk[0::2]], [b[r] for b in trunk[1::2]], heads
 
         self._online, self._both = role(0), role(slice(None))  # built once, used by every pass
+        self._workspaces = {}  # batch size -> the buffers of `train`
 
-    def _forward(self, x, params):
-        """Trunk activations and head-group Qs of the role views `params` on x (..., K, B, n_in)."""
+    def _workspace(self, batch: int) -> dict:
+        """The buffers of `train` at this batch size, made on its first call there."""
+        if batch not in self._workspaces:
+            k, widths = len(self.nets), self.nets[0].hidden
+
+            def per_layer(*lead, dtype=np.float64):
+                return [np.empty((*lead, k, batch, width), dtype) for width in widths]
+
+            self._workspaces[batch] = {
+                "x": np.empty((2, k, batch, self.nets[0].n_inputs)),
+                "trunk": list(zip(per_layer(2), per_layer(2))),  # (pre-activation, activation) per layer
+                "back": list(zip(per_layer(dtype=bool), per_layer(), [None] + per_layer()[:-1])),
+                "dh": (np.empty((k, batch, widths[-1])), np.empty((k, batch, widths[-1]))),
+                "adam": (np.empty_like(self.grad), np.empty_like(self.grad)),
+            }
+        return self._workspaces[batch]
+
+    def _forward(self, x, params, out=None):
+        """Trunk activations (into `out` if given) and head-group Qs of the role views
+        `params` on x (..., K, B, n_in)."""
         trunk_w, trunk_b, heads = params
-        hs, zs = _trunk(trunk_w, trunk_b, x)
+        hs, zs = _trunk(trunk_w, trunk_b, x, out)
         qs = [_head(hs[-1][..., rows, :, :], *head) for (rows, _, _), head in zip(self._groups, heads)]
         return hs, zs, qs
 
@@ -369,14 +409,17 @@ class QBlock:
                     raise NumericError(f"network {k}: {_nonfinite(self.nets[k], x[k])}")
         return q
 
-    def act(self, state: np.ndarray, epsilon: float, rngs: list) -> list:
-        """act_epsilon_greedy of every online network, each on its own stream; the
-        networks that act greedily share one stacked (K, 1, n_inputs) forward."""
+    def act(self, states: np.ndarray, epsilon: float, rngs: list) -> list:
+        """act_epsilon_greedy of online network k on states[k] (K, n_inputs), or of every
+        network on one state, each on its own stream; the networks that act greedily
+        share one stacked (K, 1, n_inputs) forward."""
         draws = zip(self.nets, rngs)
         actions = [int(r.integers(net.n_actions)) if r.random() < epsilon else None for net, r in draws]
         greedy = [k for k, action in enumerate(actions) if action is None]
         if greedy:
-            q = self.forward(np.array([[state]] * len(self.nets)), greedy)
+            x = np.empty((len(self.nets), 1, self.nets[0].n_inputs))
+            x[:, 0] = states
+            q = self.forward(x, greedy)
             for k in greedy:
                 actions[k] = int(np.argmax(q[k][0]))
         return actions
@@ -387,22 +430,26 @@ class QBlock:
         states), heads per group, one stacked backward and one Adam update; K losses."""
         states, actions, rewards, next_states = zip(*batches)
         actions, rewards = np.array(actions), np.array(rewards)
-        hs, zs, qs = self._forward(np.array([states, next_states]), self._both)
+        work = self._workspace(actions.shape[1])
+        x = work["x"]
+        x[0], x[1] = states, next_states
+        hs, zs, qs = self._forward(x, self._both, work["trunk"])
         td = np.empty(rewards.shape)
         for (rows, _, _), q in zip(self._groups, qs):
             a = actions[rows]
             chosen = q[0].reshape(-1, q.shape[-1])[np.arange(a.size), a.ravel()].reshape(a.shape)
             td[rows] = rewards[rows] + gamma * np.maximum.reduce(q[1], axis=-1) - chosen
         losses = np.add.reduce(huber(td), axis=-1) / td.shape[-1]
-        g, dh = -_huber_grad(td) / td.shape[-1], np.empty(hs[-1].shape[1:])
+        g, (dh, dh_adv) = -_huber_grad(td) / td.shape[-1], work["dh"]
         trunk_w, _, heads = self._online
         for (rows, _, grads), (value_w, _, adv_w, _) in zip(self._groups, heads):
-            dh[rows] = _head_backward(hs[-1][0, rows], g[rows], actions[rows], value_w, adv_w, grads)
-        _trunk_backward([h[0] for h in hs], [z[0] for z in zs], trunk_w, dh, self._trunk_grad)
+            out = dh[rows], dh_adv[rows]
+            _head_backward(hs[-1][0, rows], g[rows], actions[rows], value_w, adv_w, grads, out)
+        _trunk_backward([h[0] for h in hs], [z[0] for z in zs], trunk_w, dh, self._trunk_grad, work["back"])
         _check_finite(losses, self.grad)
         for adam in self.adams:
             adam.step_count += 1
-        _adam_step(self.flat[0], self.grad, *self.moments, self.adams[0])
+        _adam_step(self.flat[0], self.grad, *self.moments, self.adams[0], work["adam"])
         return losses
 
     def sync_target(self):

@@ -8,7 +8,8 @@ reward is its exact negation (zero-sum).
 
 EnvBatch holds the state once, as arrays of leading shape () for one
 environment (BeamTrackingEnv) or (B,) for a batch (EnvBatch.of, which
-rarl.rollout steps): its methods are the only copy of the step arithmetic.
+rarl.rollout and rarl.train step): its methods are the only copy of the
+step arithmetic.
 """
 
 from __future__ import annotations
@@ -84,10 +85,12 @@ def adversary_wind(action: AdversaryAction, speed: float) -> np.ndarray:
     return WIND_DIRS[AdversaryAction(action)] * speed
 
 
-def reward_from_power(p_r_dbm: float, clip_offset: float, clip_scale: float) -> float:
-    """Clipped linear reward: ((P_r - offset) / scale) clamped to [-1, 1]; a NaN
-    power gives a NaN reward, which ReplayMemory.push then refuses."""
-    return float(np.minimum(np.maximum((p_r_dbm - clip_offset) / clip_scale, -1.0), 1.0))
+def reward_from_power(p_r_dbm, clip_offset: float, clip_scale: float):
+    """Clipped linear reward: ((P_r - offset) / scale) clamped to [-1, 1], a float
+    for one power and an array for an array; a NaN power gives a NaN reward,
+    which ReplayMemory.push then refuses."""
+    reward = np.minimum(np.maximum((p_r_dbm - clip_offset) / clip_scale, -1.0), 1.0)
+    return float(reward) if np.ndim(reward) == 0 else reward
 
 
 @dataclass
@@ -208,6 +211,16 @@ class EnvBatch:
         path = radio.path_gain_db(distance, self.cfg.antenna.wavelength)
         return radio.link_power(zenith[rows], azimuth[rows], path[rows], *beams.T, self.cfg.antenna, self.cfg.budget)
 
+    def transition(self, a_p, a_a):
+        """One decision interval of every environment: advance under the gusts of the
+        adversary actions a_a, apply the steering moves of the tracker actions a_p and
+        score the new geometry. Returns the received power in dBm and the tracker's
+        clipped reward; the adversary's reward is its negation."""
+        self.advance(a_a)
+        self.steer += self.moves[a_p]
+        p_r = self.power(self.steer)
+        return p_r, reward_from_power(p_r, self.cfg.clip_offset, self.cfg.clip_scale)
+
 
 class BeamTrackingEnv(EnvBatch):
     """One episode of the two-agent beam-tracking process: the EnvBatch of
@@ -260,9 +273,6 @@ class BeamTrackingEnv(EnvBatch):
             raise EpisodeFinishedError(
                 f"episode horizon of {self.cfg.horizon} steps already reached"
             )
-        self.advance(a_a)
-        self.steer += self.moves[a_p]
-        p_r = self.received_power_now()
-        r_p = reward_from_power(p_r, self.cfg.clip_offset, self.cfg.clip_scale)
+        p_r, r_p = self.transition(a_p, a_a)
         self.steps_taken += 1
-        return self.observe(), r_p, -r_p, p_r
+        return self.observe(), r_p, -r_p, float(p_r)

@@ -5,17 +5,19 @@ tick, every transition is stored, and the networks, the rows of one
 deepq.QBlock, act through one stacked forward and take one stacked gradient
 step per environment step; targets re-sync every few episodes, and probes
 score the greedy tracker with the adversary off and the greedy adversary
-against a frozen proxy tracker that was pre-trained without an adversary.
+against a frozen proxy tracker trained without an adversary. `train` steps
+S runs in lockstep, a rarl run and the proxy it trains for itself among
+them: one env.EnvBatch of S environments and one QBlock of all their agents.
 
 Every evaluation is one call of `rollout`, which steps an env.EnvBatch of B
-environments, each with its own policy and adversary (or none): both probes
-of a `rarl` episode with B = 2 (the other variants' one probe and
-`run_policy` with B = 1), a whole sweep with one call. `pretrain_proxy` runs
-no probes, since it keeps only the proxy checkpoint.
+environments, each with its own policy and adversary (or none): every probe
+of a training episode with one call, `run_policy` with B = 1, a whole sweep
+with one call.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import time
@@ -44,7 +46,7 @@ class TrainConfig:
     test_steps: int = 1000
     variant: str = "rarl"
     seed: int = 0
-    proxy_checkpoint: object = None  # path or AgentCheckpoint; required for variant="rarl"
+    proxy_checkpoint: object = None  # path or AgentCheckpoint; a "rarl" run without one trains its own
     batch_size: int = 32
     replay_capacity: int = 5000  # recency-weighted experience; 100k reproduces the slow full-scale recipe
     learning_rate: float = 1e-3
@@ -93,6 +95,7 @@ class TrainResult:
     protagonist: AgentCheckpoint
     adversary: AgentCheckpoint | None
     records: list
+    proxy: AgentCheckpoint | None = None  # the proxy a rarl run trained itself, when it was given none
 
 
 class PolicyKind(Enum):
@@ -152,18 +155,19 @@ def config_fingerprint(cfg: TrainConfig) -> str:
     proxy checkpoint enters as the param_digest of its network, so the same
     proxy given as an object or as a path hashes alike."""
 
-    def default(obj):
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-        if isinstance(obj, (np.floating, np.integer)):
-            return obj.item()
-        return str(obj)
-
     fields = asdict(replace(cfg, proxy_checkpoint=None))
     if cfg.proxy_checkpoint is not None:
         fields["proxy_checkpoint"] = param_digest(_resolve_agent(cfg.proxy_checkpoint)[0])
-    blob = json.dumps(fields, sort_keys=True, default=default)
+    blob = json.dumps(fields, sort_keys=True, default=_jsonable)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _jsonable(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    return str(obj)
 
 
 def _resolve_agent(obj):
@@ -230,6 +234,11 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
     for slot, agents in enumerate((trackers, adversaries)):
         for agent in {id(a): a for a in agents if a is not None}.values():
             own, (net, scale) = np.flatnonzero([a is agent for a in agents]), _resolve_agent(agent)
+            if net.n_actions != (N_PROTAGONIST_ACTIONS, N_ADVERSARY_ACTIONS)[slot]:
+                raise ValueError(
+                    f"rollout row {env.order[own[0]]}: its {('tracker', 'adversary')[slot]} has n_actions "
+                    f"{net.n_actions}; trackers need {N_PROTAGONIST_ACTIONS}, adversaries {N_ADVERSARY_ACTIONS}"
+                )
             norm = ObsNormalizer(offset=obs[own], scale=np.asarray(scale)) if scale is not None else None
             shared.setdefault((net.n_inputs, net.hidden, len(own)), []).append((slot, own, net, norm))
     # players that share a trunk shape and a row count act through one stacked forward (heads by count)
@@ -296,117 +305,154 @@ def check_adversary(adv_net, proxy_net, env_cfg: EnvConfig, test_steps: int, see
     return float(avg[0])
 
 
-def train(cfg: TrainConfig, *, _probe: bool = True) -> TrainResult:
-    """Run the full two-agent training loop and return checkpoints + records.
+class _Run:
+    """One run of a `train` call: its config, eight generators, agents (the tracker, then
+    the adversary when it learns) with replay memories and exploration streams, and its
+    proxy (a given checkpoint, or the _Run that trains it); the loop fills in its block
+    rows, losses, probe powers and the adversary probes that wait for a proxy."""
 
-    Variants: "rarl" trains both agents (and requires a proxy checkpoint
-    for the adversary probe), "no_adversary" has the adversary play STAY,
-    which adds no wind, "random_adversary" keeps the wind but picks adversary
-    actions uniformly at random without training a network. The private
-    `_probe=False` skips the per-episode probes (their powers read NaN);
-    their seeds are drawn up front either way, so no other draw moves.
+    def __init__(self, cfg: TrainConfig):
+        self.cfg, self.rows, self.losses, self.waiting = cfg, [], [], []
+        # One master seed fans out to fixed streams so that variants sharing a
+        # seed see identical physics and protagonist exploration draws.
+        init_p, init_a, phys, explore_p, self.explore_a, replay_p, replay_a, evals = (
+            np.random.default_rng(stream) for stream in np.random.SeedSequence(cfg.seed).spawn(8)
+        )
+        self.phys_seeds = phys.integers(0, 2**63, size=cfg.episodes)
+        self.eval_seeds = evals.integers(0, 2**63, size=(cfg.episodes, 2)).tolist()
+        self.powers = [[float("nan")] * 2 for _ in range(cfg.episodes)]
+        agents = [(N_PROTAGONIST_ACTIONS, init_p, replay_p, explore_p)]
+        if cfg.variant == "rarl":
+            agents.append((N_ADVERSARY_ACTIONS, init_a, replay_a, self.explore_a))
+        self.nets = [deepq.init_qnetwork(n, rng, hidden=cfg.hidden, head_scale=cfg.head_init_scale)
+                     for n, rng, *_ in agents]
+        self.memories = [deepq.ReplayMemory(cfg.replay_capacity, rng) for *_, rng, _ in agents]
+        self.explore = [rng for *_, rng in agents]
+        # read a proxy path once, so that a file replaced mid-run cannot change the probe
+        self.proxy = cfg.proxy_checkpoint
+        if self.proxy is not None and not isinstance(self.proxy, (AgentCheckpoint, deepq.QNetwork)):
+            self.proxy = load_checkpoint(self.proxy)
+        elif self.proxy is None and cfg.variant == "rarl":
+            self.proxy = _Run(replace(cfg, variant="no_adversary"))
+
+
+def train(cfgs):
+    """Run the two-agent training loop of one config, or of a list of S configs
+    in lockstep; returns its TrainResult, or a list of them.
+
+    Variants: "rarl" trains both agents, "no_adversary" has the adversary play
+    STAY, which adds no wind, "random_adversary" keeps the wind but picks
+    adversary actions uniformly at random without training a network. A
+    "rarl" run probes its adversary against a frozen proxy tracker: the given
+    proxy_checkpoint, else one it trains itself, the "no_adversary" run of its
+    config, which runs without probes and comes back as TrainResult.proxy.
+
+    The runs of one call step together: per episode one EnvBatch of their
+    environments, per tick one stacked act over each learner's own state and
+    one QBlock.train of every learner, and after each episode one rollout of
+    every probe. Each run keeps its own generators, replay memories and
+    exploration draws, so each result has the bits of its config trained
+    alone. Their configs may differ only in seed, variant and
+    proxy_checkpoint (the block shares one learning rate and step count).
+    The adversary probes of a run that trains its own proxy wait for the
+    final proxy: all of them run in the last episode's rollout.
     """
-    trains_adversary = cfg.variant == "rarl"
-    if trains_adversary and cfg.proxy_checkpoint is None:
-        raise ValueError('variant "rarl" requires proxy_checkpoint for the adversary probe')
+    single = isinstance(cfgs, TrainConfig)
+    cfgs = [cfgs] if single else list(cfgs)
+    if not cfgs:
+        raise ValueError("train needs at least one config")
+    shared = [{k: json.dumps(v, default=_jsonable) for k, v in asdict(replace(c, proxy_checkpoint=None)).items()}
+              for c in cfgs]
+    for i, settings in enumerate(shared):
+        if differ := [k for k, v in settings.items() if k not in ("seed", "variant") and v != shared[0][k]]:
+            raise ValueError("the configs of one train call may differ only in seed, variant and proxy_checkpoint;"
+                             f" config {i} differs from config 0 in {', '.join(differ)}")
+    cfg = cfgs[0]
     norm = make_normalizer(cfg.env) if cfg.standardize_obs else None
+    probe_manifest = {"obs_norm": norm.manifest_entry() if norm else None}
 
-    # One master seed fans out to fixed streams so that variants sharing a
-    # seed see identical physics and protagonist exploration draws.
-    rng_init_p, rng_init_a, rng_phys, rng_eps_p, rng_eps_a, rng_replay_p, rng_replay_a, rng_eval = (
-        np.random.default_rng(stream) for stream in np.random.SeedSequence(cfg.seed).spawn(8)
-    )
+    results = [_Run(c) for c in cfgs]
+    runs = results + [run.proxy for run in results if isinstance(run.proxy, _Run)]
+    # block rows: every run's tracker, then every learning adversary
+    agents = [(i, 0) for i in range(len(runs))] + [(i, 1) for i, run in enumerate(runs) if len(run.nets) == 2]
+    for k, (i, _) in enumerate(agents):
+        runs[i].rows.append(k)
+    block = deepq.QBlock([runs[i].nets[slot] for i, slot in agents], cfg.learning_rate)
+    memories = [runs[i].memories[slot] for i, slot in agents]
+    explore = [runs[i].explore[slot] for i, slot in agents]
+    envs = np.array([i for i, _ in agents])  # the environment of each row
+    randoms = [i for i, run in enumerate(runs) if run.cfg.variant == "random_adversary"]
+    a_a = np.zeros(len(runs), dtype=np.int64)  # STAY for the runs without an adversary
 
-    phys_seeds = rng_phys.integers(0, 2**63, size=cfg.episodes)
-    eval_seeds = rng_eval.integers(0, 2**63, size=(cfg.episodes, 2))
-
-    # the tracker first, then the adversary when it learns: one row of the parameter block each
-    agents = [(N_PROTAGONIST_ACTIONS, rng_init_p, rng_replay_p, rng_eps_p)]
-    if trains_adversary:
-        agents.append((N_ADVERSARY_ACTIONS, rng_init_a, rng_replay_a, rng_eps_a))
-    nets = [deepq.init_qnetwork(n, rng, hidden=cfg.hidden, head_scale=cfg.head_init_scale)
-            for n, rng, *_ in agents]
-    block = deepq.QBlock(nets, cfg.learning_rate)
-    memories = [deepq.ReplayMemory(cfg.replay_capacity, rng) for *_, rng, _ in agents]
-    explore = [rng for *_, rng in agents]
-
-    # read a proxy path once, so that a file replaced mid-run cannot change the probe
-    proxy = cfg.proxy_checkpoint
-    if proxy is not None and not isinstance(proxy, (AgentCheckpoint, deepq.QNetwork)):
-        proxy = load_checkpoint(proxy)
-    fingerprint = config_fingerprint(replace(cfg, proxy_checkpoint=proxy))
-
-    records = []
-    for ep in range(1, cfg.episodes + 1):
+    clocks, synced, last = [], [], cfg.episodes - 1
+    for ep in range(cfg.episodes):
         t0 = time.perf_counter()
-        e = BeamTrackingEnv(cfg.env, seed=phys_seeds[ep - 1])
-        state = _apply_norm(norm, e.observe())
-        losses = [[], []]  # per agent; the adversary's stays empty unless it learns
-
+        env = EnvBatch.of(cfg.env, [cfg.env.phys] * len(runs), [run.phys_seeds[ep] for run in runs])
+        states = _apply_norm(norm, env.observe())
+        losses = [[] for _ in agents]
         for _ in range(cfg.env.horizon):
-            actions = block.act(state, cfg.epsilon, explore)
-            if cfg.variant == "random_adversary":
-                actions.append(random_adversary_action(rng_eps_a))
-            elif cfg.variant == "no_adversary":
-                actions.append(int(AdversaryAction.STAY))
-
-            obs, r_p, r_a, _ = e.step(ProtagonistAction(actions[0]), AdversaryAction(actions[1]))
-            next_state = _apply_norm(norm, obs)
-            for memory, action, reward in zip(memories, actions, (r_p, r_a)):
-                memory.push(state, action, reward, next_state)
+            actions = block.act(states[envs], cfg.epsilon, explore)
+            a_a[envs[len(runs) :]] = actions[len(runs) :]
+            for i in randoms:
+                a_a[i] = random_adversary_action(runs[i].explore_a)
+            _, r_p = env.transition(actions[: len(runs)], a_a)
+            next_states = _apply_norm(norm, env.observe())
+            for memory, action, (i, slot) in zip(memories, actions, agents):
+                memory.push(states[i], action, -r_p[i] if slot else r_p[i], next_states[i])
             if len(memories[0]) >= cfg.batch_size:  # every memory holds as many transitions
                 batches = [memory.sample(cfg.batch_size) for memory in memories]
-                for agent_losses, loss in zip(losses, block.train(batches, cfg.gamma)):
-                    agent_losses.append(float(loss))
-            state = next_state
+                for row_losses, loss in zip(losses, block.train(batches, cfg.gamma)):
+                    row_losses.append(float(loss))
+            states = next_states
 
-        synced = ep % cfg.target_period == 0
-        if synced:
+        synced.append((ep + 1) % cfg.target_period == 0)
+        if synced[-1]:
             block.sync_target()
+        for run in runs:  # the adversary's loss is NaN unless it learns
+            means = [float(np.mean(losses[k])) if losses[k] else float("nan") for k in run.rows]
+            run.losses.append(means + [float("nan")] * (2 - len(means)))
 
-        p4_seed, p5_seed = int(eval_seeds[ep - 1, 0]), int(eval_seeds[ep - 1, 1])
-        p4 = p5 = float("nan")
-        if _probe:  # one rollout: the tracker, wind off; for rarl also the proxy against the adversary
-            probe_manifest = {"obs_norm": norm.manifest_entry() if norm else None}
-            probes = [AgentCheckpoint(net, manifest=probe_manifest) for net in block.nets]
-            rows = [(probes[0], None, p4_seed), (proxy, probes[-1], p5_seed)][: len(probes)]
-            trackers, adversaries, seeds = zip(*rows)
-            policies = [Policy(PolicyKind.GREEDY_DQN, tracker) for tracker in trackers]
-            physes = [cfg.env.phys] * len(rows)
-            avg, _ = rollout(policies, cfg.env, physes, seeds, cfg.test_steps, adversary=adversaries)
-            p4 = float(avg[0])
-            if trains_adversary:
-                p5 = float(avg[1])
-        loss_p, loss_a = (float(np.mean(x)) if x else float("nan") for x in losses)
-        records.append(
-            EpisodeRecord(
-                episode=ep,
-                protagonist_avg_power=p4,
-                adversary_check_avg_power=p5,
-                loss_p=loss_p,
-                loss_a=loss_a,
-                wall_clock=time.perf_counter() - t0,
-                p4_seed=p4_seed,
-                p5_seed=p5_seed,
-                target_synced=synced,
-            )
-        )
+        # one rollout: each tracker, wind off; each rarl adversary, as a copy, against its proxy once that is
+        # final. Every row has its own agent object, so that each acts through a forward of one row.
+        rows = []  # (tracker, adversary, seed, run, episode, probe)
+        for run in results:
+            probes = [AgentCheckpoint(block.nets[k], manifest=probe_manifest) for k in run.rows]
+            rows.append((probes[0], None, run.eval_seeds[ep][0], run, ep, 0))
+            if len(probes) == 2:  # the adversary learns
+                snapshot = AgentCheckpoint(probes[1].net.copy(), manifest=probe_manifest)
+                run.waiting.append((snapshot, run.eval_seeds[ep][1], ep))
+            proxy = run.proxy
+            if isinstance(proxy, _Run):  # final after the last episode
+                proxy = AgentCheckpoint(block.nets[proxy.rows[0]], manifest=probe_manifest) if ep == last else None
+            if proxy is not None:
+                rows += [(copy.copy(proxy), adversary, seed, run, e, 1) for adversary, seed, e in run.waiting]
+                run.waiting = []
+        trackers, adversaries, seeds, *_ = zip(*rows)
+        policies = [Policy(PolicyKind.GREEDY_DQN, tracker) for tracker in trackers]
+        avg, _ = rollout(policies, cfg.env, [cfg.env.phys] * len(rows), seeds, cfg.test_steps, adversary=adversaries)
+        for (*_, run, e, probe), power in zip(rows, avg):
+            run.powers[e][probe] = float(power)
+        clocks.append(time.perf_counter() - t0)
 
-    manifest = {
-        "variant": cfg.variant,
-        "seed": cfg.seed,
-        "episodes": cfg.episodes,
-        "config_hash": fingerprint,
-        "obs_norm": norm.manifest_entry() if norm else None,
-    }
-    ckpts = [
-        AgentCheckpoint(net, adam, {"agent": name, "n_actions": net.n_actions, **manifest})
-        for name, net, adam in zip(("protagonist", "adversary"), block.nets, block.adams)
-    ]
-    return TrainResult(ckpts[0], ckpts[1] if trains_adversary else None, records)
+    def result(run, own_proxy=None):
+        """The TrainResult of `run`, which trained `own_proxy` (a checkpoint) if it trained one."""
+        manifest = {
+            "variant": run.cfg.variant,
+            "seed": run.cfg.seed,
+            "episodes": cfg.episodes,
+            "config_hash": config_fingerprint(replace(run.cfg, proxy_checkpoint=own_proxy or run.proxy)),
+            "obs_norm": probe_manifest["obs_norm"],
+        }
+        nets, adams = [block.nets[k] for k in run.rows], [block.adams[k] for k in run.rows]
+        ckpts = [
+            AgentCheckpoint(net, adam, {"agent": name, "n_actions": net.n_actions, **manifest})
+            for name, net, adam in zip(("protagonist", "adversary"), nets, adams)
+        ]
+        records = [
+            EpisodeRecord(ep + 1, *run.powers[ep], *run.losses[ep], clocks[ep], *run.eval_seeds[ep], synced[ep])
+            for ep in range(cfg.episodes)
+        ]
+        return TrainResult(ckpts[0], ckpts[1] if len(ckpts) == 2 else None, records, own_proxy)
 
-
-def pretrain_proxy(cfg: TrainConfig) -> AgentCheckpoint:
-    """Train the proxy tracker (no adversary) used by the adversary probe."""
-    result = train(replace(cfg, variant="no_adversary", proxy_checkpoint=None), _probe=False)
-    return result.protagonist
+    out = [result(run, result(run.proxy).protagonist if isinstance(run.proxy, _Run) else None) for run in results]
+    return out[0] if single else out

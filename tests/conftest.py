@@ -16,8 +16,8 @@ from wirebeam.rarl import (
 )
 
 # Training runs shared by the slow tests: five seeds, 50 episodes each,
-# reference parameters otherwise. The no-adversary arm of each seed doubles
-# as the proxy tracker for the adversarial arm of the same seed.
+# reference parameters otherwise. The no-adversary arm of each seed is the
+# proxy tracker that the adversarial arm of the same seed trains for itself.
 STOCK_SEEDS = (11, 12, 13, 14, 15)
 STOCK_EPISODES = 50
 
@@ -46,15 +46,12 @@ def frozen_env_cfg():
 
 @pytest.fixture(scope="session")
 def training_stock():
-    """Train both variants for every stock seed (shared by criteria 7/8)."""
-    base = train_config_from_text("")
-    stock = {}
-    for seed in STOCK_SEEDS:
-        cfg = replace(base, episodes=STOCK_EPISODES, seed=seed, variant="no_adversary")
-        no_adv = wb.train(cfg)
-        rarl_cfg = replace(cfg, variant="rarl", proxy_checkpoint=no_adv.protagonist)
-        stock[seed] = {"no_adversary": no_adv, "rarl": wb.train(rarl_cfg)}
-    return stock
+    """Every stock seed's self-proxied rarl run, all trained in one lockstep call
+    (shared by criteria 7/8): {seed: {"rarl": TrainResult, "no_adversary": the
+    proxy tracker checkpoint, the no_adversary run's protagonist}}."""
+    base = replace(train_config_from_text(""), episodes=STOCK_EPISODES, variant="rarl")
+    results = wb.train([replace(base, seed=seed) for seed in STOCK_SEEDS])
+    return {seed: {"no_adversary": r.proxy, "rarl": r} for seed, r in zip(STOCK_SEEDS, results)}
 
 
 def tensile_acceleration(state, i, params):

@@ -234,7 +234,7 @@ def test_criterion_8_zero_shot_robustness(training_stock):
             check_protagonist(stock["rarl"].protagonist, eval_cfg, 1000, ROBUSTNESS_EVAL_SEED)
         )
         no_adv_scores.append(
-            check_protagonist(stock["no_adversary"].protagonist, eval_cfg, 1000, ROBUSTNESS_EVAL_SEED)
+            check_protagonist(stock["no_adversary"], eval_cfg, 1000, ROBUSTNESS_EVAL_SEED)
         )
     med_rarl = float(np.median(rarl_scores))
     med_no_adv = float(np.median(no_adv_scores))
@@ -265,7 +265,8 @@ def test_criterion_8_on_a_wire_resting_above_ground(training_stock):
     eval_seeds = list(range(ROBUSTNESS_EVAL_SEED, ROBUSTNESS_EVAL_SEED + 10))
 
     variants = ("rarl", "no_adversary")
-    trackers = [training_stock[seed][v].protagonist for v in variants for seed in STOCK_SEEDS]
+    trackers = [training_stock[seed]["rarl"].protagonist for seed in STOCK_SEEDS]
+    trackers += [training_stock[seed]["no_adversary"] for seed in STOCK_SEEDS]
     policies = [Policy(PolicyKind.GREEDY_DQN, net) for net in trackers for _ in eval_seeds]
     avg, _ = rollout(policies, eval_cfg, [wire] * len(policies), eval_seeds * len(trackers), 1000)
     means = avg.reshape(len(variants), len(STOCK_SEEDS), len(eval_seeds)).mean(axis=2)  # per stock seed

@@ -405,6 +405,39 @@ class TestEvalCommand:
         assert not out.exists()
 
 
+class TestActionCount:
+    """A checkpoint with the wrong action count is no tracker: eval and simulate
+    reject it before writing, a sweep fails only its cells."""
+
+    @staticmethod
+    def adversary_path(tmp_path):
+        path = tmp_path / "adversary.ckpt"
+        net = init_qnetwork(7, np.random.default_rng(5), head_scale=1.0)
+        manifest = {"obs_norm": make_normalizer(EnvConfig()).manifest_entry()}
+        save_checkpoint(path, AgentCheckpoint(net=net, manifest=manifest))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["eval", "simulate"])
+    def test_adversary_checkpoint_rejected(self, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        argv = [command, "--config", write_cfg(tmp_path), "--checkpoint", self.adversary_path(tmp_path)]
+        assert main(argv + ["--steps", "20", "--out", str(out)]) == 1
+        assert "has 7 actions; a tracker needs 5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_adversary_checkpoint_fails_its_sweep_cells(self, tmp_path):
+        spec = tmp_path / "sweep.spec"
+        adversary = self.adversary_path(tmp_path)
+        spec.write_text(f"mass_grid_kg: 10,5\nspring_grid_n_per_m: 100\npolicies: stay,{adversary}\n")
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", write_cfg(tmp_path), "--spec", str(spec), "--out", str(out)]) == 3
+        failed = json.loads((out / "manifest.json").read_text())["failed_cells"]
+        assert [(c["mass_kg"], c["policy"]) for c in failed] == [(10.0, adversary), (5.0, adversary)]
+        assert all("n_actions 7" in c["error"] for c in failed)
+        _, rows = read_rows(out / "heatmap.csv")
+        assert [r[3] != "nan" for r in rows] == [True, False, True, False]
+
+
 class TestManifest:
     COMMON = {"command", "code_version", "config", "seeds", "started_utc", "finished_utc", "outputs"}
 
@@ -446,6 +479,23 @@ class TestEnvVarOverrides:
         assert main(["simulate", "--policy", "stay"]) == 0
         _, rows = read_rows(out / "trajectory.csv")
         assert len(rows) == 25
+
+    @pytest.mark.parametrize("name", ["STEPS", "SEED"])
+    def test_malformed_int_env_var_fails_only_its_commands(self, tmp_path, monkeypatch, capsys, name):
+        monkeypatch.setenv(f"WIREBEAM_{name}", "abc")
+        out = tmp_path / "ant"
+        argv = ["antenna-pattern", "--az-start", "-1", "--az-stop", "1", "--out", str(out)]
+        if name == "STEPS":  # antenna-pattern takes no --steps
+            assert main(argv) == 0
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2 and "invalid int value: 'abc'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--policy", "stay", "--out", str(tmp_path / "sim")])
+        assert exc.value.code == 2
+        assert f"argument --{name.lower()}: invalid int value: 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
 
     def test_flag_beats_env_var(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path)

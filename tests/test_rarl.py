@@ -17,7 +17,6 @@ from wirebeam.rarl import (
     check_adversary,
     check_protagonist,
     config_fingerprint,
-    pretrain_proxy,
     random_adversary_action,
     rollout,
     run_policy,
@@ -46,9 +45,30 @@ def zero_bias_net(n_actions, favored=None):
 
 
 class TestTrainValidation:
-    def test_rarl_requires_proxy(self):
-        with pytest.raises(ValueError, match="proxy"):
-            train(tiny_cfg(variant="rarl"))
+    def test_rarl_without_proxy_trains_its_own(self):
+        result = train(tiny_cfg(variant="rarl"))
+        proxy = train(tiny_cfg()).protagonist  # the no_adversary run of the same config
+        assert result.proxy.net.flat.tobytes() == proxy.net.flat.tobytes()
+        assert result.proxy.adam.second_moment.tobytes() == proxy.adam.second_moment.tobytes()
+        assert result.proxy.manifest == proxy.manifest
+        assert all(np.isfinite(r.adversary_check_avg_power) for r in result.records)
+        assert train(tiny_cfg(variant="rarl", proxy_checkpoint=proxy)).proxy is None
+        assert train(tiny_cfg()).proxy is None
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"episodes": 3}, "episodes"),
+            ({"env": wb.EnvConfig(horizon=81)}, "env"),
+            ({"learning_rate": 2e-3}, "learning_rate"),
+        ],
+    )
+    def test_lockstep_configs_differ_only_in_run_settings(self, change, field):
+        base = tiny_cfg()
+        with pytest.raises(ValueError, match=f"config 1 differs from config 0 in {field}$"):
+            train([base, replace(base, seed=3, **change)])
+        with pytest.raises(ValueError, match="at least one config"):
+            train([])
 
     def test_config_invariants(self):
         with pytest.raises(ValueError):
@@ -193,6 +213,56 @@ class TestTrainMatchesReference:
             assert got.adam.second_moment.tobytes() == want.adam.second_moment.tobytes()
             assert got.adam.step_count == want.adam.step_count == 6 * 50 - (cfg.batch_size - 1)
             assert got.manifest == want.manifest
+
+
+def assert_same_run(got, want):
+    """Records (wall clock aside), weights, Adam moments and manifests of two
+    TrainResults (and of their self-trained proxies) agree byte for byte."""
+    assert [repr(replace(r, wall_clock=0.0)) for r in got.records] == [
+        repr(replace(r, wall_clock=0.0)) for r in want.records
+    ]
+    pairs = [(got.protagonist, want.protagonist), (got.adversary, want.adversary), (got.proxy, want.proxy)]
+    for a, b in pairs:
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.net.flat.tobytes() == b.net.flat.tobytes()
+            assert a.adam.first_moment.tobytes() == b.adam.first_moment.tobytes()
+            assert a.adam.second_moment.tobytes() == b.adam.second_moment.tobytes()
+            assert a.adam.step_count == b.adam.step_count
+            assert a.manifest == b.manifest
+
+
+class TestLockstep:
+    """One train call of S runs: every row must equal its run trained alone."""
+
+    def test_mixed_population_equals_single_runs_and_reference(self):
+        proxy = train(tiny_cfg(episodes=1, horizon=40, test_steps=10, seed=2)).protagonist
+        # six episodes with the default target period of 5: a target sync falls inside the run
+        base = tiny_cfg(episodes=6, horizon=50, test_steps=15)
+        cfgs = [
+            replace(base, seed=5, variant="no_adversary"),
+            replace(base, seed=6, variant="random_adversary"),
+            replace(base, seed=7, variant="rarl", proxy_checkpoint=proxy),
+            replace(base, seed=8, variant="rarl"),
+            replace(base, seed=9, variant="no_adversary", proxy_checkpoint=proxy),  # keyed by it, never probed
+        ]
+        results = train(cfgs)
+        assert [r.records[4].target_synced for r in results] == [True] * 5
+        for cfg, result in zip(cfgs, results):
+            assert_same_run(result, train(cfg))
+            if result.proxy is None:
+                assert_same_run(result, reference_train(cfg))
+        # the self-proxied run equals the reference pair: its proxy first, then the rarl run on it
+        own = reference_train(replace(cfgs[3], variant="no_adversary"))
+        reference = reference_train(replace(cfgs[3], proxy_checkpoint=own.protagonist))
+        assert_same_run(results[3], replace(reference, proxy=own.protagonist))
+        assert all(np.isfinite(r.adversary_check_avg_power) for r in results[3].records)
+
+    def test_one_seed_twice_gives_twin_rows(self):
+        cfg = tiny_cfg(variant="rarl", episodes=2, horizon=40, test_steps=10)
+        a, b = train([cfg, cfg])
+        assert_same_run(a, b)
+        assert a.protagonist.net.flat is not b.protagonist.net.flat
 
 
 class TestChecks:
@@ -366,6 +436,17 @@ class TestRollout:
         for phys, seed, batch_rows in zip(MIXED_PHYSES, [1, 2, 3], rows):
             assert run_policy(policy, replace(cfg, phys=phys), 30, seed)[1] == batch_rows
 
+    def test_wrong_action_count_names_the_row(self):
+        tracker, adversary = greedy_ckpt(5, 1), greedy_ckpt(7, 2)
+        stay, cfg = Policy(PolicyKind.STAY), wb.EnvConfig()
+        as_tracker = [stay, Policy(PolicyKind.GREEDY_DQN, adversary)]
+        message = "^rollout row 1: its tracker has n_actions 7; trackers need 5, adversaries 7$"
+        with pytest.raises(ValueError, match=message):
+            rollout(as_tracker, cfg, [cfg.phys] * 2, [1, 2], 5)
+        with pytest.raises(ValueError, match="^rollout row 0: its adversary has n_actions 5;"):
+            rollout([stay] * 2, cfg, [cfg.phys] * 2, [1, 2], 5, adversary=[tracker, None])
+        assert np.isfinite(rollout([stay] * 2, cfg, [cfg.phys] * 2, [1, 2], 5, adversary=[None, adversary])[0]).all()
+
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError, match="one PhysParams per seed"):
             rollout([Policy(PolicyKind.STAY)] * 3, wb.EnvConfig(), MIXED_PHYSES, [1], 10)
@@ -386,8 +467,8 @@ class TestRandomAdversary:
 
 
 class TestProxy:
-    def test_pretrain_proxy_round_trip(self, tmp_path):
-        proxy = pretrain_proxy(tiny_cfg(variant="rarl", episodes=1, test_steps=10))
+    def test_self_trained_proxy_round_trip(self, tmp_path):
+        proxy = train(tiny_cfg(variant="rarl", episodes=1, test_steps=10)).proxy
         assert proxy.manifest["variant"] == "no_adversary"
         path = tmp_path / "proxy.ckpt"
         wb.save_checkpoint(path, proxy)
@@ -415,29 +496,46 @@ class TestProbes:
         p5 = check_adversary(result.adversary, proxy, cfg.env, cfg.test_steps, record.p5_seed)
         assert (record.protagonist_avg_power, record.adversary_check_avg_power) == (p4, p5)
 
-    def test_pretrain_proxy_makes_no_rollout(self, monkeypatch):
-        cfg = tiny_cfg(variant="rarl")
-        reference = train(replace(cfg, variant="no_adversary")).protagonist
-        calls = count_rollouts(monkeypatch)
-        proxy = pretrain_proxy(cfg)
-        assert calls == []
-        assert proxy.net.flat.tobytes() == reference.net.flat.tobytes()
-        assert proxy.manifest == reference.manifest
+    def test_self_proxied_probes_equal_standalone_checks(self):
+        cfg = tiny_cfg(variant="rarl", episodes=1)
+        result = train(cfg)  # after one episode, the final nets are the probe nets
+        (record,) = result.records
+        p4 = check_protagonist(result.protagonist, cfg.env, cfg.test_steps, record.p4_seed)
+        p5 = check_adversary(result.adversary, result.proxy, cfg.env, cfg.test_steps, record.p5_seed)
+        assert (record.protagonist_avg_power, record.adversary_check_avg_power) == (p4, p5)
 
     def test_rarl_train_makes_one_rollout_per_episode(self, monkeypatch):
         proxy = train(tiny_cfg(episodes=1, test_steps=10)).protagonist
+        cfg = tiny_cfg(variant="rarl", episodes=3, horizon=20, test_steps=10)
         calls = count_rollouts(monkeypatch)
-        train(tiny_cfg(variant="rarl", episodes=3, horizon=20, test_steps=10, proxy_checkpoint=proxy))
+        train(replace(cfg, proxy_checkpoint=proxy))
         assert calls == [2, 2, 2]
+        # a self-proxied run: its proxy is probed by no row, and the last rollout holds every adversary probe
+        calls.clear()
+        train(cfg)
+        assert calls == [1, 1, 1 + 3]
+        calls.clear()
+        train([cfg, replace(cfg, seed=4, variant="no_adversary"), replace(cfg, seed=5, proxy_checkpoint=proxy)])
+        assert calls == [4, 4, 4 + 3]  # 1 + 1 + 2 rows per episode, and the deferred 3
 
 
 @pytest.mark.slow
 class TestTrainingEffects:
     def test_proxy_learning_trend(self, training_stock):
-        # 5-episode moving average of the tracker probe: end >= start
-        records = training_stock[11]["no_adversary"].records
-        powers = [r.protagonist_avg_power for r in records]
-        assert np.mean(powers[-5:]) >= np.mean(powers[:5])
+        # the proxy runs without probes, so its trend is its end against its start: on the last five
+        # tracker-probe seeds, the final proxy gets at least the power of its untrained net (heads at
+        # indifference, so greedy is the no-op), which shares its input normalizer
+        proxy, records = training_stock[11]["no_adversary"], training_stock[11]["rarl"].records
+        start = wb.AgentCheckpoint(
+            net=init_qnetwork(5, np.random.default_rng(0), head_scale=TrainConfig().head_init_scale),
+            manifest={"obs_norm": proxy.manifest["obs_norm"]},
+        )
+        seeds = [r.p4_seed for r in records[-5:]]
+        policies = [Policy(PolicyKind.GREEDY_DQN, agent) for agent in (proxy, start) for _ in seeds]
+        cfg = wb.EnvConfig()
+        avg, _ = rollout(policies, cfg, [cfg.phys] * len(policies), seeds * 2, 1000)
+        end, begin = avg.reshape(2, -1).mean(axis=1)
+        assert end >= begin
 
     def test_trained_adversary_beats_untrained(self, training_stock):
         # median over the stock seeds: a trained adversary extracts less
@@ -445,7 +543,7 @@ class TestTrainingEffects:
         # one gets the same input normalizer so only the weights differ)
         trained, untrained = [], []
         for i, (seed, stock) in enumerate(sorted(training_stock.items())):
-            proxy = stock["no_adversary"].protagonist
+            proxy = stock["no_adversary"]
             adv = stock["rarl"].adversary
             fresh = wb.AgentCheckpoint(
                 net=init_qnetwork(7, np.random.default_rng(1000 + i)),
