@@ -31,13 +31,10 @@ from .deepq import (
 )
 from .env import (
     AdversaryAction,
-    BeamState,
     BeamTrackingEnv,
     EnvConfig,
     EpisodeFinishedError,
     ProtagonistAction,
-    adversary_wind,
-    apply_protagonist_action,
     reward_from_power,
 )
 from .radio import (

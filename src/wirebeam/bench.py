@@ -157,6 +157,8 @@ def cmd_train(args, cfg, out):
 def cmd_policy(args, cfg, out):
     """eval and simulate: roll one policy, a baseline or a checkpoint, and
     write one CSV, its average (eval) or its trajectory (simulate)."""
+    if args.checkpoint and args.policy:  # one run rolls one policy
+        raise _Rejected(f"{args.command}: --checkpoint (or WIREBEAM_CHECKPOINT) and --policy exclude each other")
     token = args.checkpoint or args.policy or ("stay" if args.command == "simulate" else None)
     if not token:
         raise _Rejected("eval: need --checkpoint or --policy")

@@ -67,6 +67,8 @@ def _wind_cov_scale(cfg) -> float:
 
 
 def _set_wind_cov_scale(cfg, value):
+    if not math.isfinite(value):  # an infinite scale times the identity's zeros is NaN
+        raise ConfigError(f"wind_cov_scale must be finite, got {value!r}")
     cfg.env.phys.wind_cov = value * np.eye(3)
 
 

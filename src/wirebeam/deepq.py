@@ -305,13 +305,9 @@ def loss_and_gradients(net: QNetwork, target_net: QNetwork, batch, gamma: float)
 def train_batch(net: QNetwork, target_net: QNetwork, batch, gamma: float, adam: AdamState) -> float:
     """One Adam step on the mean Huber TD loss; returns that loss."""
     loss, grad = loss_and_gradients(net, target_net, batch, gamma)
-    _adam_update(net, grad, adam)
-    return loss
-
-
-def _adam_update(net: QNetwork, grad: np.ndarray, adam: AdamState):
     adam.step_count += 1
     _adam_step(net.flat, grad, adam.first_moment, adam.second_moment, adam)
+    return loss
 
 
 def _adam_step(flat, grad, m, v, adam: AdamState, out=None):

@@ -54,35 +54,12 @@ ANGLE_STEPS = np.array([(0.0, 0.0), (-1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, -
 WIND_DIRS = np.array([(0, 0, 0), (0, 0, 1), (0, 0, -1), (-1, 0, 0), (1, 0, 0), (0, 1, 0), (0, -1, 0)], dtype=np.float64)
 
 
-@dataclass
-class BeamState:
-    """Steering angles of the transmit beam, degrees."""
-
-    steer_zenith: float = 90.0
-    steer_azimuth: float = 0.0
-
-    def direction(self) -> np.ndarray:
-        """Unit vector of the beam: beam_direction of one beam."""
-        return beam_direction(self.steer_zenith, self.steer_azimuth)
-
-
 def beam_direction(steer_zenith_deg, steer_azimuth_deg) -> np.ndarray:
     """Unit vectors [sin(t)cos(p), sin(t)sin(p), cos(t)] of beams steered at
     (zenith t, azimuth p) degrees: (3,) for one beam, (B, 3) for (B,) arrays."""
     t, p = np.radians(steer_zenith_deg), np.radians(steer_azimuth_deg)
     sin_t = np.sin(t)
     return np.array([sin_t * np.cos(p), sin_t * np.sin(p), np.cos(t)]).T
-
-
-def apply_protagonist_action(beam: BeamState, action: ProtagonistAction, beta_deg: float) -> BeamState:
-    """New beam after moving zenith/azimuth by beta per the action table."""
-    a_theta, a_phi = ANGLE_STEPS[ProtagonistAction(action)].tolist()
-    return BeamState(beam.steer_zenith + a_theta * beta_deg, beam.steer_azimuth + a_phi * beta_deg)
-
-
-def adversary_wind(action: AdversaryAction, speed: float) -> np.ndarray:
-    """Additional wind vector appended by the adversary (zero for STAY)."""
-    return WIND_DIRS[AdversaryAction(action)] * speed
 
 
 def reward_from_power(p_r_dbm, clip_offset: float, clip_scale: float):
@@ -149,7 +126,8 @@ class EnvBatch:
 
     `groups` holds one (rows, wire.Integrator, generators) triple per
     substep count: rows index the leading shape (None for one environment,
-    which the integrator sees as a batch of one), one generator per row.
+    which the integrator sees as a batch of one; a slice or an index array
+    for a batch), one generator per row.
     """
 
     def __init__(self, cfg: EnvConfig, rest: np.ndarray, groups: list):
@@ -163,20 +141,18 @@ class EnvBatch:
 
     @classmethod
     def of(cls, cfg: EnvConfig, physes, seeds) -> "EnvBatch":
-        """B = len(seeds) environments, b with the physics physes[b] (one n_points
-        for all) and the noise of default_rng(seeds[b]); rows are sorted by
-        substep count, so each group is a slice: row j holds environment order[j]."""
-        substeps = [wire.effective_substeps(p, cfg.tau, cfg.substeps) for p in physes]
-        order = sorted(range(len(seeds)), key=substeps.__getitem__)
+        """B = len(seeds) environments in the order given, b with the physics
+        physes[b] (one n_points for all) and the noise of default_rng(seeds[b]);
+        one group per substep count, whose rows are slice(None) if it holds
+        every row, else an index array."""
+        substeps = np.array([wire.effective_substeps(p, cfg.tau, cfg.substeps) for p in physes])
         groups = []
-        for n_sub in sorted(set(substeps)):
-            members = [i for i in order if substeps[i] == n_sub]
-            rows = slice(order.index(members[0]), order.index(members[-1]) + 1)
+        for n_sub in np.unique(substeps):
+            members = np.flatnonzero(substeps == n_sub)
+            rows = slice(None) if len(members) == len(physes) else members
             rngs = [np.random.default_rng(seeds[i]) for i in members]
-            groups.append((rows, wire.Integrator([physes[i] for i in members], cfg.tau, n_sub), rngs))
-        batch = cls(cfg, np.array([wire.equilibrium_shape(physes[i]).positions for i in order]), groups)
-        batch.order = order
-        return batch
+            groups.append((rows, wire.Integrator([physes[i] for i in members], cfg.tau, int(n_sub)), rngs))
+        return cls(cfg, np.array([wire.equilibrium_shape(p).positions for p in physes]), groups)
 
     def reset(self) -> np.ndarray:
         """Every wire at rest, time zero, every beam aligned to its gateway."""
@@ -201,7 +177,10 @@ class EnvBatch:
         ambient = wire.env_wind(self.time) if self.cfg.ambient_wind else 0.0
         wind = (ambient + self.gusts[a_a])[..., None, :]  # (..., 1, 3)
         for rows, integrator, rngs in self.groups:
-            integrator.advance(self.pos[rows], self.vel[rows], wind[rows], rngs, self.time)
+            pos, vel = self.pos[rows], self.vel[rows]  # views, or copies for an index array
+            integrator.advance(pos, vel, wind[rows], rngs, self.time)
+            if isinstance(rows, np.ndarray):
+                self.pos[rows], self.vel[rows] = pos, vel
         self.time += self.cfg.tau
 
     def power(self, beams: np.ndarray, rows=()):
@@ -224,7 +203,7 @@ class EnvBatch:
 
 class BeamTrackingEnv(EnvBatch):
     """One episode of the two-agent beam-tracking process: the EnvBatch of
-    leading shape (), whose `wire_state` and `beam` are snapshots.
+    leading shape (), whose `wire_state` is a snapshot.
 
     The wire starts at its static equilibrium and the beam starts exactly
     aligned with the gateway as seen from that resting position. Each
@@ -247,10 +226,6 @@ class BeamTrackingEnv(EnvBatch):
     @property
     def wire_state(self) -> wire.WireState:
         return wire.WireState(self.pos.copy(), self.vel.copy(), self.time)
-
-    @property
-    def beam(self) -> BeamState:
-        return BeamState(*self.steer.tolist())
 
     def received_power_now(self) -> float:
         """Received power at the current position and steering, dBm."""

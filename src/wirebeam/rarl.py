@@ -215,6 +215,8 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if len(seeds) == 0:
+        raise ValueError("a rollout needs at least one row")
     if not len(policies) == len(physes) == len(seeds):
         raise ValueError("need one Policy and one PhysParams per seed")
     if not isinstance(adversary, (list, tuple)):
@@ -223,20 +225,18 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
         raise ValueError("need one adversary (or None) per seed")
     streams = [_eval_streams(seed) for seed in seeds]
     env = EnvBatch.of(env_cfg, physes, [stream[0] for stream in streams])
-    policies = [policies[i] for i in env.order]
-    adversaries = [adversary[i] for i in env.order]
-    act_rngs = [np.random.default_rng(streams[i][1]) for i in env.order]
+    act_rngs = [np.random.default_rng(stream[1]) for stream in streams]
     obs = env.observe()  # the rest observations
 
     # one player per distinct greedy agent (by identity): 0 for a tracker or 1 for an adversary, the
     # rows it plays, its net and its normalizer, anchored on those rows' rest observations
     shared, trackers = {}, [p.checkpoint if p.kind is PolicyKind.GREEDY_DQN else None for p in policies]
-    for slot, agents in enumerate((trackers, adversaries)):
+    for slot, agents in enumerate((trackers, adversary)):
         for agent in {id(a): a for a in agents if a is not None}.values():
             own, (net, scale) = np.flatnonzero([a is agent for a in agents]), _resolve_agent(agent)
             if net.n_actions != (N_PROTAGONIST_ACTIONS, N_ADVERSARY_ACTIONS)[slot]:
                 raise ValueError(
-                    f"rollout row {env.order[own[0]]}: its {('tracker', 'adversary')[slot]} has n_actions "
+                    f"rollout row {own[0]}: its {('tracker', 'adversary')[slot]} has n_actions "
                     f"{net.n_actions}; trackers need {N_PROTAGONIST_ACTIONS}, adversaries {N_ADVERSARY_ACTIONS}"
                 )
             norm = ObsNormalizer(offset=obs[own], scale=np.asarray(scale)) if scale is not None else None
@@ -247,7 +247,7 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
 
     every = np.arange(len(policies))
     kinds = np.array([p.kind for p in policies])
-    observed = np.flatnonzero([a is not None or t is not None for a, t in zip(adversaries, trackers)])  # read by a net
+    observed = np.flatnonzero([a is not None or t is not None for a, t in zip(adversary, trackers)])  # read by a net
     randoms = np.flatnonzero(kinds == PolicyKind.RANDOM_UNIFORM)
     oracle = (kinds == PolicyKind.UPPER_LIMIT)[:, None]
     actions = np.arange(N_PROTAGONIST_ACTIONS)[None, :]
@@ -279,8 +279,7 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
                 names = ProtagonistAction(a_p[b]).name.lower(), AdversaryAction(a_a[b]).name.lower()
                 env_rows.append((k, env.time, p_r[b], r_p, *names, *env.sbs_position[b], *env.steer[b]))
 
-    inverse = np.argsort(env.order)
-    return (total / steps)[inverse], [rows[j] for j in inverse] if trajectory else None
+    return total / steps, rows if trajectory else None
 
 
 def run_policy(policy: Policy, env_cfg: EnvConfig, steps: int, seed):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import wirebeam as wb
 from wirebeam.config import train_config_from_text
-from wirebeam.env import AdversaryAction, BeamTrackingEnv, ProtagonistAction, apply_protagonist_action
+from wirebeam.env import ANGLE_STEPS, AdversaryAction, BeamTrackingEnv, ProtagonistAction
 from wirebeam.rarl import (
     EpisodeRecord,
     Policy,
@@ -92,8 +92,8 @@ def reference_average(policy, env_cfg, seed, steps, adversary=None):
             aod = wb.aod_geometry(nxt.positions[cfg.sbs_index], env.gateway)
             powers = []
             for a in ProtagonistAction:
-                beam = apply_protagonist_action(env.beam, a, cfg.beta)
-                powers.append(wb.received_power(aod, beam.steer_zenith, beam.steer_azimuth, cfg.antenna, cfg.budget))
+                zenith, azimuth = env.steer + ANGLE_STEPS[a] * cfg.beta
+                powers.append(wb.received_power(aod, zenith, azimuth, cfg.antenna, cfg.budget))
             a_p = int(np.argmax(powers))
         _, _, _, p_r = env.step(ProtagonistAction(a_p), AdversaryAction(a_a))
         total += p_r

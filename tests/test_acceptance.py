@@ -144,17 +144,13 @@ def test_criterion_6_reward_contract_properties():
         ends = (env.wire_state.positions[0].copy(), env.wire_state.positions[-1].copy())
         log = []
         for _ in range(cfg.horizon):
-            prev = (env.beam.steer_zenith, env.beam.steer_azimuth)
+            prev = env.steer.copy()
             a_p = ProtagonistAction(int(rng.integers(5)))
             a_a = AdversaryAction(int(rng.integers(7)))
             obs, r_p, r_a, p_r = env.step(a_p, a_a)
             assert -1.0 <= r_p <= 1.0
             assert r_a == -r_p
-            moved = (
-                abs(env.beam.steer_zenith - prev[0]),
-                abs(env.beam.steer_azimuth - prev[1]),
-            )
-            assert sorted(moved) in ([0.0, 0.0], [0.0, cfg.beta])
+            assert sorted(abs(env.steer - prev)) in ([0.0, 0.0], [0.0, cfg.beta])
             log.append((obs, p_r))
         assert np.array_equal(env.wire_state.positions[0], ends[0])
         assert np.array_equal(env.wire_state.positions[-1], ends[1])

@@ -390,6 +390,21 @@ class TestEvalCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "simulate"])
+    @pytest.mark.parametrize("from_env", [False, True])
+    def test_checkpoint_and_policy_rejected(self, tmp_path, monkeypatch, capsys, command, from_env):
+        ckpt = greedy_ckpt_path(tmp_path)
+        out = tmp_path / "run"
+        argv = [command, "--config", write_cfg(tmp_path), "--policy", "stay", "--steps", "5", "--out", str(out)]
+        if from_env:
+            monkeypatch.setenv("WIREBEAM_CHECKPOINT", ckpt)
+        else:
+            argv += ["--checkpoint", ckpt]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "--checkpoint" in err and "--policy" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "simulate"])
     @pytest.mark.parametrize("steps", [0, -3])
     @pytest.mark.parametrize("from_env", [False, True])
     def test_steps_below_one_rejected(self, tmp_path, monkeypatch, capsys, command, steps, from_env):

@@ -146,11 +146,17 @@ class TestValidation:
         with pytest.raises(ConfigError):
             train_config_from_text("observation_time_s: 0.001\n")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", [key for key, (parser, _) in SCHEMA.items() if parser is float])
     def test_non_finite_float_rejected(self, key, value):
         with pytest.raises(ConfigError):
             train_config_from_text(f"{key}: {value}\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_wind_cov_scale_rejected_with_key(self, value):
+        with pytest.raises(ConfigError, match="wind_cov_scale must be finite"):
+            train_config_from_text(f"wind_cov_scale: {value}\n")
 
     @pytest.mark.parametrize("tau", ["0", "-0.01", "nan"])
     def test_nonpositive_decision_interval_rejected_with_key(self, tau):

@@ -192,7 +192,8 @@ class TestTrainBatch:
                 v *= adam.beta2
                 v += (1.0 - adam.beta2) * g * g
                 p -= adam.learning_rate * (m / (1.0 - adam.beta1**t)) / (np.sqrt(v / (1.0 - adam.beta2**t)) + adam.epsilon)
-            deepq._adam_update(net, grad, adam)
+            adam.step_count += 1
+            deepq._adam_step(net.flat, grad, adam.first_moment, adam.second_moment, adam)
             for p, r in zip(net.parameters(), ref):
                 np.testing.assert_array_equal(p, r)
         np.testing.assert_array_equal(adam.first_moment, np.concatenate([m.ravel() for m in ms]))
@@ -277,7 +278,8 @@ class TestQBlock:
                 loss, grad = loss_and_gradients(net, target, batch, 0.97)
                 assert losses[k] == loss
                 assert block.grad[k, : sizes[k]].tobytes() == grad.tobytes()
-                deepq._adam_update(net, grad, adam)
+                adam.step_count += 1
+                deepq._adam_step(net.flat, grad, adam.first_moment, adam.second_moment, adam)
                 assert block.nets[k].flat.tobytes() == net.flat.tobytes()
                 assert block.adams[k].first_moment.tobytes() == adam.first_moment.tobytes()
                 assert block.adams[k].second_moment.tobytes() == adam.second_moment.tobytes()

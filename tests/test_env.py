@@ -5,14 +5,12 @@ from dataclasses import replace
 import wirebeam as wb
 from wirebeam.env import (
     AdversaryAction,
-    BeamState,
     BeamTrackingEnv,
     EnvBatch,
     EnvConfig,
     EpisodeFinishedError,
     ProtagonistAction,
-    adversary_wind,
-    apply_protagonist_action,
+    beam_direction,
     reward_from_power,
 )
 
@@ -23,14 +21,12 @@ class TestReset:
     def test_initial_power_is_aligned_boresight(self):
         env = BeamTrackingEnv(EnvConfig(), seed=0)
         assert env.received_power_now() == pytest.approx(STATIC_POWER, abs=1e-9)
-        assert env.beam.steer_zenith == pytest.approx(90.0, abs=1e-9)
-        assert env.beam.steer_azimuth == pytest.approx(0.0, abs=1e-9)
+        np.testing.assert_allclose(env.steer, [90.0, 0.0], rtol=0, atol=1e-9)
 
     def test_zero_gravity_alignment(self):
         cfg = EnvConfig(phys=wb.PhysParams(gravity=np.zeros(3)))
         env = BeamTrackingEnv(cfg, seed=0)
-        assert env.beam.steer_zenith == pytest.approx(90.0, abs=1e-12)
-        assert env.beam.steer_azimuth == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(env.steer, [90.0, 0.0], rtol=0, atol=1e-12)
         # gateway level with the unsagged midpoint
         assert env.gateway[2] == pytest.approx(5.0, abs=1e-12)
 
@@ -55,29 +51,29 @@ class TestReset:
 
 class TestActions:
     def test_protagonist_mapping(self):
-        b = BeamState(90.0, 0.0)
-        assert apply_protagonist_action(b, ProtagonistAction.STAY, 1.0) == BeamState(90.0, 0.0)
-        assert apply_protagonist_action(b, ProtagonistAction.UP, 1.0) == BeamState(89.0, 0.0)
-        assert apply_protagonist_action(b, ProtagonistAction.DOWN, 1.0) == BeamState(91.0, 0.0)
-        assert apply_protagonist_action(b, ProtagonistAction.LEFT, 1.0) == BeamState(90.0, 1.0)
-        assert apply_protagonist_action(b, ProtagonistAction.RIGHT, 1.0) == BeamState(90.0, -1.0)
+        moves = BeamTrackingEnv(EnvConfig(beta=1.0), seed=0).moves
+        assert moves[ProtagonistAction.STAY].tolist() == [0.0, 0.0]
+        assert moves[ProtagonistAction.UP].tolist() == [-1.0, 0.0]
+        assert moves[ProtagonistAction.DOWN].tolist() == [1.0, 0.0]
+        assert moves[ProtagonistAction.LEFT].tolist() == [0.0, 1.0]
+        assert moves[ProtagonistAction.RIGHT].tolist() == [0.0, -1.0]
 
     def test_adversary_wind_table(self):
-        v = 10.0
-        np.testing.assert_array_equal(adversary_wind(AdversaryAction.STAY, v), [0, 0, 0])
-        np.testing.assert_array_equal(adversary_wind(AdversaryAction.UP, v), [0, 0, 10.0])
-        np.testing.assert_array_equal(adversary_wind(AdversaryAction.DOWN, v), [0, 0, -10.0])
-        np.testing.assert_array_equal(adversary_wind(AdversaryAction.LEFT, v), [-10.0, 0, 0])
-        np.testing.assert_array_equal(adversary_wind(AdversaryAction.RIGHT, v), [10.0, 0, 0])
-        np.testing.assert_array_equal(adversary_wind(AdversaryAction.FRONT, v), [0, 10.0, 0])
-        np.testing.assert_array_equal(adversary_wind(AdversaryAction.BACK, v), [0, -10.0, 0])
+        gusts = BeamTrackingEnv(EnvConfig(adversary_speed=10.0), seed=0).gusts
+        np.testing.assert_array_equal(gusts[AdversaryAction.STAY], [0, 0, 0])
+        np.testing.assert_array_equal(gusts[AdversaryAction.UP], [0, 0, 10.0])
+        np.testing.assert_array_equal(gusts[AdversaryAction.DOWN], [0, 0, -10.0])
+        np.testing.assert_array_equal(gusts[AdversaryAction.LEFT], [-10.0, 0, 0])
+        np.testing.assert_array_equal(gusts[AdversaryAction.RIGHT], [10.0, 0, 0])
+        np.testing.assert_array_equal(gusts[AdversaryAction.FRONT], [0, 10.0, 0])
+        np.testing.assert_array_equal(gusts[AdversaryAction.BACK], [0, -10.0, 0])
 
     def test_beam_direction_unit_norm(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            b = BeamState(rng.uniform(-400, 400), rng.uniform(-400, 400))
-            assert np.linalg.norm(b.direction()) == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(BeamState(0.0, 123.0).direction(), [0, 0, 1], atol=1e-12)
+            b = beam_direction(rng.uniform(-400, 400), rng.uniform(-400, 400))
+            assert np.linalg.norm(b) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(beam_direction(0.0, 123.0), [0, 0, 1], atol=1e-12)
 
 
 class TestReward:
@@ -128,15 +124,13 @@ class TestStep:
         ends0 = (env.wire_state.positions[0].copy(), env.wire_state.positions[-1].copy())
         rng = np.random.default_rng(9)
         for _ in range(1000):
-            prev = (env.beam.steer_zenith, env.beam.steer_azimuth)
+            prev = env.steer.copy()
             a_p = ProtagonistAction(int(rng.integers(5)))
             a_a = AdversaryAction(int(rng.integers(7)))
             _, r_p, r_a, _ = env.step(a_p, a_a)
             assert -1.0 <= r_p <= 1.0
             assert r_a == -r_p
-            dz = abs(env.beam.steer_zenith - prev[0])
-            da = abs(env.beam.steer_azimuth - prev[1])
-            assert sorted((dz, da)) in ([0.0, 0.0], [0.0, cfg.beta])
+            assert sorted(abs(env.steer - prev)) in ([0.0, 0.0], [0.0, cfg.beta])
         assert np.array_equal(env.wire_state.positions[0], ends0[0])
         assert np.array_equal(env.wire_state.positions[-1], ends0[1])
 
@@ -187,7 +181,7 @@ class TestStep:
             snapshot = before.copy()
             rng = np.random.Generator(np.random.PCG64())
             rng.bit_generator.state = env.rng.bit_generator.state
-            wind = wb.env_wind(before.time) + adversary_wind(AdversaryAction(k % 7), cfg.adversary_speed)
+            wind = wb.env_wind(before.time) + env.gusts[k % 7]
             expected = wb.wire.step(before, wind, cfg.phys, cfg.tau, cfg.substeps, rng)
             env.step(ProtagonistAction.STAY, AdversaryAction(k % 7))
             after = env.wire_state
@@ -261,8 +255,8 @@ class TestHeldState:
         physes = [cfg.phys, replace(cfg.phys, total_mass=0.3, spring_constant=200.0), replace(cfg.phys, total_mass=2.0)]
         seeds = [[4, 0], [4, 1], [4, 2]]
         batch = EnvBatch.of(cfg, physes, seeds)
-        assert sorted(batch.order) == [0, 1, 2] and batch.order[-1] == 1 and len(batch.groups) == 2
-        lone = [BeamTrackingEnv(replace(cfg, phys=physes[i]), seed=seeds[i]) for i in batch.order]
+        assert [rows.tolist() for rows, *_ in batch.groups] == [[0, 2], [1]]
+        lone = [BeamTrackingEnv(replace(cfg, phys=physes[i]), seed=seeds[i]) for i in range(3)]
         np.testing.assert_array_equal(batch.observe(), [env.observe() for env in lone])
         rng = np.random.default_rng(5)
         for _ in range(200):

@@ -455,6 +455,10 @@ class TestRollout:
         with pytest.raises(ValueError, match=r"one adversary \(or None\) per seed"):
             rollout([Policy(PolicyKind.STAY)] * 3, wb.EnvConfig(), MIXED_PHYSES, [1, 2, 3], 10, adversary=[None] * 2)
 
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="^a rollout needs at least one row$"):
+            rollout([], wb.EnvConfig(), [], [], 5)
+
 
 class TestRandomAdversary:
     def test_uniform_frequencies(self):
