@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 
 class SimulationDivergedError(RuntimeError):
@@ -125,18 +124,31 @@ def equilibrium_shape(params: PhysParams) -> WireState:
     The interior positions of all three axes solve one tridiagonal system
     x_{i-1} - 2*x_i + x_{i+1} = -g_c * m / (k0 * N), one right-hand-side
     column per axis, with the pinned endpoints folded into the right-hand
-    side. The matrix is nonsingular for every n_points.
+    side. The solve is LAPACK gtsv's elimination and back-substitution, op
+    for op, so the shape is bit-equal to a LAPACK solve (the tests'
+    reference; the package runs on numpy alone). Only gtsv's no-pivot
+    branch is needed: the pivots are d_i = -(i+2)/(i+1) and |d_i| > 1 =
+    |l_i|, so no row ever swaps, and the matrix is nonsingular for every
+    n_points. Raises ValueError when the system or its solution is not finite.
     """
     n = params.n_points
-    rhs = np.tile(-params.gravity * params.total_mass / (params.spring_constant * n), (n - 2, 1))
-    rhs[0] -= params.endpoint_a
-    rhs[-1] -= params.endpoint_b
-
-    ab = np.zeros((3, n - 2))
-    ab[0, 1:] = 1.0
-    ab[1, :] = -2.0
-    ab[2, :-1] = 1.0
-    positions = np.vstack([params.endpoint_a, solve_banded((1, 1), ab, rhs), params.endpoint_b])
+    b = np.tile(-params.gravity * params.total_mass / (params.spring_constant * n), (n, 1))
+    b[0] -= params.endpoint_a
+    b[-3] -= params.endpoint_b
+    b[-2:] = 0.0  # the b[i + 2] that gtsv's zeroed fill-in term multiplies in the last two rows
+    if not np.isfinite(b).all():  # before the solve, whose 0 * inf fill-in terms would be NaN
+        raise ValueError("wire equilibrium system is not finite: g * m / (k0 * N) overflows")
+    d = np.full(n - 2, -2.0)
+    for i in range(n - 3):
+        fact = 1.0 / d[i]
+        d[i + 1] -= fact
+        b[i + 1] -= fact * b[i]
+    b[n - 3] /= d[-1]
+    for i in range(n - 4, -1, -1):
+        b[i] = (b[i] - b[i + 1] - 0.0 * b[i + 2]) / d[i]
+    if not np.isfinite(b).all():
+        raise ValueError("wire equilibrium shape overflows")
+    positions = np.vstack([params.endpoint_a, b[:-2], params.endpoint_b])
     return WireState(positions, np.zeros((n, 3)), 0.0)
 
 

@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -530,6 +531,23 @@ class TestOrchestrationPurity:
         )
         subprocess.run([sys.executable, "-c", code], check=True)
 
+    def test_runs_on_numpy_alone(self, tmp_path):
+        # scipy is a test dependency only: importing the package and running
+        # commands, wire equilibrium included, must not load it
+        code = (
+            "import sys, wirebeam; from wirebeam.bench import main; "
+            "assert main(['antenna-pattern', '--az-start', '0', '--az-stop', '2', '--az-step', '0.5', "
+            "'--out', 'pattern']) == 0; "
+            "assert main(['simulate', '--steps', '3', '--out', 'sim']) == 0; "
+            "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')); "
+            "assert not loaded, loaded"
+        )
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "pattern" / "antenna_pattern.csv").is_file() and (tmp_path / "sim" / "trajectory.csv").is_file()
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("garbage\n")
@@ -555,7 +573,7 @@ class TestOrchestrationPurity:
     def test_non_finite_value_is_a_config_error(self, tmp_path, capsys):
         bad = write_cfg(tmp_path, SMALL_CFG + "adversary_speed_m_per_s: nan\n")  # trains and exits 0 if accepted
         assert main(["train", "--config", bad, "--out", str(tmp_path / "o")]) == 1
-        assert "config error: adversary_speed must be finite" in capsys.readouterr().err
+        assert "config error: line 6: adversary_speed_m_per_s must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, grid", [("mass_grid_kg", "mass_grid"), ("spring_grid_n_per_m", "spring_grid")])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -564,7 +582,7 @@ class TestOrchestrationPurity:
         spec.write_text(f"{key}: 5,{value}\n")
         out = tmp_path / "sw"
         assert main(["sweep", "--config", write_cfg(tmp_path), "--spec", str(spec), "--out", str(out)]) == 1
-        assert f"config error: {grid} values must be finite" in capsys.readouterr().err
+        assert f"config error: line 1: {key} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_decision_interval_is_a_config_error(self, tmp_path, capsys):

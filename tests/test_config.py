@@ -6,7 +6,9 @@ import pytest
 from wirebeam.checkpoint import AgentCheckpoint
 from wirebeam.config import (
     SCHEMA,
+    SWEEP_SCHEMA,
     ConfigError,
+    _parse_floats,
     load_config,
     load_sweep_spec,
     serialize_train_config,
@@ -16,6 +18,10 @@ from wirebeam.config import (
 from wirebeam.deepq import init_qnetwork
 from wirebeam.radio import AntennaConfig, AoD, array_factor, element_pattern, received_power
 from wirebeam.rarl import TrainConfig
+
+FLOAT_KEYS = {
+    key: parser for key, (parser, _) in {**SCHEMA, **SWEEP_SCHEMA}.items() if parser in (float, _parse_floats)
+}
 
 # a valid, non-default value for every key, in canonical text form
 NON_DEFAULT = {
@@ -148,10 +154,13 @@ class TestValidation:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("key", [key for key, (parser, _) in SCHEMA.items() if parser is float])
+    @pytest.mark.parametrize("key", list(FLOAT_KEYS))
     def test_non_finite_float_rejected(self, key, value):
-        with pytest.raises(ConfigError):
-            train_config_from_text(f"{key}: {value}\n")
+        # every float key, of a training config or a sweep spec, names itself
+        parse = sweep_spec_from_text if key in SWEEP_SCHEMA else train_config_from_text
+        text = f"{key}: 1.0,{value}\n" if FLOAT_KEYS[key] is _parse_floats else f"{key}: {value}\n"
+        with pytest.raises(ConfigError, match=f"^line 1: {key} must be finite"):
+            parse(text)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_wind_cov_scale_rejected_with_key(self, value):
@@ -160,7 +169,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("tau", ["0", "-0.01", "nan"])
     def test_nonpositive_decision_interval_rejected_with_key(self, tau):
-        with pytest.raises(ConfigError, match="decision_interval_s must be > 0"):
+        with pytest.raises(ConfigError, match="decision_interval_s must be " + ("finite" if tau == "nan" else "> 0")):
             train_config_from_text(f"decision_interval_s: {tau}\n")
 
 

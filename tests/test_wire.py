@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from wirebeam import wire
 from wirebeam.wire import (
@@ -78,6 +79,50 @@ class TestEquilibrium:
             np.linalg.norm(tensile_acceleration(eq, i, p)) for i in range(1, p.n_points - 1)
         )
         assert worst < 1e-9
+
+
+def banded_solve_oracle(params):
+    """The rest shape as LAPACK solves it: scipy's solve_banded of the
+    (1, -2, 1) system, the solve equilibrium_shape reproduces op for op."""
+    n = params.n_points
+    rhs = np.tile(-params.gravity * params.total_mass / (params.spring_constant * n), (n - 2, 1))
+    rhs[0] -= params.endpoint_a
+    rhs[-1] -= params.endpoint_b
+    ab = np.zeros((3, n - 2))
+    ab[0, 1:] = 1.0
+    ab[1, :] = -2.0
+    ab[2, :-1] = 1.0
+    return np.vstack([params.endpoint_a, solve_banded((1, 1), ab, rhs), params.endpoint_b])
+
+
+class TestEquilibriumBits:
+    def test_bit_equal_to_banded_solve(self):
+        # random wires, with zeroed components so that signed zeros pass
+        # through the solve (the default wire's x right-hand side is all -0.0)
+        rng = np.random.default_rng(2024)
+
+        def vector(scale):
+            return rng.normal(0.0, scale, 3) * (rng.random(3) < 0.7)
+
+        params = [PhysParams()] + [
+            PhysParams(
+                n_points=int(rng.integers(3, 81)),
+                total_mass=float(rng.uniform(0.1, 50.0)),
+                spring_constant=float(rng.uniform(1.0, 500.0)),
+                gravity=vector(10.0),
+                endpoint_a=vector(10.0),
+                endpoint_b=vector(10.0),
+            )
+            for _ in range(2000)
+        ]
+        assert {p.n_points for p in params} >= {3, 4, 80}
+        for p in params:
+            assert equilibrium_shape(p).positions.tobytes() == banded_solve_oracle(p).tobytes(), p
+
+    def test_overflowing_system_rejected(self):
+        p = PhysParams(total_mass=1e300, spring_constant=1e-300)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+            equilibrium_shape(p)
 
 
 class TestTensileAcceleration:
