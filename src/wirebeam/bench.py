@@ -14,7 +14,6 @@ which writes its files, and records them in one `manifest.json`.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -74,14 +73,24 @@ def write_manifest(out_dir: Path, command: str, config_text: str, seeds, outputs
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
-def _write_csv(path: Path, header, rows):
+CSV_SLICE_ROWS = 4096  # rows formatted and written at a time, which bounds the text held in memory
+
+
+def _field(value) -> str:
+    """A CSV cell, quoted as csv.writer quotes: a float (Python or numpy) as its shortest repr, else str."""
+    text = repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
+def _write_csv(path: Path, header, columns):
+    """Write equal-length columns (arrays, lists or tuples) as csv.writer writes rows of
+    `_field` cells, in CRLF lines; a float array takes one repr per cell, in slices."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
-            )
+        fh.write(",".join(map(_field, header)) + "\r\n")
+        for a in range(0, max(map(len, columns), default=0), CSV_SLICE_ROWS):
+            cells = [map(repr, p.tolist()) if isinstance(p, np.ndarray) and p.dtype.kind == "f" else map(_field, p)
+                     for p in (column[a : a + CSV_SLICE_ROWS] for column in columns)]
+            fh.write("\r\n".join(map(",".join, zip(*cells, strict=True))) + "\r\n")
 
 
 def resolve_policy(token: str) -> Policy:
@@ -104,6 +113,7 @@ def _load_cfg(args):
         cfg = replace(cfg, seed=args.seed)
     if getattr(args, "variant", None):
         cfg = replace(cfg, variant=args.variant)
+    equilibrium_shape(cfg.env.phys)  # refuses a wire whose rest shape overflows; cmd_sweep checks each cell's
     return cfg
 
 
@@ -142,10 +152,8 @@ def cmd_train(args, cfg, out):
         _write_csv(
             out / "curve.csv",
             ["episode", "protagonist_avg_power_dbm", "adversary_check_avg_power_dbm", "loss_p", "loss_a"],
-            [
-                (r.episode, r.protagonist_avg_power, r.adversary_check_avg_power, r.loss_p, r.loss_a)
-                for r in result.records
-            ],
+            list(zip(*[(r.episode, r.protagonist_avg_power, r.adversary_check_avg_power, r.loss_p, r.loss_a)
+                       for r in result.records])),
         )
         extra = {"variant": cfg.variant, "episodes": cfg.episodes}
         summary = f"train: {cfg.episodes} episodes ({cfg.variant}) -> {out}"
@@ -175,13 +183,12 @@ def cmd_policy(args, cfg, out):
         avg, rows = run_policy(policy, cfg.env, steps, cfg.seed)
         summary = f"{args.command}: {token} avg power {avg:.4f} dBm over {steps} steps"
         if args.command == "eval":
-            header = ["policy", "steps", "seed", "avg_power_dbm"]
-            _write_csv(out / "eval.csv", header, [(token, steps, cfg.seed, avg)])
+            _write_csv(out / "eval.csv", ["policy", "steps", "seed", "avg_power_dbm"], [[token], [steps], [cfg.seed], [avg]])
             return ["eval.csv"], None, summary, EXIT_OK
         _write_csv(
             out / "trajectory.csv",
             ["step", "t", "P_r_dbm", "r_p", "a_p", "a_a", "sbs_x", "sbs_y", "sbs_z", "theta_s", "phi_s"],
-            rows,
+            list(zip(*rows)),
         )
         return ["trajectory.csv"], None, f"{summary} -> {out / 'trajectory.csv'}", EXIT_OK
 
@@ -238,18 +245,18 @@ def cmd_sweep(args, cfg, out):
         spec = load_sweep_spec(args.spec)
     else:
         spec = SweepSpec(policies=[args.checkpoint]) if args.checkpoint else SweepSpec()
+    grid = [(m, k) for m in spec.mass_grid for k in spec.spring_grid]
+    physes = [replace(cfg.env.phys, total_mass=m, spring_constant=k) for m, k in grid]
+    substeps = [effective_substeps(p, cfg.env.tau, cfg.env.substeps) for p in physes]
+    rest_z = [float(equilibrium_shape(p).positions[cfg.env.sbs_index, 2]) for p in physes]
 
     def body():
-        grid = [(m, k) for m in spec.mass_grid for k in spec.spring_grid]
-        physes = [replace(cfg.env.phys, total_mass=m, spring_constant=k) for m, k in grid]
-        substeps = [effective_substeps(p, cfg.env.tau, cfg.env.substeps) for p in physes]
-        rest_z = [float(equilibrium_shape(p).positions[cfg.env.sbs_index, 2]) for p in physes]
         results = _sweep_units(cfg, spec, [(m, k, token) for m, k in grid for token in spec.policies])
         failures = [r for r in results if r[5]]
         _write_csv(
             out / "heatmap.csv",
             ["mass_kg", "spring_n_per_m", "policy", "avg_power_dbm", "stddev"],
-            [r[:5] for r in results],
+            list(zip(*results))[:5],
         )
         extra = {
             "cells": len(results),
@@ -279,7 +286,7 @@ def cmd_antenna_pattern(args, cfg, out):
         _write_csv(
             out / "antenna_pattern.csv",
             ["azimuth_deg", "af_db", "ae_db", "at_db"],
-            [(float(az), float(f), float(e), float(f + e)) for az, f, e in zip(azimuths, af, ae)],
+            [azimuths, af, ae, af + ae],
         )
         summary = f"antenna-pattern: {len(azimuths)} samples -> {out / 'antenna_pattern.csv'}"
         return ["antenna_pattern.csv"], None, summary, EXIT_OK

@@ -90,7 +90,9 @@ def _set_endpoint_separation(cfg, value):
 def _set_observation_time(cfg, value):
     if not cfg.env.tau > 0:  # the horizon divides by it
         raise ConfigError(f"decision_interval_s must be > 0, got {cfg.env.tau!r}")
-    cfg.env.horizon = int(math.floor(value / cfg.env.tau + 1e-9))
+    if not math.isfinite(steps := value / cfg.env.tau + 1e-9):
+        raise ConfigError(f"observation_time_s / decision_interval_s overflows: {value!r} / {cfg.env.tau!r}")
+    cfg.env.horizon = int(math.floor(steps))
 
 
 def _proxy_path(cfg):

@@ -118,6 +118,7 @@ def effective_substeps(params: PhysParams, dt: float, substeps: int) -> int:
     return max(substeps, needed)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises the ValueError below, not a warning
 def equilibrium_shape(params: PhysParams) -> WireState:
     """Static wire shape: zero velocities and zero interior acceleration.
 

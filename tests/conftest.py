@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -167,3 +169,14 @@ def reference_train(cfg):
         for name, net, adam in zip(("protagonist", "adversary"), nets, adams)
     ]
     return TrainResult(ckpts[0], ckpts[1] if cfg.variant == "rarl" else None, records)
+
+
+def reference_write_csv(path, header, rows):
+    """The per-cell row writer that bench._write_csv must match byte for byte:
+    csv.writer over rows, each float cell (Python or numpy) written as
+    repr(float(v)), every other cell left to csv.writer."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row])

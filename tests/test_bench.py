@@ -12,14 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wirebeam import bench, deepq, wire
+from wirebeam import bench, deepq, radio, wire
 from wirebeam.bench import main, resolve_policy
 from wirebeam.checkpoint import AgentCheckpoint, load_checkpoint, save_checkpoint
 from wirebeam.config import serialize_train_config, train_config_from_text
 from wirebeam.deepq import QNetwork, init_qnetwork
 from wirebeam.env import EnvConfig
-from wirebeam.rarl import make_normalizer, rollout
-from conftest import reference_average
+from wirebeam.rarl import Policy, PolicyKind, make_normalizer, rollout, run_policy
+from conftest import reference_average, reference_write_csv
 
 SMALL_CFG = (
     "episodes: 2\n"
@@ -347,6 +347,101 @@ class TestAntennaPatternCommand:
         assert not out.exists()
 
 
+def _pattern_columns(azimuths):
+    """antenna-pattern's header and numpy columns over `azimuths`."""
+    af = radio.array_factor(90.0, azimuths, 90.0, 0.0, EnvConfig().antenna)
+    ae = radio.element_pattern(90.0, azimuths, EnvConfig().antenna)
+    return ["azimuth_deg", "af_db", "ae_db", "at_db"], [azimuths, af, ae, af + ae]
+
+
+def _antenna_columns(n):
+    return _pattern_columns(np.linspace(-180.0, 180.0, n))
+
+
+def _curve_columns(n):
+    rng = np.random.default_rng(n)
+    powers = [float("nan") if e % 3 == 0 else p for e, p in enumerate(rng.normal(-20.0, 5.0, n).tolist())]
+    header = ["episode", "protagonist_avg_power_dbm", "adversary_check_avg_power_dbm", "loss_p", "loss_a"]
+    columns = [list(range(1, n + 1)), rng.normal(-15.0, 3.0, n).tolist(), powers, rng.random(n).tolist(), [float("nan")] * n]
+    return header, columns
+
+
+def _eval_columns(n):
+    token = 'runs/a,"b"/protagonist.ckpt'  # a comma and a double quote: csv quotes the cell and doubles the quote
+    return ["policy", "steps", "seed", "avg_power_dbm"], [[token] * n, [1000] * n, list(range(n)), [-13.25] * n]
+
+
+def _trajectory_columns(n):
+    _, rows = run_policy(Policy(PolicyKind.UPPER_LIMIT), EnvConfig(), n, 3)
+    header = ["step", "t", "P_r_dbm", "r_p", "a_p", "a_a", "sbs_x", "sbs_y", "sbs_z", "theta_s", "phi_s"]
+    return header, list(zip(*rows))
+
+
+def _heatmap_columns(n):
+    policies = ["stay", 'a,"b".ckpt', 'say "hi".ckpt']  # csv quotes a cell with a double quote and no comma too
+    rows = [(float(1 + i % 7), 10.0 * (1 + i % 5), policies[i % 3], -13.5 - i, 0.0) for i in range(n)]
+    rows[0] = rows[0][:3] + (float("nan"), float("nan"))  # a failed cell
+    return ["mass_kg", "spring_n_per_m", "policy", "avg_power_dbm", "stddev"], list(zip(*rows))
+
+
+def _non_finite_columns(n):
+    values = np.resize([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1], n)
+    return ["array", "list"], [values, values.tolist()]
+
+
+def _mixed_float_columns(n):
+    cells = [float(i) / 3.0 if i % 3 == 0 else np.float64(i) / 7.0 if i % 3 == 1 else np.float32(i) / 9 for i in range(n)]
+    return ["mixed", "float32"], [cells, np.arange(n, dtype=np.float32) / 3]
+
+
+def _int_columns(n):
+    mixed = [i if i % 2 else i + 0.5 for i in range(n)]  # each int stays an int, each float a float
+    columns = [list(range(-2, n - 2)), np.arange(n) * 10**12, list(np.arange(n)), mixed]
+    return ["python", "numpy_array", "numpy_list", "mixed"], columns
+
+
+class TestCsvWriter:
+    """bench._write_csv writes the bytes of the per-cell reference row writer."""
+
+    @pytest.mark.parametrize("rows", [1, bench.CSV_SLICE_ROWS, bench.CSV_SLICE_ROWS + 1])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            _antenna_columns,
+            _curve_columns,
+            _eval_columns,
+            _trajectory_columns,
+            _heatmap_columns,
+            _non_finite_columns,
+            _mixed_float_columns,
+            _int_columns,
+        ],
+    )
+    def test_matches_reference_row_writer(self, tmp_path, make, rows):
+        header, columns = make(rows)
+        bench._write_csv(tmp_path / "columns.csv", header, columns)
+        reference_write_csv(tmp_path / "rows.csv", header, list(zip(*columns)))
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_int_column_stays_int(self, tmp_path):
+        bench._write_csv(tmp_path / "t.csv", ["n", "x"], [[5, 6], np.array([0.5, 1.0])])
+        assert (tmp_path / "t.csv").read_bytes() == b"n,x\r\n5,0.5\r\n6,1.0\r\n"
+
+    def test_columns_of_unequal_length_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            bench._write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2], [1.0]])
+
+    def test_antenna_pattern_command_matches_reference(self, tmp_path):
+        # the benchmark's 36001-azimuth cut: nine slices, the last one short
+        out = tmp_path / "ant"
+        assert main(["antenna-pattern", "--az-step", "0.01", "--out", str(out)]) == 0
+        header, columns = _pattern_columns(np.arange(-180.0, 180.0 + 0.005, 0.01))
+        rows = list(zip(*columns))
+        reference_write_csv(tmp_path / "ref.csv", header, rows)
+        assert len(rows) == 36001
+        assert (out / "antenna_pattern.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 class TestSimulateCommand:
     def test_row_count_and_columns(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -583,6 +678,31 @@ class TestOrchestrationPurity:
         out = tmp_path / "sw"
         assert main(["sweep", "--config", write_cfg(tmp_path), "--spec", str(spec), "--out", str(out)]) == 1
         assert f"config error: line 1: {key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_rest_shape_is_refused_before_writing(self, tmp_path, capsys):
+        # g * m / (k0 * N) overflows: the check phase refuses the wire, with no numpy overflow warning
+        bad = write_cfg(tmp_path, "total_mass_kg: 1e300\nspring_constant_n_per_m: 1e-300\n")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", bad, "--steps", "3", "--out", str(out)]) == 1
+        assert "error: wire equilibrium system is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_sweep_cell_is_refused_before_writing(self, tmp_path, capsys):
+        spec = tmp_path / "sweep.spec"
+        spec.write_text("mass_grid_kg: 10,1e300\nspring_grid_n_per_m: 100,1e-300\n")
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", write_cfg(tmp_path), "--spec", str(spec), "--out", str(out)]) == 1
+        assert "error: wire equilibrium system is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_horizon_is_a_config_error(self, tmp_path, capsys):
+        bad = write_cfg(tmp_path, "observation_time_s: 1e308\ndecision_interval_s: 1e-10\n")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", bad, "--out", str(out)]) == 1
+        assert "config error: observation_time_s / decision_interval_s overflows" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_decision_interval_is_a_config_error(self, tmp_path, capsys):

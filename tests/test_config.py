@@ -172,6 +172,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="decision_interval_s must be " + ("finite" if tau == "nan" else "> 0")):
             train_config_from_text(f"decision_interval_s: {tau}\n")
 
+    @pytest.mark.parametrize("observation", ["1e308", "-1e308"])
+    def test_overflowing_horizon_rejected_with_both_keys(self, observation):
+        # the quotient overflows to +-inf, which has no step count
+        with pytest.raises(ConfigError, match="observation_time_s / decision_interval_s overflows"):
+            train_config_from_text(f"observation_time_s: {observation}\ndecision_interval_s: 1e-10\n")
+
 
 class TestRoundTrip:
     def test_default_round_trip(self):
