@@ -113,7 +113,9 @@ def _load_cfg(args):
         cfg = replace(cfg, seed=args.seed)
     if getattr(args, "variant", None):
         cfg = replace(cfg, variant=args.variant)
-    equilibrium_shape(cfg.env.phys)  # refuses a wire whose rest shape overflows; cmd_sweep checks each cell's
+    # refuse a wire whose rest shape overflows or that no substep count keeps stable; cmd_sweep checks each cell's
+    equilibrium_shape(cfg.env.phys)
+    effective_substeps(cfg.env.phys, cfg.env.tau, cfg.env.substeps)
     return cfg
 
 

@@ -191,53 +191,47 @@ class AdamState:
 
 
 class ReplayMemory:
-    """Bounded FIFO ring of transitions with uniform sampling (with replacement)."""
+    """The replay of a whole `train` call: K bounded FIFO rings of transitions that
+    fill together (one cursor and one size), ring k sampled uniformly with
+    replacement by its own generator rngs[k]."""
 
-    def __init__(self, capacity: int, rng: np.random.Generator):
+    def __init__(self, capacity: int, rngs: list):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.rng = rng
-        self._states = None
-        self._actions = np.empty(capacity, dtype=np.int64)
-        self._rewards = np.empty(capacity, dtype=np.float64)
-        self._next_states = None
-        self._size = 0
-        self._cursor = 0
+        self.capacity, self.rngs = capacity, list(rngs)
+        self._starts = capacity * np.arange(len(self.rngs))[:, None]  # of each ring in the flattened (K, capacity)
+        self._states = None  # (2, K, capacity, n_inputs): states, then next states
+        self._actions = np.empty((len(self.rngs), capacity), dtype=np.int64)
+        self._rewards = np.empty((len(self.rngs), capacity), dtype=np.float64)
+        self._size = self._cursor = 0
 
     def __len__(self) -> int:
         return self._size
 
-    def push(self, state, action, reward, next_state):
-        """Append one transition (s, a, r, s'); the oldest entry is evicted
-        once capacity is exceeded."""
-        if not -1.0 - 1e-12 <= reward <= 1.0 + 1e-12:
+    def push(self, states, actions, rewards, next_states):
+        """Append transition (s, a, r, s') row k of the (K, ...) arguments to ring k; each
+        ring evicts its oldest entry once capacity is exceeded. Refused whole, before
+        anything is written, unless every reward lies in [-1, 1]."""
+        if not (np.abs(rewards) <= 1.0 + 1e-12).all():  # NaN fails too
             raise ValueError("reward must be clipped to [-1, 1]")
         if self._states is None:
-            dim = len(state)
-            self._states = np.empty((self.capacity, dim), dtype=np.float64)
-            self._next_states = np.empty((self.capacity, dim), dtype=np.float64)
+            self._states = np.empty((2, *self._actions.shape, np.shape(states)[-1]), dtype=np.float64)
         i = self._cursor
-        self._states[i] = state
-        self._actions[i] = action
-        self._rewards[i] = reward
-        self._next_states[i] = next_state
+        self._states[0, :, i], self._states[1, :, i] = states, next_states
+        self._actions[:, i], self._rewards[:, i] = actions, rewards
         self._cursor = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
-    def sample(self, k: int):
-        """k transitions drawn uniformly with replacement as stacked arrays."""
-        if k < 1:
+    def sample(self, batch: int):
+        """`batch` transitions per ring, each ring's indices drawn by its own generator in
+        ring order, gathered at once as stacked (K, batch, ...) arrays."""
+        if batch < 1:
             raise ValueError("sample size must be >= 1")
-        if self._size < k:
-            raise ValueError(f"memory holds {self._size} < {k} transitions")
-        idx = self.rng.integers(0, self._size, size=k)
-        return (
-            self._states[idx],
-            self._actions[idx],
-            self._rewards[idx],
-            self._next_states[idx],
-        )
+        if self._size < batch:
+            raise ValueError(f"memory holds {self._size} < {batch} transitions")
+        idx = np.array([rng.integers(0, self._size, size=batch) for rng in self.rngs]) + self._starts
+        states = self._states.reshape(2, -1, self._states.shape[-1]).take(idx, axis=1)
+        return states[0], self._actions.take(idx), self._rewards.take(idx), states[1]
 
 
 def _head_backward(h, g, actions, value_w, adv_w, grads: list, out=(None, None)):
@@ -333,11 +327,13 @@ class QBlock:
     count. `nets` and `adams` are plain QNetworks and AdamStates over rows.
     The parameter views of the online role and of both roles are built once,
     so a block of one network acts as cheaply as `forward`, which stays the
-    K = 1 reference that the stacked kernels must match bit for bit. `train`
-    keeps its activations, ReLU masks, gradients and Adam temporaries in one
-    workspace per batch size, made on its first call: at large K these pass
-    the allocator's mmap threshold, and fresh pages on every call would cost
-    more than stacking saves."""
+    K = 1 reference that the stacked kernels must match bit for bit. Data
+    stays stacked on both ends: `forward` gives one Q array per head group,
+    and `train` takes the (K, B, ...) batch of a ReplayMemory of K rings as
+    it is sampled. `train` keeps its activations, ReLU masks, gradients and
+    Adam temporaries in one workspace per batch size, made on its first
+    call: at large K these pass the allocator's mmap threshold, and fresh
+    pages on every call would cost more than stacking saves."""
 
     def __init__(self, nets: list, learning_rate: float = 1e-3):
         n_inputs, hidden = nets[0].n_inputs, nets[0].hidden
@@ -394,16 +390,16 @@ class QBlock:
         return hs, zs, qs
 
     def forward(self, x: np.ndarray, check=None) -> list:
-        """Q of online network k on x[k]; NumericError, naming the network, if a
-        `check` row (default: any) is non-finite. The block is checked whole
-        once per head group; rows are searched only when that check fails."""
-        groups = self._forward(x, self._online)[2]
-        q = [row for group in groups for row in group]
-        if not all(np.isfinite(group).all() for group in groups):
-            for k in range(len(q)) if check is None else check:
-                if not np.isfinite(q[k]).all():
+        """One (k_g, B, n_actions) Q array per head group, of the online networks on x
+        (K, B, n_inputs); NumericError, naming the network, if a `check` row (default:
+        any) is non-finite. Rows are searched only when a group's check fails."""
+        qs = self._forward(x, self._online)[2]
+        if not all(np.isfinite(q).all() for q in qs):
+            bad = np.concatenate([~np.isfinite(q).all(axis=(-2, -1)) for q in qs])
+            for k in range(len(bad)) if check is None else check:
+                if bad[k]:
                     raise NumericError(f"network {k}: {_nonfinite(self.nets[k], x[k])}")
-        return q
+        return qs
 
     def act(self, states: np.ndarray, epsilon: float, rngs: list) -> list:
         """act_epsilon_greedy of online network k on states[k] (K, n_inputs), or of every
@@ -415,17 +411,16 @@ class QBlock:
         if greedy:
             x = np.empty((len(self.nets), 1, self.nets[0].n_inputs))
             x[:, 0] = states
-            q = self.forward(x, greedy)
-            for k in greedy:
-                actions[k] = int(np.argmax(q[k][0]))
+            best = np.concatenate([np.argmax(q[:, 0], axis=-1) for q in self.forward(x, greedy)])
+            actions = [int(b) if action is None else action for action, b in zip(actions, best)]
         return actions
 
-    def train(self, batches: list, gamma: float) -> np.ndarray:
-        """train_batch of every online network on its own batch, as one trunk forward
-        over (2, K, B, n_inputs) (online weights on states, target weights on next
-        states), heads per group, one stacked backward and one Adam update; K losses."""
-        states, actions, rewards, next_states = zip(*batches)
-        actions, rewards = np.array(actions), np.array(rewards)
+    def train(self, batch, gamma: float) -> np.ndarray:
+        """train_batch of online network k on row k of the stacked batch (states, actions,
+        rewards, next states), each (K, B, ...) as ReplayMemory.sample gives them, as one
+        trunk forward over (2, K, B, n_inputs) (online weights on states, target weights on
+        next states), heads per group, one stacked backward and one Adam update; K losses."""
+        states, actions, rewards, next_states = batch
         work = self._workspace(actions.shape[1])
         x = work["x"]
         x[0], x[1] = states, next_states

@@ -136,10 +136,6 @@ def make_normalizer(env_cfg: EnvConfig) -> ObsNormalizer:
     return ObsNormalizer(offset=BeamTrackingEnv(env_cfg, seed=0).observe(), scale=OBS_SCALE.copy())
 
 
-def _apply_norm(norm, vec):
-    return norm.apply(vec) if norm is not None else vec
-
-
 @dataclass
 class Policy:
     kind: PolicyKind
@@ -228,8 +224,9 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
     act_rngs = [np.random.default_rng(stream[1]) for stream in streams]
     obs = env.observe()  # the rest observations
 
-    # one player per distinct greedy agent (by identity): 0 for a tracker or 1 for an adversary, the
-    # rows it plays, its net and its normalizer, anchored on those rows' rest observations
+    # one player per distinct greedy agent (by identity): 0 for a tracker or 1 for an adversary, the rows it
+    # plays, its net, and the offsets and scale of its inputs: its rows' rest observations and the recorded
+    # scale, or 0 and 1 for a bare net, which leave its raw inputs exact
     shared, trackers = {}, [p.checkpoint if p.kind is PolicyKind.GREEDY_DQN else None for p in policies]
     for slot, agents in enumerate((trackers, adversary)):
         for agent in {id(a): a for a in agents if a is not None}.values():
@@ -239,11 +236,17 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
                     f"rollout row {own[0]}: its {('tracker', 'adversary')[slot]} has n_actions "
                     f"{net.n_actions}; trackers need {N_PROTAGONIST_ACTIONS}, adversaries {N_ADVERSARY_ACTIONS}"
                 )
-            norm = ObsNormalizer(offset=obs[own], scale=np.asarray(scale)) if scale is not None else None
-            shared.setdefault((net.n_inputs, net.hidden, len(own)), []).append((slot, own, net, norm))
-    # players that share a trunk shape and a row count act through one stacked forward (heads by count)
-    players = [sorted(group, key=lambda player: player[2].n_actions) for group in shared.values()]
-    stacks = [(group, deepq.QBlock([p[2] for p in group])) for group in players]
+            offset, scale = (obs[own], scale) if scale is not None else (np.zeros_like(obs[own]), np.ones(obs.shape[1]))
+            shared.setdefault((net.n_inputs, net.hidden, len(own)), []).append((slot, own, net, offset, scale))
+    # players that share a trunk shape and a row count act through one stacked forward; sorted by slot, so
+    # each head group is one slot's players: per group its (P, R) rows, (P, R, 9) offsets, (P, 1, 9)
+    # scales, block and the (slot, (P_g, R) rows) that each head group's argmax is scattered to
+    stacks = []
+    for group in shared.values():
+        slots, own, nets, offsets, scales = zip(*sorted(group, key=lambda player: player[0]))
+        own, slots = np.array(own), np.array(slots)
+        heads = [(slot, own[slots == slot]) for slot in np.unique(slots)]
+        stacks.append((own, np.array(offsets), np.array(scales)[:, None], deepq.QBlock(nets), heads))
 
     every = np.arange(len(policies))
     kinds = np.array([p.kind for p in policies])
@@ -257,10 +260,9 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
     for k in range(steps):
         if observed.size:
             obs[observed] = env.observe(observed)
-        for group, block in stacks:
-            qs = block.forward(np.array([_apply_norm(norm, obs[own]) for _, own, _, norm in group]))
-            for (slot, own, _, _), q in zip(group, qs):
-                chosen[slot, own] = np.argmax(q, axis=1)
+        for own, offsets, scales, block, heads in stacks:
+            for (slot, head_rows), q in zip(heads, block.forward((obs[own] - offsets) / scales)):
+                chosen[slot, head_rows] = np.argmax(q, axis=-1)
         a_p[randoms] = [act_rngs[b].integers(N_PROTAGONIST_ACTIONS) for b in randoms]
 
         env.advance(a_a)
@@ -306,7 +308,7 @@ def check_adversary(adv_net, proxy_net, env_cfg: EnvConfig, test_steps: int, see
 
 class _Run:
     """One run of a `train` call: its config, eight generators, agents (the tracker, then
-    the adversary when it learns) with replay memories and exploration streams, and its
+    the adversary when it learns) with their replay and exploration streams, and its
     proxy (a given checkpoint, or the _Run that trains it); the loop fills in its block
     rows, losses, probe powers and the adversary probes that wait for a proxy."""
 
@@ -325,8 +327,7 @@ class _Run:
             agents.append((N_ADVERSARY_ACTIONS, init_a, replay_a, self.explore_a))
         self.nets = [deepq.init_qnetwork(n, rng, hidden=cfg.hidden, head_scale=cfg.head_init_scale)
                      for n, rng, *_ in agents]
-        self.memories = [deepq.ReplayMemory(cfg.replay_capacity, rng) for *_, rng, _ in agents]
-        self.explore = [rng for *_, rng in agents]
+        self.replay, self.explore = [rng for *_, rng, _ in agents], [rng for *_, rng in agents]
         # read a proxy path once, so that a file replaced mid-run cannot change the probe
         self.proxy = cfg.proxy_checkpoint
         if self.proxy is not None and not isinstance(self.proxy, (AgentCheckpoint, deepq.QNetwork)):
@@ -347,12 +348,14 @@ def train(cfgs):
     config, which runs without probes and comes back as TrainResult.proxy.
 
     The runs of one call step together: per episode one EnvBatch of their
-    environments, per tick one stacked act over each learner's own state and
-    one QBlock.train of every learner, and after each episode one rollout of
-    every probe. Each run keeps its own generators, replay memories and
-    exploration draws, so each result has the bits of its config trained
-    alone. Their configs may differ only in seed, variant and
-    proxy_checkpoint (the block shares one learning rate and step count).
+    environments, per tick one stacked act over each learner's own state, one
+    push of every learner's transition into one ReplayMemory (a ring per
+    learner, sampled by the learner's own replay stream) and one QBlock.train
+    of all rows on its stacked sample, and after each episode one rollout of
+    every probe. Each run keeps its own generators and exploration draws, so
+    each result has the bits of its config trained alone. Their configs may
+    differ only in seed, variant and proxy_checkpoint (the block shares one
+    learning rate and step count, the replay one capacity).
     The adversary probes of a run that trains its own proxy wait for the
     final proxy: all of them run in the last episode's rollout.
     """
@@ -367,8 +370,8 @@ def train(cfgs):
             raise ValueError("the configs of one train call may differ only in seed, variant and proxy_checkpoint;"
                              f" config {i} differs from config 0 in {', '.join(differ)}")
     cfg = cfgs[0]
-    norm = make_normalizer(cfg.env) if cfg.standardize_obs else None
-    probe_manifest = {"obs_norm": norm.manifest_entry() if norm else None}
+    norm = make_normalizer(cfg.env) if cfg.standardize_obs else ObsNormalizer(0.0, 1.0)  # leaves raw inputs exact
+    probe_manifest = {"obs_norm": norm.manifest_entry() if cfg.standardize_obs else None}
 
     results = [_Run(c) for c in cfgs]
     runs = results + [run.proxy for run in results if isinstance(run.proxy, _Run)]
@@ -377,38 +380,37 @@ def train(cfgs):
     for k, (i, _) in enumerate(agents):
         runs[i].rows.append(k)
     block = deepq.QBlock([runs[i].nets[slot] for i, slot in agents], cfg.learning_rate)
-    memories = [runs[i].memories[slot] for i, slot in agents]
+    memory = deepq.ReplayMemory(cfg.replay_capacity, [runs[i].replay[slot] for i, slot in agents])
     explore = [runs[i].explore[slot] for i, slot in agents]
     envs = np.array([i for i, _ in agents])  # the environment of each row
+    signs = np.array([-1.0 if slot else 1.0 for _, slot in agents])  # an adversary's reward is its tracker's, negated
     randoms = [i for i, run in enumerate(runs) if run.cfg.variant == "random_adversary"]
     a_a = np.zeros(len(runs), dtype=np.int64)  # STAY for the runs without an adversary
+    losses = np.empty((len(agents), cfg.env.horizon))  # per row, of the ticks that trained
 
     clocks, synced, last = [], [], cfg.episodes - 1
     for ep in range(cfg.episodes):
         t0 = time.perf_counter()
         env = EnvBatch.of(cfg.env, [cfg.env.phys] * len(runs), [run.phys_seeds[ep] for run in runs])
-        states = _apply_norm(norm, env.observe())
-        losses = [[] for _ in agents]
+        states, trained = norm.apply(env.observe())[envs], 0
         for _ in range(cfg.env.horizon):
-            actions = block.act(states[envs], cfg.epsilon, explore)
+            actions = block.act(states, cfg.epsilon, explore)
             a_a[envs[len(runs) :]] = actions[len(runs) :]
             for i in randoms:
                 a_a[i] = random_adversary_action(runs[i].explore_a)
             _, r_p = env.transition(actions[: len(runs)], a_a)
-            next_states = _apply_norm(norm, env.observe())
-            for memory, action, (i, slot) in zip(memories, actions, agents):
-                memory.push(states[i], action, -r_p[i] if slot else r_p[i], next_states[i])
-            if len(memories[0]) >= cfg.batch_size:  # every memory holds as many transitions
-                batches = [memory.sample(cfg.batch_size) for memory in memories]
-                for row_losses, loss in zip(losses, block.train(batches, cfg.gamma)):
-                    row_losses.append(float(loss))
+            next_states = norm.apply(env.observe())[envs]
+            memory.push(states, actions, r_p[envs] * signs, next_states)
+            if len(memory) >= cfg.batch_size:
+                losses[:, trained] = block.train(memory.sample(cfg.batch_size), cfg.gamma)
+                trained += 1
             states = next_states
 
         synced.append((ep + 1) % cfg.target_period == 0)
         if synced[-1]:
             block.sync_target()
         for run in runs:  # the adversary's loss is NaN unless it learns
-            means = [float(np.mean(losses[k])) if losses[k] else float("nan") for k in run.rows]
+            means = [float(losses[k, :trained].mean()) if trained else float("nan") for k in run.rows]
             run.losses.append(means + [float("nan")] * (2 - len(means)))
 
         # one rollout: each tracker, wind off; each rarl adversary, as a copy, against its proxy once that is

@@ -112,10 +112,16 @@ def effective_substeps(params: PhysParams, dt: float, substeps: int) -> int:
     """Raise the substep count if needed to keep h strictly below half of
     each stability bound: the spring's (stability_bound) and the drag's,
     c0*h < 2 for the semi-implicit drag term, so c0*h < 1 (matters only for
-    extreme mass, stiffness or drag corners)."""
+    extreme mass, stiffness or drag corners). Raises ValueError when no finite
+    count does, e.g. when the spring's bound underflows to 0."""
     half = 0.5 * stability_bound(params)
-    needed = int(math.floor(max(dt / half, dt * params.drag_constant))) + 1
-    return max(substeps, needed)
+    needed = max(dt / half, dt * params.drag_constant) if half > 0.0 else math.inf
+    if not math.isfinite(needed):
+        raise ValueError(
+            f"no finite substep count keeps the wire stable: its stability bound is {2.0 * half!r} s"
+            f" (total_mass {params.total_mass!r} kg, spring_constant {params.spring_constant!r} N/m)"
+        )
+    return max(substeps, int(math.floor(needed)) + 1)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow raises the ValueError below, not a warning

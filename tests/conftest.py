@@ -102,6 +102,58 @@ def reference_average(policy, env_cfg, seed, steps, adversary=None):
     return total / steps
 
 
+class ReferenceReplay:
+    """One bounded FIFO ring of transitions with uniform sampling (with
+    replacement) by its own generator: the per-agent replay that ring k of
+    deepq.ReplayMemory must reproduce bit for bit."""
+
+    def __init__(self, capacity: int, rng: np.random.Generator):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = capacity
+        self.rng = rng
+        self._states = None
+        self._actions = np.empty(capacity, dtype=np.int64)
+        self._rewards = np.empty(capacity, dtype=np.float64)
+        self._next_states = None
+        self._size = 0
+        self._cursor = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def push(self, state, action, reward, next_state):
+        """Append one transition (s, a, r, s'); the oldest entry is evicted
+        once capacity is exceeded."""
+        if not -1.0 - 1e-12 <= reward <= 1.0 + 1e-12:
+            raise ValueError("reward must be clipped to [-1, 1]")
+        if self._states is None:
+            dim = len(state)
+            self._states = np.empty((self.capacity, dim), dtype=np.float64)
+            self._next_states = np.empty((self.capacity, dim), dtype=np.float64)
+        i = self._cursor
+        self._states[i] = state
+        self._actions[i] = action
+        self._rewards[i] = reward
+        self._next_states[i] = next_state
+        self._cursor = (i + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
+
+    def sample(self, k: int):
+        """k transitions drawn uniformly with replacement as stacked arrays."""
+        if k < 1:
+            raise ValueError("sample size must be >= 1")
+        if self._size < k:
+            raise ValueError(f"memory holds {self._size} < {k} transitions")
+        idx = self.rng.integers(0, self._size, size=k)
+        return (
+            self._states[idx],
+            self._actions[idx],
+            self._rewards[idx],
+            self._next_states[idx],
+        )
+
+
 def reference_train(cfg):
     """The per-agent training loop that rarl.train must reproduce bit for bit:
     each agent acts through act_epsilon_greedy and takes its own train_batch
@@ -120,7 +172,7 @@ def reference_train(cfg):
     nets = [wb.init_qnetwork(n, rng, hidden=cfg.hidden, head_scale=cfg.head_init_scale) for n, rng, _, _ in agents]
     targets = [net.copy() for net in nets]
     adams = [wb.AdamState.init_like(net, cfg.learning_rate) for net in nets]
-    memories = [wb.ReplayMemory(cfg.replay_capacity, rng) for _, _, rng, _ in agents]
+    memories = [ReferenceReplay(cfg.replay_capacity, rng) for _, _, rng, _ in agents]
     norm = wb.make_normalizer(cfg.env)
 
     records = []

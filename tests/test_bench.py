@@ -698,6 +698,24 @@ class TestOrchestrationPurity:
         assert "error: wire equilibrium system is not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_underflowing_stability_bound_is_refused_before_writing(self, tmp_path, capsys):
+        # 2*sqrt(m / (2*k0*N)) underflows to 0 s, so no substep count keeps the wire stable
+        bad = write_cfg(tmp_path, "total_mass_kg: 1e-300\nspring_constant_n_per_m: 1e300\n")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", bad, "--steps", "3", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no finite substep count keeps the wire stable") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_underflowing_sweep_cell_is_refused_before_writing(self, tmp_path, capsys):
+        spec = tmp_path / "sweep.spec"
+        spec.write_text("mass_grid_kg: 10,1e-300\nspring_grid_n_per_m: 100,1e300\n")
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", write_cfg(tmp_path), "--spec", str(spec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no finite substep count keeps the wire stable") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_overflowing_horizon_is_a_config_error(self, tmp_path, capsys):
         bad = write_cfg(tmp_path, "observation_time_s: 1e308\ndecision_interval_s: 1e-10\n")
         out = tmp_path / "sim"

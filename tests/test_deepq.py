@@ -19,6 +19,7 @@ from wirebeam.deepq import (
     sync_target,
     train_batch,
 )
+from conftest import ReferenceReplay
 
 
 def zero_net(n_actions=5, hidden=(4,)):
@@ -273,7 +274,7 @@ class TestQBlock:
         assert block.flat.shape == (2, 3, max(sizes)) and sizes[0] < sizes[2]
         for step in range(100):
             batches = [random_batch(rng, n_actions=net.n_actions) for net in singles]
-            losses = block.train(batches, 0.97)
+            losses = block.train(tuple(np.array(part) for part in zip(*batches)), 0.97)
             for k, (net, target, adam, batch) in enumerate(zip(singles, targets, adams, batches)):
                 loss, grad = loss_and_gradients(net, target, batch, 0.97)
                 assert losses[k] == loss
@@ -290,7 +291,9 @@ class TestQBlock:
                     sync_target(net, target)
             for batch_size in (1, 6):
                 states = rng.normal(size=(3, batch_size, 9))
-                for k, q in enumerate(block.forward(states)):
+                groups = block.forward(states)  # one array per head group: rows (0, 1) of 5 actions, row 2 of 7
+                assert [q.shape for q in groups] == [(2, batch_size, 5), (1, batch_size, 7)]
+                for k, q in enumerate(row for group in groups for row in group):
                     assert q.tobytes() == forward(singles[k], states[k]).tobytes()
         for k, size in enumerate(sizes):  # the padding of the 5-action rows never moves
             assert not block.flat[:, k, size:].any() and not block.grad[k, size:].any()
@@ -341,8 +344,8 @@ class TestQBlock:
         x = rng.normal(size=(3, 4, 9))
         with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="^network 1: .*value head"):
             block.forward(x)
-        q = block.forward(x, check=[0, 2])
-        assert np.isnan(q[1]).all() and np.isfinite(q[0]).all() and np.isfinite(q[2]).all()
+        q01, q2 = block.forward(x, check=[0, 2])
+        assert np.isnan(q01[1]).all() and np.isfinite(q01[0]).all() and np.isfinite(q2[0]).all()
 
 
 class TestFlatLayout:
@@ -371,46 +374,79 @@ class TestFlatLayout:
         assert not np.any(net.adv_b == 1.0)
 
 
+def ring(rng, capacity):
+    """A replay of one ring (K = 1)."""
+    return ReplayMemory(capacity, [rng])
+
+
 class TestReplayMemory:
     def test_fifo_eviction(self):
-        mem = ReplayMemory(capacity=2, rng=np.random.default_rng(0))
+        mem = ring(np.random.default_rng(0), capacity=2)
         for r, tag in zip((0.1, 0.2, 0.3), "abc"):
-            mem.push(np.full(9, r), 0, r, np.zeros(9))
+            mem.push(np.full((1, 9), r), [0], [r], np.zeros((1, 9)))
         assert len(mem) == 2
         draws = [mem.sample(2) for _ in range(100)]
-        states, rewards = (np.concatenate([d[i] for d in draws]) for i in (0, 2))
+        states, rewards = (np.concatenate([d[i][0] for d in draws]) for i in (0, 2))
         assert set(rewards.tolist()) == {0.2, 0.3}  # the oldest transition is gone
         np.testing.assert_array_equal(states[:, 0], rewards)
 
     def test_sampling_uniformity_chi_square(self):
         # 1e5 draws from 10 stored items (chunked: a draw never exceeds the
         # current memory size)
-        mem = ReplayMemory(capacity=100, rng=np.random.default_rng(16))
+        mem = ring(np.random.default_rng(16), capacity=100)
         for i in range(10):
-            mem.push(np.full(9, float(i)), i % 5, 0.0, np.zeros(9))
-        draws = np.concatenate([mem.sample(10)[0][:, 0] for _ in range(10_000)])
+            mem.push(np.full((1, 9), float(i)), [i % 5], [0.0], np.zeros((1, 9)))
+        draws = np.concatenate([mem.sample(10)[0][0, :, 0] for _ in range(10_000)])
         counts = np.bincount(draws.astype(int), minlength=10)
         assert counts.sum() == 100_000
         _, p_value = stats.chisquare(counts)
         assert p_value > 0.001
 
     def test_sample_preconditions(self):
-        mem = ReplayMemory(capacity=10, rng=np.random.default_rng(0))
+        mem = ring(np.random.default_rng(0), capacity=10)
         with pytest.raises(ValueError):
             mem.sample(1)
-        mem.push(np.arange(9.0), 1, 0.5, np.arange(9.0) + 1)
+        mem.push(np.arange(9.0)[None], [1], [0.5], np.arange(9.0)[None] + 1)
         with pytest.raises(ValueError):
             mem.sample(2)
         states, actions, rewards, next_states = mem.sample(1)
-        np.testing.assert_array_equal(states[0], np.arange(9.0))
-        assert actions[0] == 1 and rewards[0] == 0.5
+        np.testing.assert_array_equal(states[0, 0], np.arange(9.0))
+        assert actions[0, 0] == 1 and rewards[0, 0] == 0.5
 
     def test_reward_contract_enforced(self):
-        mem = ReplayMemory(capacity=10, rng=np.random.default_rng(0))
+        mem = ring(np.random.default_rng(0), capacity=10)
         for reward in (1.5, -2.0):
             with pytest.raises(ValueError):
-                mem.push(np.zeros(9), 0, reward, np.zeros(9))
+                mem.push(np.zeros((1, 9)), [0], [reward], np.zeros((1, 9)))
         assert len(mem) == 0
+
+    def test_rings_equal_reference_replays_through_wraps_and_refusals(self):
+        # K rings filling together give ring k the bits of its own K = 1 replay, draw for draw,
+        # past several wraps of the ring; a push with one bad reward is refused whole
+        k, capacity, batch = 4, 7, 5
+        data = np.random.default_rng(40)
+        block = ReplayMemory(capacity, [np.random.default_rng(s) for s in range(k)])
+        references = [ReferenceReplay(capacity, np.random.default_rng(s)) for s in range(k)]
+        for tick in range(4 * capacity + 3):
+            states, next_states = data.normal(size=(2, k, 9))
+            actions, rewards = data.integers(0, 7, k), data.uniform(-1, 1, k)
+            if tick % 5 == 2:  # one bad row: nothing is written, in any ring
+                bad = rewards.copy()
+                bad[tick % k] = (np.nan, 1.5, -2.0)[tick % 3]
+                with pytest.raises(ValueError, match="clipped"):
+                    block.push(states, actions, bad, next_states)
+            block.push(states, actions, rewards, next_states)
+            for ref, row in zip(references, zip(states, actions, rewards, next_states)):
+                ref.push(*row)
+            assert len(block) == len(references[0]) == min(tick + 1, capacity)
+            if len(block) >= batch:
+                got = block.sample(batch)
+                assert [part.shape for part in got] == [(k, batch, 9), (k, batch), (k, batch), (k, batch, 9)]
+                for row, ref in enumerate(references):
+                    for part, want in zip(got, ref.sample(batch)):
+                        assert part[row].dtype == want.dtype and part[row].tobytes() == want.tobytes()
+        for rng, ref in zip(block.rngs, references):
+            assert rng.bit_generator.state == ref.rng.bit_generator.state
 
 
 class TestPerformance:

@@ -96,9 +96,10 @@ class TestReward:
     def test_nan_power_gives_nan_reward_that_replay_refuses(self):
         reward = reward_from_power(float("nan"), -27.0, 3.0)
         assert np.isnan(reward)
-        memory = wb.ReplayMemory(10, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            memory.push(np.zeros(9), 0, reward, np.zeros(9))
+        memory = wb.ReplayMemory(10, [np.random.default_rng(0), np.random.default_rng(1)])
+        with pytest.raises(ValueError):  # one NaN row refuses the whole push
+            memory.push(np.zeros((2, 9)), [0, 0], [0.5, reward], np.zeros((2, 9)))
+        assert len(memory) == 0
 
     def test_step_reward_when_aligned(self, frozen_env_cfg):
         env = BeamTrackingEnv(frozen_env_cfg, seed=0)

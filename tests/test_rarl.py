@@ -173,15 +173,17 @@ class TestTrainLoop:
     def test_zero_sum_bookkeeping_and_synchronization(self, monkeypatch):
         cfg = tiny_cfg(variant="rarl", horizon=60, episodes=1, test_steps=10)
         proxy = train(tiny_cfg(episodes=1, test_steps=10))
-        pushed, push = {}, wb.ReplayMemory.push  # per memory, in order of first push: protagonist, adversary
+        pushed, push = [], wb.ReplayMemory.push  # one stacked push per tick: rows protagonist, adversary
 
-        def recording_push(memory, state, action, reward, next_state):
-            pushed.setdefault(id(memory), []).append((np.array(state), reward, np.array(next_state)))
-            push(memory, state, action, reward, next_state)
+        def recording_push(memory, states, actions, rewards, next_states):
+            pushed.append((np.array(states), np.array(rewards), np.array(next_states)))
+            push(memory, states, actions, rewards, next_states)
 
         monkeypatch.setattr(wb.ReplayMemory, "push", recording_push)
         train(replace(cfg, proxy_checkpoint=proxy.protagonist))
-        (sp, rp, np_next), (sa, ra, na_next) = (map(np.array, zip(*calls)) for calls in pushed.values())
+        states, rewards, next_states = map(np.array, zip(*pushed))  # (tick, row, ...)
+        assert states.shape == next_states.shape == (60, 2, 9) and rewards.shape == (60, 2)
+        (sp, sa), (rp, ra), (np_next, na_next) = (part.swapaxes(0, 1) for part in (states, rewards, next_states))
         assert len(rp) == len(ra) == 60
         np.testing.assert_array_equal(rp, -ra)  # exact zero-sum
         np.testing.assert_array_equal(sp, sa)  # both agents saw the same s_k
@@ -435,6 +437,32 @@ class TestRollout:
         _, rows = rollout([policy] * 3, cfg, MIXED_PHYSES, [1, 2, 3], 30, trajectory=True)
         for phys, seed, batch_rows in zip(MIXED_PHYSES, [1, 2, 3], rows):
             assert run_policy(policy, replace(cfg, phys=phys), 30, seed)[1] == batch_rows
+
+    def test_raw_and_normalized_players_share_one_stack(self, monkeypatch):
+        # bare nets read raw inputs (offset 0, scale 1), checkpoints their normalized ones; a raw and a
+        # normalized tracker (5 actions) and adversary (7) play two rows each, so all four players are one
+        # stacked group with two head groups, and every row must equal its own B = 1 rollout
+        raw_tracker = init_qnetwork(5, np.random.default_rng(8), head_scale=1.0)
+        raw_adversary = init_qnetwork(7, np.random.default_rng(10), head_scale=1.0)
+        trackers = [raw_tracker] * 2 + [greedy_ckpt(5, 3)] * 2
+        adversaries = [greedy_ckpt(7, 4)] * 2 + [raw_adversary] * 2
+        policies = [Policy(PolicyKind.GREEDY_DQN, tracker) for tracker in trackers]
+        cfg, steps, physes, seeds = wb.EnvConfig(), 60, MIXED_PHYSES[:2] * 2, [[23, i] for i in range(4)]
+        blocks, block = [], rarl.deepq.QBlock
+        monkeypatch.setattr(rarl.deepq, "QBlock", lambda nets: blocks.append(nets) or block(nets))
+        avg, rows = rollout(policies, cfg, physes, seeds, steps, adversary=adversaries, trajectory=True)
+        assert [[net.n_actions for net in nets] for nets in blocks] == [[5, 5, 7, 7]]
+        for b in range(4):
+            alone = rollout(policies[b : b + 1], cfg, physes[b : b + 1], seeds[b : b + 1], steps,
+                            adversary=adversaries[b], trajectory=True)
+            assert avg[b] == alone[0][0] and rows[b] == alone[1][0]
+        # first step, on the rest observation: a bare net picks on it raw, a checkpoint on its normalized zeros
+        # (seeds 8 and 10 pick differently on the raw, the zero and the rest / scale input)
+        for b, agents in enumerate(zip(trackers, adversaries)):
+            rest = BeamTrackingEnv(replace(cfg, phys=physes[b]), seed=0).observe()
+            picks = [np.argmax(wb.forward(a, rest) if isinstance(a, wb.QNetwork) else wb.forward(a.net, 0.0 * rest))
+                     for a in agents]
+            assert rows[b][0][4:6] == (ProtagonistAction(picks[0]).name.lower(), AdversaryAction(picks[1]).name.lower())
 
     def test_wrong_action_count_names_the_row(self):
         tracker, adversary = greedy_ckpt(5, 1), greedy_ckpt(7, 2)
