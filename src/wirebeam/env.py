@@ -145,6 +145,9 @@ class EnvBatch:
         physes[b] (one n_points for all) and the noise of default_rng(seeds[b]);
         one group per substep count, whose rows are slice(None) if it holds
         every row, else an index array."""
+        for b, p in enumerate(physes):
+            if p.n_points != physes[0].n_points:
+                raise ValueError(f"an EnvBatch needs one n_points: row {b} has {p.n_points}, row 0 {physes[0].n_points}")
         substeps = np.array([wire.effective_substeps(p, cfg.tau, cfg.substeps) for p in physes])
         groups = []
         for n_sub in np.unique(substeps):

@@ -111,28 +111,26 @@ OBS_SCALE = np.array([1.0, 1.0, 1.0, 3.0, 3.0, 3.0, 0.1, 0.1, 0.1])
 
 @dataclass
 class ObsNormalizer:
-    """Affine input map applied before the Q networks.
+    """The one input rule of every Q network, in training and in rollout: inputs = (observation - offset)
+    / scale, offset the rest observation of the net's own row (the station can always calibrate its rest
+    pose in situ), so position inputs mean "displacement from rest" on every wire. The beam components are
+    amplified: their excursions (~0.1) are tiny next to raw positions (~4 m) and would starve the network
+    of steering sensitivity."""
 
-    Anchored at the rest observation of the environment the network runs
-    in (the station can always calibrate its rest pose in situ), so the
-    position inputs mean "displacement from rest" in every environment.
-    The beam components are amplified because their excursions (~0.1) are
-    tiny next to raw positions (~4 m), which otherwise starves the
-    network of steering sensitivity.
-    """
-
-    offset: np.ndarray
+    offset: np.ndarray  # (..., 9) rest observations, one per row
     scale: np.ndarray
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return (vec - self.offset) / self.scale
+    @classmethod
+    def at_rest(cls, rest: np.ndarray, scale=None) -> "ObsNormalizer":
+        """At rest at `rest`, with `scale`; scale None (a bare net, standardize_obs off) gives offset 0 and scale 1."""
+        return cls(rest, scale) if scale is not None else cls(np.zeros_like(rest), np.ones(rest.shape[-1]))
 
     def manifest_entry(self) -> dict:
         return {"anchor": "env_rest", "scale": self.scale.tolist()}
 
 
 def make_normalizer(env_cfg: EnvConfig) -> ObsNormalizer:
-    """Normalizer anchored at the rest state of the given environment."""
+    """The rule of one environment of `env_cfg`, whose manifest_entry a checkpoint records."""
     return ObsNormalizer(offset=BeamTrackingEnv(env_cfg, seed=0).observe(), scale=OBS_SCALE.copy())
 
 
@@ -225,8 +223,7 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
     obs = env.observe()  # the rest observations
 
     # one player per distinct greedy agent (by identity): 0 for a tracker or 1 for an adversary, the rows it
-    # plays, its net, and the offsets and scale of its inputs: its rows' rest observations and the recorded
-    # scale, or 0 and 1 for a bare net, which leave its raw inputs exact
+    # plays, its net, and the offsets and scale of its inputs: the ObsNormalizer of its rows and recorded scale
     shared, trackers = {}, [p.checkpoint if p.kind is PolicyKind.GREEDY_DQN else None for p in policies]
     for slot, agents in enumerate((trackers, adversary)):
         for agent in {id(a): a for a in agents if a is not None}.values():
@@ -236,8 +233,8 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
                     f"rollout row {own[0]}: its {('tracker', 'adversary')[slot]} has n_actions "
                     f"{net.n_actions}; trackers need {N_PROTAGONIST_ACTIONS}, adversaries {N_ADVERSARY_ACTIONS}"
                 )
-            offset, scale = (obs[own], scale) if scale is not None else (np.zeros_like(obs[own]), np.ones(obs.shape[1]))
-            shared.setdefault((net.n_inputs, net.hidden, len(own)), []).append((slot, own, net, offset, scale))
+            norm = ObsNormalizer.at_rest(obs[own], scale)
+            shared.setdefault((net.n_inputs, net.hidden, len(own)), []).append((slot, own, net, norm.offset, norm.scale))
     # players that share a trunk shape and a row count act through one stacked forward; sorted by slot, so
     # each head group is one slot's players: per group its (P, R) rows, (P, R, 9) offsets, (P, 1, 9)
     # scales, block and the (slot, (P_g, R) rows) that each head group's argmax is scattered to
@@ -352,10 +349,11 @@ def train(cfgs):
     push of every learner's transition into one ReplayMemory (a ring per
     learner, sampled by the learner's own replay stream) and one QBlock.train
     of all rows on its stacked sample, and after each episode one rollout of
-    every probe. Each run keeps its own generators and exploration draws, so
-    each result has the bits of its config trained alone. Their configs may
-    differ only in seed, variant and proxy_checkpoint (the block shares one
-    learning rate and step count, the replay one capacity).
+    every probe. Each run keeps its own generators, exploration draws and wire,
+    its nets read the ObsNormalizer of their own rows, and each result has the
+    bits of its config trained alone. Configs may differ only in seed, variant,
+    proxy_checkpoint and wire physics, with one n_points for all (one learning
+    rate and step count for the block, one capacity for the replay).
     The adversary probes of a run that trains its own proxy wait for the
     final proxy: all of them run in the last episode's rollout.
     """
@@ -363,15 +361,15 @@ def train(cfgs):
     cfgs = [cfgs] if single else list(cfgs)
     if not cfgs:
         raise ValueError("train needs at least one config")
-    shared = [{k: json.dumps(v, default=_jsonable) for k, v in asdict(replace(c, proxy_checkpoint=None)).items()}
-              for c in cfgs]
+    shared = [asdict(replace(c, proxy_checkpoint=None)) for c in cfgs]
+    for fields in shared:  # of the wire physics, only the point count is shared
+        fields["n_points"] = fields["env"].pop("phys")["n_points"]
+    shared = [{k: json.dumps(v, default=_jsonable) for k, v in fields.items()} for fields in shared]
     for i, settings in enumerate(shared):
         if differ := [k for k, v in settings.items() if k not in ("seed", "variant") and v != shared[0][k]]:
-            raise ValueError("the configs of one train call may differ only in seed, variant and proxy_checkpoint;"
-                             f" config {i} differs from config 0 in {', '.join(differ)}")
+            raise ValueError("the configs of one train call may differ only in seed, variant, proxy_checkpoint and"
+                             f" wire physics; config {i} differs from config 0 in {', '.join(differ)}")
     cfg = cfgs[0]
-    norm = make_normalizer(cfg.env) if cfg.standardize_obs else ObsNormalizer(0.0, 1.0)  # leaves raw inputs exact
-    probe_manifest = {"obs_norm": norm.manifest_entry() if cfg.standardize_obs else None}
 
     results = [_Run(c) for c in cfgs]
     runs = results + [run.proxy for run in results if isinstance(run.proxy, _Run)]
@@ -391,15 +389,17 @@ def train(cfgs):
     clocks, synced, last = [], [], cfg.episodes - 1
     for ep in range(cfg.episodes):
         t0 = time.perf_counter()
-        env = EnvBatch.of(cfg.env, [cfg.env.phys] * len(runs), [run.phys_seeds[ep] for run in runs])
-        states, trained = norm.apply(env.observe())[envs], 0
+        env = EnvBatch.of(cfg.env, [run.cfg.env.phys for run in runs], [run.phys_seeds[ep] for run in runs])
+        norm, trained = ObsNormalizer.at_rest(env.observe(), OBS_SCALE if cfg.standardize_obs else None), 0
+        probe_manifest = {"obs_norm": norm.manifest_entry() if cfg.standardize_obs else None}
+        states = ((env.observe() - norm.offset) / norm.scale)[envs]
         for _ in range(cfg.env.horizon):
             actions = block.act(states, cfg.epsilon, explore)
             a_a[envs[len(runs) :]] = actions[len(runs) :]
             for i in randoms:
                 a_a[i] = random_adversary_action(runs[i].explore_a)
             _, r_p = env.transition(actions[: len(runs)], a_a)
-            next_states = norm.apply(env.observe())[envs]
+            next_states = ((env.observe() - norm.offset) / norm.scale)[envs]
             memory.push(states, actions, r_p[envs] * signs, next_states)
             if len(memory) >= cfg.batch_size:
                 losses[:, trained] = block.train(memory.sample(cfg.batch_size), cfg.gamma)
@@ -428,9 +428,9 @@ def train(cfgs):
             if proxy is not None:
                 rows += [(copy.copy(proxy), adversary, seed, run, e, 1) for adversary, seed, e in run.waiting]
                 run.waiting = []
-        trackers, adversaries, seeds, *_ = zip(*rows)
+        trackers, adversaries, seeds, owners, *_ = zip(*rows)
         policies = [Policy(PolicyKind.GREEDY_DQN, tracker) for tracker in trackers]
-        avg, _ = rollout(policies, cfg.env, [cfg.env.phys] * len(rows), seeds, cfg.test_steps, adversary=adversaries)
+        avg, _ = rollout(policies, cfg.env, [r.cfg.env.phys for r in owners], seeds, cfg.test_steps, adversary=adversaries)
         for (*_, run, e, probe), power in zip(rows, avg):
             run.powers[e][probe] = float(power)
         clocks.append(time.perf_counter() - t0)

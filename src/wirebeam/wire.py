@@ -108,12 +108,17 @@ def stability_bound(params: PhysParams) -> float:
     return 2.0 * math.sqrt(params.total_mass / (2.0 * params.spring_constant * params.n_points))
 
 
+# most substeps per decision interval; a wire that needs more would cost over 1000 stock steps per decision
+MAX_SUBSTEPS = 1000
+
+
 def effective_substeps(params: PhysParams, dt: float, substeps: int) -> int:
     """Raise the substep count if needed to keep h strictly below half of
     each stability bound: the spring's (stability_bound) and the drag's,
     c0*h < 2 for the semi-implicit drag term, so c0*h < 1 (matters only for
     extreme mass, stiffness or drag corners). Raises ValueError when no finite
-    count does, e.g. when the spring's bound underflows to 0."""
+    count does, e.g. when the spring's bound underflows to 0, or when the
+    count exceeds MAX_SUBSTEPS."""
     half = 0.5 * stability_bound(params)
     needed = max(dt / half, dt * params.drag_constant) if half > 0.0 else math.inf
     if not math.isfinite(needed):
@@ -121,7 +126,14 @@ def effective_substeps(params: PhysParams, dt: float, substeps: int) -> int:
             f"no finite substep count keeps the wire stable: its stability bound is {2.0 * half!r} s"
             f" (total_mass {params.total_mass!r} kg, spring_constant {params.spring_constant!r} N/m)"
         )
-    return max(substeps, int(math.floor(needed)) + 1)
+    count = max(substeps, int(math.floor(needed)) + 1)
+    if count > MAX_SUBSTEPS:
+        raise ValueError(
+            f"the wire needs {float(count):.6g} substeps per decision interval, more than MAX_SUBSTEPS = {MAX_SUBSTEPS}"
+            f" (total_mass {params.total_mass!r} kg, spring_constant {params.spring_constant!r} N/m,"
+            f" drag_constant {params.drag_constant!r} 1/s, decision_interval_s {dt!r} s)"
+        )
+    return count
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow raises the ValueError below, not a warning

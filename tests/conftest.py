@@ -178,7 +178,7 @@ def reference_train(cfg):
     records = []
     for ep in range(1, cfg.episodes + 1):
         env = BeamTrackingEnv(cfg.env, seed=phys_seeds[ep - 1])
-        state = norm.apply(env.observe())
+        state = (env.observe() - norm.offset) / norm.scale
         losses = [[], []]
         for _ in range(cfg.env.horizon):
             actions = [wb.act_epsilon_greedy(net, state, cfg.epsilon, agent[3]) for net, agent in zip(nets, agents)]
@@ -187,7 +187,7 @@ def reference_train(cfg):
             elif cfg.variant == "no_adversary":
                 actions.append(AdversaryAction.STAY)
             obs, r_p, r_a, _ = env.step(ProtagonistAction(actions[0]), AdversaryAction(actions[1]))
-            next_state = norm.apply(obs)
+            next_state = (obs - norm.offset) / norm.scale
             for k, reward in enumerate((r_p, r_a)[: len(nets)]):
                 memories[k].push(state, actions[k], reward, next_state)
                 if len(memories[k]) >= cfg.batch_size:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -709,11 +710,36 @@ class TestOrchestrationPurity:
 
     def test_underflowing_sweep_cell_is_refused_before_writing(self, tmp_path, capsys):
         spec = tmp_path / "sweep.spec"
-        spec.write_text("mass_grid_kg: 10,1e-300\nspring_grid_n_per_m: 100,1e300\n")
+        # the underflowing cell first: (10 kg, 1e300 N/m) needs ~1e148 substeps, which the substep cap refuses
+        spec.write_text("mass_grid_kg: 1e-300,10\nspring_grid_n_per_m: 1e300,100\n")
         out = tmp_path / "sw"
         assert main(["sweep", "--config", write_cfg(tmp_path), "--spec", str(spec), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: no finite substep count keeps the wire stable") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_astronomical_substep_count_is_refused_before_writing(self, tmp_path, capsys):
+        # a light, soft wire is stable only at ~1e143 substeps per decision: refused at once, not run for ages
+        bad = write_cfg(tmp_path, "total_mass_kg: 1e-300\nspring_constant_n_per_m: 1e-10\n")
+        out = tmp_path / "sim"
+        t0 = time.perf_counter()
+        assert main(["simulate", "--config", bad, "--steps", "3", "--out", str(out)]) == 1
+        assert time.perf_counter() - t0 < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: the wire needs 4.") and err.count("\n") == 1
+        assert "more than MAX_SUBSTEPS = 1000 (total_mass 1e-300 kg, spring_constant 1e-10 N/m, drag_constant" in err
+        assert not out.exists()
+
+    def test_astronomical_substep_sweep_cell_is_refused_before_writing(self, tmp_path, capsys):
+        spec = tmp_path / "sweep.spec"
+        spec.write_text("mass_grid_kg: 10,1e-300\nspring_grid_n_per_m: 100,1e-10\n")
+        out = tmp_path / "sw"
+        t0 = time.perf_counter()
+        assert main(["sweep", "--config", write_cfg(tmp_path), "--spec", str(spec), "--out", str(out)]) == 1
+        assert time.perf_counter() - t0 < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: the wire needs ") and err.count("\n") == 1
+        assert "decision_interval_s 0.01 s)" in err
         assert not out.exists()
 
     def test_overflowing_horizon_is_a_config_error(self, tmp_path, capsys):

@@ -60,6 +60,7 @@ class TestTrainValidation:
         [
             ({"episodes": 3}, "episodes"),
             ({"env": wb.EnvConfig(horizon=81)}, "env"),
+            ({"env": wb.EnvConfig(horizon=80, phys=wb.PhysParams(n_points=12))}, "n_points"),
             ({"learning_rate": 2e-3}, "learning_rate"),
         ],
     )
@@ -259,6 +260,28 @@ class TestLockstep:
         reference = reference_train(replace(cfgs[3], proxy_checkpoint=own.protagonist))
         assert_same_run(results[3], replace(reference, proxy=own.protagonist))
         assert all(np.isfinite(r.adversary_check_avg_power) for r in results[3].records)
+
+    def test_runs_on_different_wires_equal_single_runs(self):
+        # the stock wire, a wire that needs two substeps and one that rests below ground, each net anchored at
+        # its own wire's rest observation; the self-proxied rarl run trains its proxy on its own wire too
+        two_substeps = wb.PhysParams(total_mass=0.3, spring_constant=200.0)
+        below_ground = wb.PhysParams(total_mass=20.0, spring_constant=10.0)
+        assert wb.wire.effective_substeps(two_substeps, 0.01, 1) == 2
+        assert wb.equilibrium_shape(below_ground).positions[5, 2] < -17.0
+        proxy = train(tiny_cfg(episodes=1, horizon=40, test_steps=10, seed=2)).protagonist
+        base = tiny_cfg(episodes=3, horizon=40, test_steps=10)
+        cfgs = [
+            replace(base, seed=5, variant="no_adversary"),
+            replace(base, seed=6, variant="random_adversary", env=replace(base.env, phys=two_substeps)),
+            replace(base, seed=7, variant="rarl", env=replace(base.env, phys=below_ground)),
+            replace(base, seed=8, variant="rarl", env=replace(base.env, phys=two_substeps), proxy_checkpoint=proxy),
+        ]
+        results = train(cfgs)
+        for cfg, result in zip(cfgs, results):
+            assert_same_run(result, train(cfg))
+            assert all(np.isfinite(r.protagonist_avg_power) for r in result.records)
+        assert_same_run(results[1], reference_train(cfgs[1]))
+        assert results[2].proxy is not None and all(np.isfinite(r.adversary_check_avg_power) for r in results[2].records)
 
     def test_one_seed_twice_gives_twin_rows(self):
         cfg = tiny_cfg(variant="rarl", episodes=2, horizon=40, test_steps=10)
@@ -482,6 +505,11 @@ class TestRollout:
             rollout([Policy(PolicyKind.STAY)], wb.EnvConfig(), MIXED_PHYSES, [1, 2, 3], 10)
         with pytest.raises(ValueError, match=r"one adversary \(or None\) per seed"):
             rollout([Policy(PolicyKind.STAY)] * 3, wb.EnvConfig(), MIXED_PHYSES, [1, 2, 3], 10, adversary=[None] * 2)
+
+    def test_mixed_point_counts_rejected(self):
+        physes = [wb.PhysParams(), wb.PhysParams(), wb.PhysParams(n_points=12)]
+        with pytest.raises(ValueError, match="^an EnvBatch needs one n_points: row 2 has 12, row 0 11$"):
+            rollout([Policy(PolicyKind.STAY)] * 3, wb.EnvConfig(), physes, [1, 2, 3], 5)
 
     def test_no_rows_rejected(self):
         with pytest.raises(ValueError, match="^a rollout needs at least one row$"):

@@ -343,6 +343,15 @@ class TestInvariants:
         assert np.abs(st.positions).max() < 100.0
         assert effective_substeps(PhysParams(drag_constant=99.0), TAU, 1) == 1
 
+    def test_substep_count_capped(self):
+        assert effective_substeps(PhysParams(), TAU, wire.MAX_SUBSTEPS) == wire.MAX_SUBSTEPS
+        with pytest.raises(ValueError, match="needs 1001 substeps per decision interval, more than MAX_SUBSTEPS"):
+            effective_substeps(PhysParams(), TAU, wire.MAX_SUBSTEPS + 1)
+        # a light, soft wire needs ~1e143: refused, with every quantity the count depends on
+        message = r"\(total_mass 1e-300 kg, spring_constant 1e-10 N/m, drag_constant 1.0 1/s, decision_interval_s 0.01 s\)$"
+        with pytest.raises(ValueError, match=message):
+            effective_substeps(PhysParams(total_mass=1e-300, spring_constant=1e-10), TAU, 1)
+
 
 class TestEnvWind:
     def test_reference_values(self):
