@@ -60,8 +60,8 @@ class TestTrainValidation:
         [
             ({"episodes": 3}, "episodes"),
             ({"env": wb.EnvConfig(horizon=81)}, "env"),
-            ({"env": wb.EnvConfig(horizon=80, phys=wb.PhysParams(n_points=12))}, "n_points"),
             ({"learning_rate": 2e-3}, "learning_rate"),
+            ({"env": wb.EnvConfig(horizon=80, phys=wb.PhysParams(n_points=12))}, "n_points"),
         ],
     )
     def test_lockstep_configs_differ_only_in_run_settings(self, change, field):
