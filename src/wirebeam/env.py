@@ -53,6 +53,10 @@ ANGLE_STEPS = np.array([(0.0, 0.0), (-1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, -
 # unit direction of the adversary's wind, rows in AdversaryAction order (STAY adds none)
 WIND_DIRS = np.array([(0, 0, 0), (0, 0, 1), (0, 0, -1), (-1, 0, 0), (1, 0, 0), (0, 1, 0), (0, -1, 0)], dtype=np.float64)
 
+# decision intervals per draw of a generator private to a batch: EnvBatch.of's wire noise, rarl.rollout's
+# random actions; a bulk draw equals the same draws one at a time, so no output depends on it
+NOISE_BLOCK = 64
+
 
 def beam_direction(steer_zenith_deg, steer_azimuth_deg) -> np.ndarray:
     """Unit vectors [sin(t)cos(p), sin(t)sin(p), cos(t)] of beams steered at
@@ -127,7 +131,10 @@ class EnvBatch:
     `groups` holds one (rows, wire.Integrator, generators) triple per
     substep count: rows index the leading shape (None for one environment,
     which the integrator sees as a batch of one; a slice or an index array
-    for a batch), one generator per row.
+    for a batch), one generator per row. The generators that EnvBatch.of
+    makes are the batch's own, so their integrators draw NOISE_BLOCK
+    intervals of noise per call; a generator that a caller can read
+    (BeamTrackingEnv.rng) is drawn one interval at a time.
     """
 
     def __init__(self, cfg: EnvConfig, rest: np.ndarray, groups: list):
@@ -142,19 +149,26 @@ class EnvBatch:
     @classmethod
     def of(cls, cfg: EnvConfig, physes, seeds) -> "EnvBatch":
         """B = len(seeds) environments in the order given, b with the physics
-        physes[b] (one n_points for all) and the noise of default_rng(seeds[b]);
-        one group per substep count, whose rows are slice(None) if it holds
-        every row, else an index array."""
+        physes[b] (one n_points for all, with cfg.sbs_point an interior point)
+        and the noise of default_rng(seeds[b]), drawn NOISE_BLOCK intervals at
+        a time; one group per substep count, whose rows are slice(None) if it
+        holds every row, else an index array."""
         for b, p in enumerate(physes):
             if p.n_points != physes[0].n_points:
                 raise ValueError(f"an EnvBatch needs one n_points: row {b} has {p.n_points}, row 0 {physes[0].n_points}")
+        if not 2 <= cfg.sbs_point <= physes[0].n_points - 1:
+            raise ValueError(
+                f"sbs_point {cfg.sbs_point} must be an interior point (2..{physes[0].n_points - 1})"
+                f" of the rows' wires of n_points {physes[0].n_points}"
+            )
         substeps = np.array([wire.effective_substeps(p, cfg.tau, cfg.substeps) for p in physes])
         groups = []
         for n_sub in np.unique(substeps):
             members = np.flatnonzero(substeps == n_sub)
             rows = slice(None) if len(members) == len(physes) else members
             rngs = [np.random.default_rng(seeds[i]) for i in members]
-            groups.append((rows, wire.Integrator([physes[i] for i in members], cfg.tau, int(n_sub)), rngs))
+            integrator = wire.Integrator([physes[i] for i in members], cfg.tau, int(n_sub), NOISE_BLOCK)
+            groups.append((rows, integrator, rngs))
         return cls(cfg, np.array([wire.equilibrium_shape(p).positions for p in physes]), groups)
 
     def reset(self) -> np.ndarray:

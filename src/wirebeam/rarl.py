@@ -28,7 +28,7 @@ import numpy as np
 
 from . import deepq
 from .checkpoint import AgentCheckpoint, load_checkpoint, param_digest
-from .env import AdversaryAction, BeamTrackingEnv, EnvBatch, EnvConfig, ProtagonistAction, reward_from_power
+from .env import NOISE_BLOCK, AdversaryAction, BeamTrackingEnv, EnvBatch, EnvConfig, ProtagonistAction, reward_from_power
 
 VARIANTS = ("rarl", "no_adversary", "random_adversary")
 
@@ -200,8 +200,10 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
     per row; a row without one has its adversary play STAY. The rows are one
     EnvBatch; per step this loop runs one stacked QBlock forward per group of
     distinct greedy agents (trackers and adversaries alike) that share a
-    trunk shape and a row count, and takes the argmax of one EnvBatch.power
-    call over each oracle row's five candidate beams and the chosen beams.
+    trunk shape and a row count, and scores one EnvBatch.power call over each
+    oracle row's five candidate beams, then every other row's chosen beam,
+    keeping each oracle row's best. A random row draws NOISE_BLOCK moves at a
+    time from its own action stream, as the batch draws its wire noise.
 
     Returns the (B,) average powers in dBm and, with `trajectory`, one list
     of rows (step, t, p_r_dbm, r_p, a_p, a_a, sbs_x, sbs_y, sbs_z, theta_s,
@@ -219,7 +221,6 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
         raise ValueError("need one adversary (or None) per seed")
     streams = [_eval_streams(seed) for seed in seeds]
     env = EnvBatch.of(env_cfg, physes, [stream[0] for stream in streams])
-    act_rngs = [np.random.default_rng(stream[1]) for stream in streams]
     obs = env.observe()  # the rest observations
 
     # one player per distinct greedy agent (by identity): 0 for a tracker or 1 for an adversary, the rows it
@@ -245,31 +246,41 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
         heads = [(slot, own[slots == slot]) for slot in np.unique(slots)]
         stacks.append((own, np.array(offsets), np.array(scales)[:, None], deepq.QBlock(nets), heads))
 
-    every = np.arange(len(policies))
     kinds = np.array([p.kind for p in policies])
     observed = np.flatnonzero([a is not None or t is not None for a, t in zip(adversary, trackers)])  # read by a net
     randoms = np.flatnonzero(kinds == PolicyKind.RANDOM_UNIFORM)
-    oracle = (kinds == PolicyKind.UPPER_LIMIT)[:, None]
-    actions = np.arange(N_PROTAGONIST_ACTIONS)[None, :]
-    a_p, a_a = chosen = np.zeros((2, len(every)), dtype=np.int64)  # views of `chosen`, written in place
-    total = np.zeros(len(every))
-    rows = [[] for _ in every]
+    # each random row's moves, NOISE_BLOCK steps per draw from its own action stream
+    draws = [np.random.default_rng(streams[b][1]) for b in randoms]
+    random_moves = np.empty((len(randoms), NOISE_BLOCK), dtype=np.int64)
+    # the beams each step scores, on the wire state the step keeps: every oracle row's five moves, then every
+    # other row's chosen move (rewritten per step); `pick` is each row's kept candidate, an oracle row's best
+    oracles, others = np.flatnonzero(kinds == PolicyKind.UPPER_LIMIT), np.flatnonzero(kinds != PolicyKind.UPPER_LIMIT)
+    scored = N_PROTAGONIST_ACTIONS * len(oracles)
+    cand_rows = np.concatenate([np.repeat(oracles, N_PROTAGONIST_ACTIONS), others])
+    cand_moves = np.concatenate([np.tile(np.arange(N_PROTAGONIST_ACTIONS), len(oracles)), np.zeros_like(others)])
+    pick, first = np.empty(len(kinds), dtype=np.int64), np.arange(0, scored, N_PROTAGONIST_ACTIONS)
+    pick[others] = np.arange(scored, len(cand_rows))
+    a_p, a_a = chosen = np.zeros((2, len(kinds)), dtype=np.int64)  # views of `chosen`, written in place
+    total = np.zeros(len(kinds))
+    rows = [[] for _ in kinds]
     for k in range(steps):
         if observed.size:
             obs[observed] = env.observe(observed)
         for own, offsets, scales, block, heads in stacks:
             for (slot, head_rows), q in zip(heads, block.forward((obs[own] - offsets) / scales)):
                 chosen[slot, head_rows] = np.argmax(q, axis=-1)
-        a_p[randoms] = [act_rngs[b].integers(N_PROTAGONIST_ACTIONS) for b in randoms]
+        if k % NOISE_BLOCK == 0:
+            for row_moves, rng in zip(random_moves, draws):
+                row_moves[:] = rng.integers(N_PROTAGONIST_ACTIONS, size=NOISE_BLOCK)
+        a_p[randoms] = random_moves[:, k % NOISE_BLOCK]
 
         env.advance(a_a)
-        # score the oracle's five moves and every other row's chosen one, on the wire state the step keeps
-        beams = env.steer[:, None, :] + env.moves  # (B, moves, 2)
-        b, m = np.nonzero(oracle | (actions == a_p[:, None]))
-        powers = np.full(beams.shape[:2], -np.inf)
-        powers[b, m] = env.power(beams[b, m], b)
-        a_p[:] = np.argmax(powers, axis=1)
-        env.steer, p_r = beams[every, a_p], powers[every, a_p]
+        cand_moves[scored:] = a_p[others]
+        beams = env.steer[cand_rows] + env.moves[cand_moves]
+        powers = env.power(beams, cand_rows)
+        best = np.argmax(powers[:scored].reshape(-1, N_PROTAGONIST_ACTIONS), axis=1)
+        a_p[oracles], pick[oracles] = best, first + best
+        env.steer, p_r = beams[pick], powers[pick]
         total += p_r
 
         if trajectory:

@@ -176,9 +176,17 @@ class Integrator:
     the decision interval dt and the substep count n_sub. Each wire keeps its
     own PhysParams and draws its noise from its own generator, so a wire's
     trajectory does not depend on the others.
+
+    Noise is drawn `block` decision intervals at a time: one standard_normal
+    call per noisy wire fills all `block` * n_sub substeps. A bulk draw of
+    numpy's Generator equals the same draws made one at a time, so the bits
+    do not depend on `block`; but a generator is left up to block - 1
+    intervals ahead of the draws consumed. So a block above 1 is only for
+    generators that no caller reads (env.EnvBatch.of's own); with block 1,
+    each advance draws exactly the noise it uses.
     """
 
-    def __init__(self, params: list, dt: float, n_sub: int):
+    def __init__(self, params: list, dt: float, n_sub: int, block: int = 1):
         self.dt, self.n_sub = dt, n_sub
         self.h = dt / n_sub
         self.sqrt_h = math.sqrt(self.h)
@@ -188,8 +196,11 @@ class Integrator:
         # wires with a zero diffusion matrix draw no noise
         self.noisy = [b for b, p in enumerate(params) if np.count_nonzero(p.wind_cov)]
         self.all_noisy = len(self.noisy) == len(params)
-        self.cov_t = np.array([params[b].wind_cov.T for b in self.noisy]).reshape(-1, 3, 3)
-        self.xi = np.empty((len(self.noisy), params[0].n_points - 2, 3))
+        self.cov_t = [params[b].wind_cov.T for b in self.noisy]
+        # per noisy wire, the (V @ xi)*sqrt(h) of `block` intervals of n_sub substeps, and one wire's draws
+        self.kicks = np.empty((len(self.noisy), block, n_sub, params[0].n_points - 2, 3))
+        self.xi = np.empty(self.kicks.shape[1:])
+        self.used = block  # intervals of `kicks` consumed: all, so the first advance draws
 
     def advance(self, pos: np.ndarray, vel: np.ndarray, wind: np.ndarray, rngs: list, time: float):
         """Advance (B, N, 3) positions and velocities by dt, in place, under
@@ -198,22 +209,28 @@ class Integrator:
             v += a*h - c0*(v - v_wind)*h + (V @ xi)*sqrt(h),  xi ~ N(0, I3)
             x += v*h          (updated v; endpoints never move)
 
-        Noise is drawn i.i.d. per interior point per substep. Raises
+        Noise is i.i.d. per interior point per substep, wire b's from rngs[b]
+        (the same generators on every call), drawn a block at a time. Raises
         SimulationDivergedError for the first wire that goes non-finite.
         """
         h = self.h
-        for _ in range(self.n_sub):
+        if self.noisy:
+            if self.used == self.kicks.shape[1]:
+                for kick, cov_t, b in zip(self.kicks, self.cov_t, self.noisy):
+                    rngs[b].standard_normal(out=self.xi)
+                    np.matmul(self.xi, cov_t, out=kick)
+                self.kicks *= self.sqrt_h
+                self.used = 0
+            kicks = self.kicks[:, self.used]
+            self.used += 1
+        for s in range(self.n_sub):
             inner = pos[:, 1:-1]
             accel = self.gravity + self.coeff * (pos[:, 2:] + pos[:, :-2] - 2.0 * inner)
             dv = (accel - self.drag * (vel[:, 1:-1] - wind)) * h
-            if self.noisy:
-                for xi, b in zip(self.xi, self.noisy):
-                    rngs[b].standard_normal(out=xi)
-                kick = (self.xi @ self.cov_t) * self.sqrt_h
-                if self.all_noisy:
-                    dv += kick
-                else:
-                    dv[self.noisy] += kick
+            if self.all_noisy:
+                dv += kicks[:, s]
+            elif self.noisy:
+                dv[self.noisy] += kicks[:, s]
             vel[:, 1:-1] += dv
             pos[:, 1:-1] += vel[:, 1:-1] * h
 
@@ -236,7 +253,8 @@ def step(
     """The wire advanced by dt from `state`, in new arrays, under a wind held
     constant over the interval: Integrator.advance of one wire over `substeps`
     (auto-raised when the stability bound demands it) sub-intervals
-    h = dt/substeps. Raises SimulationDivergedError on non-finite state.
+    h = dt/substeps, drawing from `rng` exactly the noise it uses (block 1).
+    Raises SimulationDivergedError on non-finite state.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")

@@ -8,7 +8,7 @@ import wirebeam as wb
 from wirebeam import rarl
 from wirebeam.checkpoint import AgentCheckpoint, load_checkpoint, save_checkpoint
 from wirebeam.deepq import init_qnetwork
-from wirebeam.env import AdversaryAction, BeamTrackingEnv, ProtagonistAction
+from wirebeam.env import NOISE_BLOCK, AdversaryAction, BeamTrackingEnv, ProtagonistAction
 from wirebeam.rarl import (
     Policy,
     PolicyKind,
@@ -283,6 +283,19 @@ class TestLockstep:
         assert_same_run(results[1], reference_train(cfgs[1]))
         assert results[2].proxy is not None and all(np.isfinite(r.adversary_check_avg_power) for r in results[2].records)
 
+    def test_horizons_across_noise_blocks_equal_reference(self):
+        # training episodes and probes longer than NOISE_BLOCK intervals: each run's batch rows draw their
+        # noise a block at a time, the reference one interval at a time, on a one- and a two-substep wire
+        proxy = train(tiny_cfg(episodes=1, horizon=40, test_steps=10, seed=2)).protagonist
+        base = tiny_cfg(episodes=2, horizon=NOISE_BLOCK + 6, test_steps=NOISE_BLOCK + 2)
+        two_substeps = replace(base.env, phys=wb.PhysParams(total_mass=0.3, spring_constant=200.0))
+        cfgs = [
+            replace(base, seed=5, variant="random_adversary"),
+            replace(base, seed=6, variant="rarl", env=two_substeps, proxy_checkpoint=proxy),
+        ]
+        for cfg, result in zip(cfgs, train(cfgs)):
+            assert_same_run(result, reference_train(cfg))
+
     def test_one_seed_twice_gives_twin_rows(self):
         cfg = tiny_cfg(variant="rarl", episodes=2, horizon=40, test_steps=10)
         a, b = train([cfg, cfg])
@@ -455,6 +468,25 @@ class TestRollout:
         ]
         assert avg.tolist() == expected
 
+    def test_rows_cross_noise_blocks_as_reference_loop(self):
+        # two block boundaries and a partial last block: the batch draws wire noise and random moves
+        # NOISE_BLOCK intervals at a time, the reference loop one at a time; one substep group holds a quiet
+        # wire among noisy ones, and greedy trackers and an adversary play beside the oracle and random rows
+        quiet = replace(MIXED_PHYSES[0], wind_cov=np.zeros((3, 3)))
+        physes = MIXED_PHYSES + [quiet]
+        greedy, adversary = Policy(PolicyKind.GREEDY_DQN, greedy_ckpt(5, 3)), greedy_ckpt(7, 4)
+        kinds = [Policy(PolicyKind.RANDOM_UNIFORM), Policy(PolicyKind.UPPER_LIMIT), greedy]
+        policies = [policy for policy in kinds for _ in physes]
+        physes, adversaries = physes * len(kinds), [None, adversary] * (len(policies) // 2)
+        cfg, steps = wb.EnvConfig(), 2 * NOISE_BLOCK + 3
+        seeds = [[29, i] for i in range(len(physes))]
+        avg, _ = rollout(policies, cfg, physes, seeds, steps, adversary=adversaries)
+        expected = [
+            reference_average(policy, replace(cfg, phys=p), s, steps, adversary=adv)
+            for policy, p, s, adv in zip(policies, physes, seeds, adversaries)
+        ]
+        assert avg.tolist() == expected
+
     def test_batch_rows_equal_single_rows(self):
         policy, cfg = Policy(PolicyKind.UPPER_LIMIT), wb.EnvConfig()
         _, rows = rollout([policy] * 3, cfg, MIXED_PHYSES, [1, 2, 3], 30, trajectory=True)
@@ -510,6 +542,11 @@ class TestRollout:
         physes = [wb.PhysParams(), wb.PhysParams(), wb.PhysParams(n_points=12)]
         with pytest.raises(ValueError, match="^an EnvBatch needs one n_points: row 2 has 12, row 0 11$"):
             rollout([Policy(PolicyKind.STAY)] * 3, wb.EnvConfig(), physes, [1, 2, 3], 5)
+        # the default station, point 6, lies past a 5-point wire and on a 6-point wire's pinned end
+        for n_points in (5, 6):
+            interior = f"an interior point \\(2..{n_points - 1}\\) of the rows' wires of n_points {n_points}$"
+            with pytest.raises(ValueError, match=f"^sbs_point 6 must be {interior}"):
+                rollout([Policy(PolicyKind.UPPER_LIMIT)], wb.EnvConfig(), [wb.PhysParams(n_points=n_points)], [1], 5)
 
     def test_no_rows_rejected(self):
         with pytest.raises(ValueError, match="^a rollout needs at least one row$"):

@@ -241,6 +241,24 @@ class TestStep:
         np.testing.assert_array_equal(pos, ref_pos)
         np.testing.assert_array_equal(vel, ref_vel)
 
+    def test_block_draws_equal_one_interval_draws(self):
+        # a block of 4 intervals over 10 advances (two refills and a partial last block) gives the bits of
+        # block 1, whose generators end exactly where the draws consumed leave them; the quiet wire draws none
+        params = [PhysParams(total_mass=10.0), PhysParams(total_mass=5.0, wind_cov=np.zeros((3, 3)))]
+        states = {}
+        for block in (1, 4):
+            pos = np.array([equilibrium_shape(p).positions for p in params])
+            vel, rngs = np.zeros_like(pos), [np.random.default_rng(i) for i in range(2)]
+            integrator = wire.Integrator(params, TAU, 2, block)
+            for k in range(10):
+                integrator.advance(pos, vel, env_wind(k * TAU), rngs, k * TAU)
+            states[block] = pos, vel, [rng.bit_generator.state for rng in rngs]
+        np.testing.assert_array_equal(states[4][0], states[1][0])
+        np.testing.assert_array_equal(states[4][1], states[1][1])
+        consumed = [np.random.default_rng(i) for i in range(2)]
+        consumed[0].standard_normal((10 * 2, params[0].n_points - 2, 3))
+        assert states[1][2] == [rng.bit_generator.state for rng in consumed]
+
     def test_diverged_state_raises_with_metadata(self):
         p = PhysParams()
         st = equilibrium_shape(p)
