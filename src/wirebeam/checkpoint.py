@@ -10,10 +10,11 @@ Byte layout (format version 1, all integers little-endian):
                          header["arrays"], concatenated in order, each
                          row-major float64 little-endian
 
-The header records the trunk/head shapes, the manifest (agent kind,
-action count, training variant, seed, config hash) and the Adam scalars;
-keys it does not use, such as the always-null "rng_state" of files written
-by earlier versions, are ignored on load. Array order is deepq.param_layout's:
+The header records the trunk/head shapes ("n_inputs" must be deepq.N_INPUTS),
+the manifest (agent kind, action count, training variant, seed, config hash)
+and the Adam scalars, the AdamState fields after the moments; keys it does
+not use, such as the always-null "rng_state" of files written by earlier
+versions, are ignored on load. Array order is deepq.param_layout's:
 trunk.{i}.w, trunk.{i}.b for each trunk layer, value.w, value.b, adv.w,
 adv.b, then (when Adam state is saved) adam.m.* and adam.v.* repeating the
 same order. The payload is therefore the network's flat parameter vector,
@@ -25,14 +26,15 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .deepq import AdamState, QNetwork
+from .deepq import N_INPUTS, AdamState, QNetwork
 
 MAGIC = b"WBQC"
 FORMAT_VERSION = 1
+_ADAM_SCALARS = [f.name for f in fields(AdamState)][2:]  # after first_moment and second_moment
 
 
 def param_digest(net: QNetwork) -> str:
@@ -64,18 +66,10 @@ def save_checkpoint(path, ckpt: AgentCheckpoint):
         "format_version": FORMAT_VERSION,
         "manifest": ckpt.manifest or {},
         "n_actions": net.n_actions,
-        "n_inputs": net.n_inputs,
+        "n_inputs": N_INPUTS,
         "hidden": list(net.hidden),
         "arrays": _array_specs(net.layout, adam is not None),
-        "adam": None
-        if adam is None
-        else {
-            "learning_rate": adam.learning_rate,
-            "beta1": adam.beta1,
-            "beta2": adam.beta2,
-            "epsilon": adam.epsilon,
-            "step_count": adam.step_count,
-        },
+        "adam": None if adam is None else {name: getattr(adam, name) for name in _ADAM_SCALARS},
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
@@ -109,7 +103,9 @@ def load_checkpoint(path) -> AgentCheckpoint:
 
 
 def _from_header(header: dict, raw: bytes, offset: int, path) -> AgentCheckpoint:
-    net = QNetwork(header["n_inputs"], header["hidden"], header["n_actions"])
+    if header["n_inputs"] != N_INPUTS:
+        raise ValueError(f"{path}: header declares n_inputs {header['n_inputs']!r}; every network reads {N_INPUTS}")
+    net = QNetwork(header["hidden"], header["n_actions"])
     if header["arrays"] != _array_specs(net.layout, header["adam"] is not None):
         raise ValueError(f"{path}: array shapes disagree with the declared layout")
     size = net.flat.size
@@ -123,14 +119,6 @@ def _from_header(header: dict, raw: bytes, offset: int, path) -> AgentCheckpoint
 
     adam = None
     if header["adam"] is not None:
-        a = header["adam"]
-        adam = AdamState(
-            first_moment=payload[size : 2 * size].astype(np.float64),
-            second_moment=payload[2 * size :].astype(np.float64),
-            step_count=a["step_count"],
-            learning_rate=a["learning_rate"],
-            beta1=a["beta1"],
-            beta2=a["beta2"],
-            epsilon=a["epsilon"],
-        )
+        moments = payload[size : 2 * size].astype(np.float64), payload[2 * size :].astype(np.float64)
+        adam = AdamState(*moments, **{name: header["adam"][name] for name in _ADAM_SCALARS})
     return AgentCheckpoint(net=net, adam=adam, manifest=header["manifest"])

@@ -268,6 +268,9 @@ class SweepSpec:
         for name in ("mass_grid", "spring_grid"):
             if not all(map(math.isfinite, getattr(self, name))):
                 raise ValueError(f"{name} values must be finite")
+            # a sweep cell's seed keys its mass and spring constant in milli-units, int(value * 1000)
+            if huge := [v for v in getattr(self, name) if not math.isfinite(v * 1000)]:
+                raise ValueError(f"{name} value {huge[0]!r} is too large: its seed key, value * 1000, overflows")
         if min(self.mass_grid) <= 0 or min(self.spring_grid) <= 0:
             raise ValueError("grid values must be positive")
         if not self.policies:

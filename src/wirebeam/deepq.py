@@ -1,7 +1,7 @@
 """Dueling deep-Q machinery, written directly in numpy.
 
-The network is a small fully connected trunk with ReLU activations feeding
-a scalar value head and a per-action advantage head, combined as
+The network reads N_INPUTS = 9 inputs into a small fully connected ReLU
+trunk feeding a scalar value head and a per-action advantage head, combined as
 
     Q(s, a) = V(s) + A(s, a) - mean_a' A(s, a'),
 
@@ -23,19 +23,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+N_INPUTS = 9  # the observation's (displacement, velocity, beam-direction delta) components
+
 
 class NumericError(RuntimeError):
     """Raised when a forward/backward pass produces non-finite numbers."""
 
 
-def param_layout(n_inputs: int, hidden: tuple, n_actions: int) -> list:
+def param_layout(hidden: tuple, n_actions: int) -> list:
     """(name, shape, offset) of every parameter inside a network's flat vector.
 
     Order: trunk.{i}.w, trunk.{i}.b for each trunk layer, then value.w,
     value.b, adv.w, adv.b; each array is stored row-major from its offset.
     """
     shapes = []
-    fan_in = n_inputs
+    fan_in = N_INPUTS
     for i, width in enumerate(hidden):
         shapes += [(f"trunk.{i}.w", (fan_in, width)), (f"trunk.{i}.b", (width,))]
         fan_in = width
@@ -55,16 +57,16 @@ def _views(flat: np.ndarray, layout: list) -> list:
 
 
 class QNetwork:
-    """Dueling Q-network whose parameters live in one contiguous float64
-    vector, `flat`, laid out by param_layout. trunk_w, trunk_b (lists of
+    """Dueling Q-network on N_INPUTS inputs, its parameters in one contiguous
+    float64 vector, `flat`, laid out by param_layout. trunk_w, trunk_b (lists of
     (fan_in, fan_out) and (fan_out,) arrays), value_w (hidden, 1), value_b
     (1,), adv_w (hidden, n_actions) and adv_b (n_actions,) are views into it.
     `flat`, when given, is the vector to use (a QBlock row), else a new zero one.
     """
 
-    def __init__(self, n_inputs: int, hidden: tuple, n_actions: int, flat: np.ndarray | None = None):
-        self.n_inputs, self.hidden, self.n_actions = n_inputs, tuple(hidden), n_actions
-        self.layout = param_layout(n_inputs, self.hidden, n_actions)
+    def __init__(self, hidden: tuple, n_actions: int, flat: np.ndarray | None = None):
+        self.hidden, self.n_actions = tuple(hidden), n_actions
+        self.layout = param_layout(self.hidden, n_actions)
         size = sum(math.prod(shape) for _, shape, _ in self.layout)
         self.flat = np.zeros(size) if flat is None else flat
         self._params = _views(self.flat, self.layout)
@@ -76,7 +78,7 @@ class QNetwork:
         return list(self._params)
 
     def copy(self) -> "QNetwork":
-        twin = QNetwork(self.n_inputs, self.hidden, self.n_actions)
+        twin = QNetwork(self.hidden, self.n_actions)
         np.copyto(twin.flat, self.flat)
         return twin
 
@@ -84,7 +86,6 @@ class QNetwork:
 def init_qnetwork(
     n_actions: int,
     rng: np.random.Generator,
-    n_inputs: int = 9,
     hidden: tuple = (32, 32, 32, 32),
     head_scale: float = 1.0,
 ) -> QNetwork:
@@ -97,7 +98,7 @@ def init_qnetwork(
     """
     if n_actions not in (5, 7):
         raise ValueError("n_actions must be 5 (tracking agent) or 7 (wind adversary)")
-    net = QNetwork(n_inputs, hidden, n_actions)
+    net = QNetwork(hidden, n_actions)
     for w in net.trunk_w:
         bound = np.sqrt(6.0 / w.shape[0])
         w[...] = rng.uniform(-bound, bound, size=w.shape)
@@ -119,7 +120,7 @@ def _nonfinite(net: QNetwork, x: np.ndarray) -> NumericError:
 
 
 def _trunk(weights: list, biases: list, x: np.ndarray, out=None):
-    """Layer inputs (x first) and pre-activations of the ReLU trunk on x (..., B, n_inputs),
+    """Layer inputs (x first) and pre-activations of the ReLU trunk on x (..., B, N_INPUTS),
     written into `out`, one (pre-activation, activation) pair of buffers per layer, if given
     (the same arithmetic; without `out` no ufunc takes keywords, which cost acting time)."""
     hs, zs = [x], []
@@ -193,14 +194,14 @@ class AdamState:
 class ReplayMemory:
     """The replay of a whole `train` call: K bounded FIFO rings of transitions that
     fill together (one cursor and one size), ring k sampled uniformly with
-    replacement by its own generator rngs[k]."""
+    replacement by its own generator rngs[k], in one store allocated at construction."""
 
     def __init__(self, capacity: int, rngs: list):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity, self.rngs = capacity, list(rngs)
         self._starts = capacity * np.arange(len(self.rngs))[:, None]  # of each ring in the flattened (K, capacity)
-        self._states = None  # (2, K, capacity, n_inputs): states, then next states
+        self._states = np.empty((2, len(self.rngs), capacity, N_INPUTS))  # states, then next states
         self._actions = np.empty((len(self.rngs), capacity), dtype=np.int64)
         self._rewards = np.empty((len(self.rngs), capacity), dtype=np.float64)
         self._size = self._cursor = 0
@@ -214,8 +215,6 @@ class ReplayMemory:
         anything is written, unless every reward lies in [-1, 1]."""
         if not (np.abs(rewards) <= 1.0 + 1e-12).all():  # NaN fails too
             raise ValueError("reward must be clipped to [-1, 1]")
-        if self._states is None:
-            self._states = np.empty((2, *self._actions.shape, np.shape(states)[-1]), dtype=np.float64)
         i = self._cursor
         self._states[0, :, i], self._states[1, :, i] = states, next_states
         self._actions[:, i], self._rewards[:, i] = actions, rewards
@@ -320,7 +319,7 @@ def _adam_step(flat, grad, m, v, adam: AdamState, out=None):
 
 
 class QBlock:
-    """K networks with one n_inputs and hidden as one parameter block: `flat`
+    """K networks with one hidden shape as one parameter block: `flat`
     (2, K, P_max) holds the online networks in role 0 and their targets in
     role 1, row k laid out by param_layout and zero-padded. Each run of equal
     action count is a head group. Adam moments are (K, P_max) with one step
@@ -336,15 +335,15 @@ class QBlock:
     pages on every call would cost more than stacking saves."""
 
     def __init__(self, nets: list, learning_rate: float = 1e-3):
-        n_inputs, hidden = nets[0].n_inputs, nets[0].hidden
-        if any((net.n_inputs, net.hidden) != (n_inputs, hidden) for net in nets):
-            raise ValueError("block networks must share n_inputs and hidden")
+        hidden = nets[0].hidden
+        if any(net.hidden != hidden for net in nets):
+            raise ValueError("block networks must share their hidden widths")
         self.flat = np.zeros((2, len(nets), max(net.flat.size for net in nets)))
         self.grad, self.moments = np.zeros(self.flat.shape[1:]), np.zeros(self.flat.shape)
         self.nets, self.adams = [], []
         for k, net in enumerate(nets):
             self.flat[:, k, : net.flat.size] = net.flat
-            self.nets.append(QNetwork(n_inputs, hidden, net.n_actions, self.flat[0, k, : net.flat.size]))
+            self.nets.append(QNetwork(hidden, net.n_actions, self.flat[0, k, : net.flat.size]))
             self.adams.append(AdamState(*self.moments[:, k, : net.flat.size], learning_rate=learning_rate))
 
         def views(rows, layout):  # of both roles (biases get a unit batch axis), and of the gradient
@@ -355,7 +354,7 @@ class QBlock:
         self._groups, start = [], 0  # (rows, head views, head gradient views) per head group
         for n_actions, run in itertools.groupby(net.n_actions for net in nets):
             rows = slice(start, start := start + len(list(run)))
-            self._groups.append((rows, *views(rows, param_layout(n_inputs, hidden, n_actions)[-4:])))
+            self._groups.append((rows, *views(rows, param_layout(hidden, n_actions)[-4:])))
 
         def role(r):  # trunk weights, trunk biases and per-group head parameters of role r
             heads = [[p[r] for p in head] for _, head, _ in self._groups]
@@ -373,7 +372,7 @@ class QBlock:
                 return [np.empty((*lead, k, batch, width), dtype) for width in widths]
 
             self._workspaces[batch] = {
-                "x": np.empty((2, k, batch, self.nets[0].n_inputs)),
+                "x": np.empty((2, k, batch, N_INPUTS)),
                 "trunk": list(zip(per_layer(2), per_layer(2))),  # (pre-activation, activation) per layer
                 "back": list(zip(per_layer(dtype=bool), per_layer(), [None] + per_layer()[:-1])),
                 "dh": (np.empty((k, batch, widths[-1])), np.empty((k, batch, widths[-1]))),
@@ -383,7 +382,7 @@ class QBlock:
 
     def _forward(self, x, params, out=None):
         """Trunk activations (into `out` if given) and head-group Qs of the role views
-        `params` on x (..., K, B, n_in)."""
+        `params` on x (..., K, B, N_INPUTS)."""
         trunk_w, trunk_b, heads = params
         hs, zs = _trunk(trunk_w, trunk_b, x, out)
         qs = [_head(hs[-1][..., rows, :, :], *head) for (rows, _, _), head in zip(self._groups, heads)]
@@ -391,7 +390,7 @@ class QBlock:
 
     def forward(self, x: np.ndarray, check=None) -> list:
         """One (k_g, B, n_actions) Q array per head group, of the online networks on x
-        (K, B, n_inputs); NumericError, naming the network, if a `check` row (default:
+        (K, B, N_INPUTS); NumericError, naming the network, if a `check` row (default:
         any) is non-finite. Rows are searched only when a group's check fails."""
         qs = self._forward(x, self._online)[2]
         if not all(np.isfinite(q).all() for q in qs):
@@ -402,14 +401,14 @@ class QBlock:
         return qs
 
     def act(self, states: np.ndarray, epsilon: float, rngs: list) -> list:
-        """act_epsilon_greedy of online network k on states[k] (K, n_inputs), or of every
+        """act_epsilon_greedy of online network k on states[k] (K, N_INPUTS), or of every
         network on one state, each on its own stream; the networks that act greedily
-        share one stacked (K, 1, n_inputs) forward."""
+        share one stacked (K, 1, N_INPUTS) forward."""
         draws = zip(self.nets, rngs)
         actions = [int(r.integers(net.n_actions)) if r.random() < epsilon else None for net, r in draws]
         greedy = [k for k, action in enumerate(actions) if action is None]
         if greedy:
-            x = np.empty((len(self.nets), 1, self.nets[0].n_inputs))
+            x = np.empty((len(self.nets), 1, N_INPUTS))
             x[:, 0] = states
             best = np.concatenate([np.argmax(q[:, 0], axis=-1) for q in self.forward(x, greedy)])
             actions = [int(b) if action is None else action for action, b in zip(actions, best)]
@@ -418,7 +417,7 @@ class QBlock:
     def train(self, batch, gamma: float) -> np.ndarray:
         """train_batch of online network k on row k of the stacked batch (states, actions,
         rewards, next states), each (K, B, ...) as ReplayMemory.sample gives them, as one
-        trunk forward over (2, K, B, n_inputs) (online weights on states, target weights on
+        trunk forward over (2, K, B, N_INPUTS) (online weights on states, target weights on
         next states), heads per group, one stacked backward and one Adam update; K losses."""
         states, actions, rewards, next_states = batch
         work = self._workspace(actions.shape[1])
@@ -450,7 +449,6 @@ class QBlock:
 
 def sync_target(net: QNetwork, target_net: QNetwork):
     """Overwrite the target's parameters with byte-identical copies."""
-    dims = (net.n_inputs, net.hidden, net.n_actions)
-    if (target_net.n_inputs, target_net.hidden, target_net.n_actions) != dims:
+    if (target_net.hidden, target_net.n_actions) != (net.hidden, net.n_actions):
         raise ValueError("network and target layouts differ")
     np.copyto(target_net.flat, net.flat)

@@ -75,6 +75,8 @@ class TrainConfig:
             raise ValueError("hidden widths must be >= 1")
         if not np.isfinite(self.head_init_scale):
             raise ValueError("head_init_scale must be finite")
+        if self.seed < 0:  # a SeedSequence takes no negative entropy
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -235,7 +237,7 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
                     f"{net.n_actions}; trackers need {N_PROTAGONIST_ACTIONS}, adversaries {N_ADVERSARY_ACTIONS}"
                 )
             norm = ObsNormalizer.at_rest(obs[own], scale)
-            shared.setdefault((net.n_inputs, net.hidden, len(own)), []).append((slot, own, net, norm.offset, norm.scale))
+            shared.setdefault((net.hidden, len(own)), []).append((slot, own, net, norm.offset, norm.scale))
     # players that share a trunk shape and a row count act through one stacked forward; sorted by slot, so
     # each head group is one slot's players: per group its (P, R) rows, (P, R, 9) offsets, (P, 1, 9)
     # scales, block and the (slot, (P_g, R) rows) that each head group's argmax is scattered to
@@ -315,13 +317,13 @@ def check_adversary(adv_net, proxy_net, env_cfg: EnvConfig, test_steps: int, see
 
 
 class _Run:
-    """One run of a `train` call: its config, eight generators, agents (the tracker, then
-    the adversary when it learns) with their replay and exploration streams, and its
-    proxy (a given checkpoint, or the _Run that trains it); the loop fills in its block
-    rows, losses, probe powers and the adversary probes that wait for a proxy."""
+    """One run of a `train` call: its config, eight generators, agents (the tracker, then the
+    adversary when it learns) with their replay and exploration streams, and its proxy (a given
+    checkpoint, or the _Run that trains it); the loop fills in its block rows, the adversary
+    probes that wait for a proxy and, unless the run only trains a proxy, its EpisodeRecords."""
 
     def __init__(self, cfg: TrainConfig):
-        self.cfg, self.rows, self.losses, self.waiting = cfg, [], [], []
+        self.cfg, self.rows, self.records, self.waiting = cfg, [], [], []
         # One master seed fans out to fixed streams so that variants sharing a
         # seed see identical physics and protagonist exploration draws.
         init_p, init_a, phys, explore_p, self.explore_a, replay_p, replay_a, evals = (
@@ -329,7 +331,6 @@ class _Run:
         )
         self.phys_seeds = phys.integers(0, 2**63, size=cfg.episodes)
         self.eval_seeds = evals.integers(0, 2**63, size=(cfg.episodes, 2)).tolist()
-        self.powers = [[float("nan")] * 2 for _ in range(cfg.episodes)]
         agents = [(N_PROTAGONIST_ACTIONS, init_p, replay_p, explore_p)]
         if cfg.variant == "rarl":
             agents.append((N_ADVERSARY_ACTIONS, init_a, replay_a, self.explore_a))
@@ -365,8 +366,10 @@ def train(cfgs):
     bits of its config trained alone. Configs may differ only in seed, variant,
     proxy_checkpoint and wire physics, with one n_points for all (one learning
     rate and step count for the block, one capacity for the replay).
-    The adversary probes of a run that trains its own proxy wait for the
-    final proxy: all of them run in the last episode's rollout.
+    Each run's EpisodeRecord is made when its episode ends; every probe writes
+    its power into the record of the episode it scored, and the adversary
+    probes of a run that trains its own proxy wait for the final proxy: all
+    of them run in the last episode's rollout.
     """
     single = isinstance(cfgs, TrainConfig)
     cfgs = [cfgs] if single else list(cfgs)
@@ -397,7 +400,7 @@ def train(cfgs):
     a_a = np.zeros(len(runs), dtype=np.int64)  # STAY for the runs without an adversary
     losses = np.empty((len(agents), cfg.env.horizon))  # per row, of the ticks that trained
 
-    clocks, synced, last = [], [], cfg.episodes - 1
+    nan, last = float("nan"), cfg.episodes - 1
     for ep in range(cfg.episodes):
         t0 = time.perf_counter()
         env = EnvBatch.of(cfg.env, [run.cfg.env.phys for run in runs], [run.phys_seeds[ep] for run in runs])
@@ -417,34 +420,37 @@ def train(cfgs):
                 trained += 1
             states = next_states
 
-        synced.append((ep + 1) % cfg.target_period == 0)
-        if synced[-1]:
+        synced = (ep + 1) % cfg.target_period == 0
+        if synced:
             block.sync_target()
-        for run in runs:  # the adversary's loss is NaN unless it learns
-            means = [float(losses[k, :trained].mean()) if trained else float("nan") for k in run.rows]
-            run.losses.append(means + [float("nan")] * (2 - len(means)))
 
-        # one rollout: each tracker, wind off; each rarl adversary, as a copy, against its proxy once that is
+        # each run's record (the adversary's loss is NaN unless it learns), and one rollout whose probes fill in
+        # its powers: each tracker, wind off; each rarl adversary, as a copy, against its proxy once that is
         # final. Every row has its own agent object, so that each acts through a forward of one row.
-        rows = []  # (tracker, adversary, seed, run, episode, probe)
+        rows = []  # (tracker, adversary, seed, run, record, power field)
         for run in results:
+            means = [float(losses[k, :trained].mean()) if trained else nan for k in run.rows] + [nan, nan]
+            record = EpisodeRecord(ep + 1, nan, nan, *means[:2], nan, *run.eval_seeds[ep], synced)
+            run.records.append(record)
             probes = [AgentCheckpoint(block.nets[k], manifest=probe_manifest) for k in run.rows]
-            rows.append((probes[0], None, run.eval_seeds[ep][0], run, ep, 0))
+            rows.append((probes[0], None, record.p4_seed, run, record, "protagonist_avg_power"))
             if len(probes) == 2:  # the adversary learns
-                snapshot = AgentCheckpoint(probes[1].net.copy(), manifest=probe_manifest)
-                run.waiting.append((snapshot, run.eval_seeds[ep][1], ep))
+                run.waiting.append((AgentCheckpoint(probes[1].net.copy(), manifest=probe_manifest), record))
             proxy = run.proxy
             if isinstance(proxy, _Run):  # final after the last episode
                 proxy = AgentCheckpoint(block.nets[proxy.rows[0]], manifest=probe_manifest) if ep == last else None
             if proxy is not None:
-                rows += [(copy.copy(proxy), adversary, seed, run, e, 1) for adversary, seed, e in run.waiting]
+                rows += [(copy.copy(proxy), adversary, waited.p5_seed, run, waited, "adversary_check_avg_power")
+                         for adversary, waited in run.waiting]
                 run.waiting = []
         trackers, adversaries, seeds, owners, *_ = zip(*rows)
         policies = [Policy(PolicyKind.GREEDY_DQN, tracker) for tracker in trackers]
         avg, _ = rollout(policies, cfg.env, [r.cfg.env.phys for r in owners], seeds, cfg.test_steps, adversary=adversaries)
-        for (*_, run, e, probe), power in zip(rows, avg):
-            run.powers[e][probe] = float(power)
-        clocks.append(time.perf_counter() - t0)
+        for (*_, record, name), power in zip(rows, avg):
+            setattr(record, name, float(power))
+        clock = time.perf_counter() - t0
+        for run in results:
+            run.records[ep].wall_clock = clock
 
     def result(run, own_proxy=None):
         """The TrainResult of `run`, which trained `own_proxy` (a checkpoint) if it trained one."""
@@ -460,11 +466,7 @@ def train(cfgs):
             AgentCheckpoint(net, adam, {"agent": name, "n_actions": net.n_actions, **manifest})
             for name, net, adam in zip(("protagonist", "adversary"), nets, adams)
         ]
-        records = [
-            EpisodeRecord(ep + 1, *run.powers[ep], *run.losses[ep], clocks[ep], *run.eval_seeds[ep], synced[ep])
-            for ep in range(cfg.episodes)
-        ]
-        return TrainResult(ckpts[0], ckpts[1] if len(ckpts) == 2 else None, records, own_proxy)
+        return TrainResult(ckpts[0], ckpts[1] if len(ckpts) == 2 else None, run.records, own_proxy)
 
     out = [result(run, result(run.proxy).protagonist if isinstance(run.proxy, _Run) else None) for run in results]
     return out[0] if single else out

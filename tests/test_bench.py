@@ -671,6 +671,22 @@ class TestOrchestrationPurity:
         assert main(["train", "--config", bad, "--out", str(tmp_path / "o")]) == 1
         assert "config error: line 6: adversary_speed_m_per_s must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+    @pytest.mark.parametrize("form", ["flag", "env", "config"])
+    def test_negative_seed_is_refused_before_writing(self, tmp_path, monkeypatch, capsys, command, form):
+        out = tmp_path / "o"
+        argv = [command, "--out", str(out)] + (["--policy", "stay"] if command == "eval" else [])
+        if form == "flag":
+            argv += ["--seed", "-1"]
+        elif form == "env":
+            monkeypatch.setenv("WIREBEAM_SEED", "-1")
+        else:
+            argv += ["--config", write_cfg(tmp_path, "seed: -1\n")]
+        assert main(argv) == 1
+        prefix = "config error: " if form == "config" else "error: "
+        assert capsys.readouterr().err == f"{prefix}seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, grid", [("mass_grid_kg", "mass_grid"), ("spring_grid_n_per_m", "spring_grid")])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_sweep_grid_is_a_config_error(self, tmp_path, capsys, key, grid, value):
@@ -697,6 +713,16 @@ class TestOrchestrationPurity:
         out = tmp_path / "sw"
         assert main(["sweep", "--config", write_cfg(tmp_path), "--spec", str(spec), "--out", str(out)]) == 1
         assert "error: wire equilibrium system is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("masses, springs, grid", [("1e306", "1e306", "mass_grid"), ("1e305", "1e306", "spring_grid")])
+    def test_overflowing_sweep_seed_key_is_refused_before_writing(self, tmp_path, capsys, masses, springs, grid):
+        # each wire is stable, but a cell's seed keys its mass and spring constant as int(value * 1000)
+        spec = tmp_path / "sweep.spec"
+        spec.write_text(f"mass_grid_kg: {masses}\nspring_grid_n_per_m: {springs}\n")
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", write_cfg(tmp_path), "--spec", str(spec), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {grid} value 1e+306 is too large")
         assert not out.exists()
 
     def test_underflowing_stability_bound_is_refused_before_writing(self, tmp_path, capsys):

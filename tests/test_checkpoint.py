@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,19 @@ class TestRoundTrip:
         np.testing.assert_array_equal(ckpt.adam.second_moment, loaded.adam.second_moment)
         assert loaded.adam.step_count == ckpt.adam.step_count
         assert loaded.manifest == ckpt.manifest
+
+    def test_adam_scalars_round_trip(self, tmp_path):
+        # every scalar differs from its default, so a field that the writer or the reader skips fails
+        ckpt = trained_checkpoint(8)
+        ckpt.adam = replace(ckpt.adam, step_count=17, learning_rate=3e-4, beta1=0.8, beta2=0.99, epsilon=1e-6)
+        default = AdamState(ckpt.adam.first_moment, ckpt.adam.second_moment)
+        scalars = ("step_count", "learning_rate", "beta1", "beta2", "epsilon")
+        assert all(getattr(ckpt.adam, name) != getattr(default, name) for name in scalars)
+        path = tmp_path / "agent.ckpt"
+        save_checkpoint(path, ckpt)
+        loaded = load_checkpoint(path).adam
+        assert [getattr(loaded, name) for name in scalars] == [17, 3e-4, 0.8, 0.99, 1e-6]
+        assert type(loaded.step_count) is int
 
     def test_loaded_net_forward_identical(self, tmp_path):
         ckpt = trained_checkpoint(3)
@@ -130,6 +144,7 @@ class TestErrorHandling:
             (lambda raw: raw[:40], "truncated"),  # truncated header
             (lambda raw: raw.replace(b'"n_inputs"', b'"n_inputz"'), "checkpoint header has no key 'n_inputs'"),
             (lambda raw: raw[:12] + b"x" + raw[13:], "damaged checkpoint header"),  # corrupted header byte
+            (lambda raw: raw.replace(b'"n_inputs": 9', b'"n_inputs": 8'), "header declares n_inputs 8"),
         ],
     )
     def test_wrong_length_rejected_with_path(self, tmp_path, damage, message):

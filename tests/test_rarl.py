@@ -302,6 +302,14 @@ class TestLockstep:
         assert_same_run(a, b)
         assert a.protagonist.net.flat is not b.protagonist.net.flat
 
+    def test_runs_share_one_wall_clock_per_episode(self):
+        # a plain run and a self-proxied rarl run, whose adversary probes all land in the last episode
+        base = tiny_cfg(episodes=3, horizon=40, test_steps=10)
+        cfgs = [replace(base, seed=5), replace(base, seed=8, variant="rarl")]
+        a, b = train(cfgs)
+        assert all(r.wall_clock > 0 for r in a.records + b.records)
+        assert [r.wall_clock for r in a.records] == [r.wall_clock for r in b.records]
+
 
 class TestChecks:
     def test_check_protagonist_deterministic(self):
