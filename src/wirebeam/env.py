@@ -8,8 +8,8 @@ reward is its exact negation (zero-sum).
 
 EnvBatch holds the state once, as arrays of leading shape () for one
 environment (BeamTrackingEnv) or (B,) for a batch (EnvBatch.of, which
-rarl.rollout and rarl.train step): its methods are the only copy of the
-step arithmetic.
+rarl.rollout and rarl.train step), its wires point-major: its methods are
+the only copy of the step arithmetic.
 """
 
 from __future__ import annotations
@@ -126,7 +126,9 @@ class EnvConfig:
 
 class EnvBatch:
     """Environments of one EnvConfig as arrays of leading shape () or (B,):
-    wires (..., N, 3), steering angles (..., 2), gateways (..., 3), one time.
+    point-major wires (N, ..., 3), so that the integrator reads every row's
+    interior points as one contiguous slice, steering angles (..., 2),
+    gateways (..., 3), one time.
 
     `groups` holds one (rows, wire.Integrator, generators) triple per
     substep count: rows index the leading shape (None for one environment,
@@ -139,7 +141,7 @@ class EnvBatch:
 
     def __init__(self, cfg: EnvConfig, rest: np.ndarray, groups: list):
         self.cfg, self.rest, self.groups = cfg, rest, groups
-        self.gateway = rest[..., cfg.sbs_index, :] - [cfg.gateway_distance, 0.0, 0.0]
+        self.gateway = rest[cfg.sbs_index] - [cfg.gateway_distance, 0.0, 0.0]
         if not cfg.gateway_level_with_sbs:
             self.gateway[..., 2] = cfg.gateway_height
         self.gusts = WIND_DIRS * cfg.adversary_speed  # adversary wind per action
@@ -169,7 +171,7 @@ class EnvBatch:
             rngs = [np.random.default_rng(seeds[i]) for i in members]
             integrator = wire.Integrator([physes[i] for i in members], cfg.tau, int(n_sub), NOISE_BLOCK)
             groups.append((rows, integrator, rngs))
-        return cls(cfg, np.array([wire.equilibrium_shape(p).positions for p in physes]), groups)
+        return cls(cfg, np.stack([wire.equilibrium_shape(p).positions for p in physes], axis=1), groups)
 
     def reset(self) -> np.ndarray:
         """Every wire at rest, time zero, every beam aligned to its gateway."""
@@ -180,32 +182,57 @@ class EnvBatch:
 
     @property
     def sbs_position(self) -> np.ndarray:
-        return self.pos[..., self.cfg.sbs_index, :]
+        return self.pos[self.cfg.sbs_index]
+
+    @property
+    def sbs_velocity(self) -> np.ndarray:
+        return self.vel[self.cfg.sbs_index]
+
+    @staticmethod
+    def observation(position, velocity, steer) -> np.ndarray:
+        """What both agents see, in new memory: station position, velocity and
+        the beam direction of the steering angles `steer`, (..., 9)."""
+        return np.concatenate([position, velocity, beam_direction(*steer.T)], axis=-1)
 
     def observe(self, rows=()) -> np.ndarray:
-        """What both agents see, in new memory: station position, velocity and
-        beam direction, (..., 9), of `rows` (an index of the leading shape)."""
-        velocity = self.vel[..., self.cfg.sbs_index, :][rows]
-        return np.concatenate([self.sbs_position[rows], velocity, beam_direction(*self.steer[rows].T)], axis=-1)
+        """The observation of `rows` (an index of the leading shape)."""
+        return self.observation(self.sbs_position[rows], self.sbs_velocity[rows], self.steer[rows])
 
     def advance(self, a_a):
         """Advance every wire by tau, in place, under the ambient wind plus the
         gust of each adversary action in a_a (STAY adds none)."""
         ambient = wire.env_wind(self.time) if self.cfg.ambient_wind else 0.0
-        wind = (ambient + self.gusts[a_a])[..., None, :]  # (..., 1, 3)
+        wind = ambient + self.gusts[a_a]  # (..., 3)
         for rows, integrator, rngs in self.groups:
-            pos, vel = self.pos[rows], self.vel[rows]  # views, or copies for an index array
+            pos, vel = self.pos[:, rows], self.vel[:, rows]  # views, or copies for an index array
             integrator.advance(pos, vel, wind[rows], rngs, self.time)
             if isinstance(rows, np.ndarray):
-                self.pos[rows], self.vel[rows] = pos, vel
+                self.pos[:, rows], self.vel[:, rows] = pos, vel
         self.time += self.cfg.tau
 
-    def power(self, beams: np.ndarray, rows=()):
-        """Received power in dBm of the steering angles `beams`, (2,) or (n, 2),
-        on the current geometry of `rows`: one broadcast link_power."""
-        distance, zenith, azimuth = radio.aod_batch(self.sbs_position, self.gateway)
-        path = radio.path_gain_db(distance, self.cfg.antenna.wavelength)
-        return radio.link_power(zenith[rows], azimuth[rows], path[rows], *beams.T, self.cfg.antenna, self.cfg.budget)
+    def geometry(self, positions: np.ndarray):
+        """The steering-free link terms of station positions toward the rows'
+        gateways: (path gain, element gain, cos(theta), sin(theta)*sin(phi)),
+        the first two in dB, the last two the array factor's arrival terms.
+        Positions (..., 3) give terms of the leading shape; a track of L
+        intervals, (L, B, 3), gives (L, B) terms in one call of each."""
+        distance, zenith, azimuth = radio.aod_batch(positions, self.gateway)
+        antenna = self.cfg.antenna
+        path = radio.path_gain_db(distance, antenna.wavelength)
+        return path, radio.element_pattern(zenith, azimuth, antenna), *radio.af_arrival(zenith, azimuth)
+
+    def score(self, terms, beams: np.ndarray):
+        """Received power in dBm of the steering angles `beams`, (..., 2), on
+        geometry's four link terms `terms`, which broadcast against beams'
+        leading shape: only the steered array factor is computed here."""
+        path, element, *arrival = terms
+        af = radio.af_steered(arrival, *beams.T, self.cfg.antenna)
+        return radio.link_sum(element, af, path, self.cfg.budget)
+
+    def power(self, beams: np.ndarray):
+        """Received power in dBm of the steering angles `beams`, one per row,
+        on the current geometry: its link terms, then their score."""
+        return self.score(self.geometry(self.sbs_position), beams)
 
     def transition(self, a_p, a_a):
         """One decision interval of every environment: advance under the gusts of the

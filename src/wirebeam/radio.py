@@ -10,7 +10,10 @@ sum of per-element phase weights for a uniform n_v x n_h rectangular grid,
 where each weight fuses the arrival and steering phases, so AF peaks at
 10*log10(n) exactly when the steering angles equal the arrival angles. The
 grid factorizes, and each axis's sum has the closed form of a Dirichlet
-kernel. Received power is evaluated entirely in the log domain:
+kernel. The array factor is af_steered of af_arrival: the arrival part
+(cos(theta) and sin(theta)*sin(phi)) does not depend on the steering, so a
+caller that scores many steerings on one geometry computes it once.
+Received power is evaluated entirely in the log domain:
 
     P_r[dBm] = P_t + A_E + AF + A_r + 20*log10(lambda / (4*pi*d)).
 
@@ -134,12 +137,19 @@ def _phase_sum(count: int, spacing: float, wavelength: float, psi):
     return np.where(np.abs(s) < 1e-12, float(count), np.abs(np.sin(count * x) / s))
 
 
-def array_factor(zenith_deg, azimuth_deg, steer_zenith_deg, steer_azimuth_deg, cfg: AntennaConfig):
-    """Array factor in dB for arrival angles (zenith, azimuth) and steering
-    angles (steer_zenith, steer_azimuth); arrays broadcast together.
+def af_arrival(zenith_deg, azimuth_deg):
+    """The steering-free part of the array factor's phase slopes: the arrival
+    terms (cos(theta), sin(theta)*sin(phi)) of arrival angles (zenith theta,
+    azimuth phi) degrees, scalars or arrays. A track of link geometries
+    computes them once, and af_steered scores every steering on them."""
+    theta, phi = np.radians(zenith_deg), np.radians(azimuth_deg)
+    return np.cos(theta), np.sin(theta) * np.sin(phi)
 
-    The rectangular grid factorizes, so the coherent sum is the product of
-    a vertical and a horizontal uniform-array sum over the phase slopes
+
+def af_steered(arrival, steer_zenith_deg, steer_azimuth_deg, cfg: AntennaConfig):
+    """Array factor in dB of the arrival terms `arrival` (af_arrival's pair)
+    and the steering angles (steer_zenith, steer_azimuth); arrays broadcast
+    together. The phase slopes are
 
         psi_v = cos(theta) - cos(theta_s)
         psi_h = sin(theta)*sin(phi) - sin(theta_s)*sin(phi_s),
@@ -147,16 +157,25 @@ def array_factor(zenith_deg, azimuth_deg, steer_zenith_deg, steer_azimuth_deg, c
     each the Dirichlet kernel of `_phase_sum`. Exact nulls are floored at
     AF_FLOOR_DB to keep downstream rewards finite.
     """
-    theta, phi = np.radians(zenith_deg), np.radians(azimuth_deg)
+    cos_theta, sin_sin = arrival
     theta_s, phi_s = np.radians(steer_zenith_deg), np.radians(steer_azimuth_deg)
-    psi_v = np.cos(theta) - np.cos(theta_s)
-    psi_h = np.sin(theta) * np.sin(phi) - np.sin(theta_s) * np.sin(phi_s)
+    psi_v = cos_theta - np.cos(theta_s)
+    psi_h = sin_sin - np.sin(theta_s) * np.sin(phi_s)
     with np.errstate(divide="ignore", invalid="ignore"):
         mag = _phase_sum(cfg.n_v, cfg.spacing_v, cfg.wavelength, psi_v) * _phase_sum(
             cfg.n_h, cfg.spacing_h, cfg.wavelength, psi_h
         )
         out = np.maximum(10.0 * np.log10(mag * mag / cfg.n_elements), AF_FLOOR_DB)
     return out if out.ndim else float(out)
+
+
+def array_factor(zenith_deg, azimuth_deg, steer_zenith_deg, steer_azimuth_deg, cfg: AntennaConfig):
+    """Array factor in dB for arrival angles (zenith, azimuth) and steering
+    angles (steer_zenith, steer_azimuth); arrays broadcast together. The
+    rectangular grid factorizes, so the coherent sum is the product of a
+    vertical and a horizontal uniform-array sum: af_steered of af_arrival.
+    """
+    return af_steered(af_arrival(zenith_deg, azimuth_deg), steer_zenith_deg, steer_azimuth_deg, cfg)
 
 
 def tx_gain(zenith_deg, azimuth_deg, steer_zenith_deg, steer_azimuth_deg, cfg: AntennaConfig):
@@ -174,12 +193,18 @@ def path_gain_db(distance, wavelength: float):
     return 20.0 * np.log10(wavelength / (4.0 * math.pi * distance))
 
 
+def link_sum(element_db, af_db, path_db, budget: LinkBudget):
+    """Received power in dBm from the element gain, the array factor and the
+    path gain, all in dB: P_t + (A_E + AF) + A_r + path, summed in this order."""
+    return budget.tx_power + (element_db + af_db) + budget.rx_gain + path_db
+
+
 def link_power(zenith_deg, azimuth_deg, path_db, steer_zenith_deg, steer_azimuth_deg, cfg, budget):
     """Received power in dBm from the arrival angles, the path gain in dB and
     the steering angles. Arrays broadcast together; `received_power` is the
     call on one row, so each element equals it bit for bit."""
-    gain = tx_gain(zenith_deg, azimuth_deg, steer_zenith_deg, steer_azimuth_deg, cfg)
-    return budget.tx_power + gain + budget.rx_gain + path_db
+    af = array_factor(zenith_deg, azimuth_deg, steer_zenith_deg, steer_azimuth_deg, cfg)
+    return link_sum(element_pattern(zenith_deg, azimuth_deg, cfg), af, path_db, budget)
 
 
 def received_power(

@@ -71,8 +71,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be finite and > 0")
         if not 0.0 <= self.gamma < 1.0:  # episodes never terminate, so 1 lets Q grow without bound
             raise ValueError("gamma must lie in [0, 1)")
-        if min(self.hidden, default=1) < 1:
-            raise ValueError("hidden widths must be >= 1")
+        if not self.hidden or min(self.hidden) < 1:  # the heads read the last trunk layer
+            raise ValueError(f"hidden needs at least one layer and widths >= 1, got {tuple(self.hidden)}")
         if not np.isfinite(self.head_init_scale):
             raise ValueError("head_init_scale must be finite")
         if self.seed < 0:  # a SeedSequence takes no negative entropy
@@ -200,12 +200,21 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
     exactly the trajectory it would follow alone. `adversary` is one agent
     (net, checkpoint or path) for every row or a list with one agent or None
     per row; a row without one has its adversary play STAY. The rows are one
-    EnvBatch; per step this loop runs one stacked QBlock forward per group of
+    EnvBatch, advanced a block at a time: the wire never depends on the
+    tracker, so without adversaries a block is NOISE_BLOCK intervals, whose
+    station track (positions, velocities, times) the loop records and whose
+    steering-free link terms EnvBatch.geometry computes in one call; with
+    any adversary, whose gusts read each step's observation, it is one
+    interval. Per step this loop builds the greedy rows' observations from
+    the recorded track, runs one stacked QBlock forward per group of
     distinct greedy agents (trackers and adversaries alike) that share a
-    trunk shape and a row count, and scores one EnvBatch.power call over each
+    trunk shape and a row count, and scores one EnvBatch.score call over each
     oracle row's five candidate beams, then every other row's chosen beam,
     keeping each oracle row's best. A random row draws NOISE_BLOCK moves at a
-    time from its own action stream, as the batch draws its wire noise.
+    time from its own action stream, as the batch draws its wire noise. A
+    wire that diverges raises the SimulationDivergedError of its interval's
+    advance, as a per-step loop would, only before the earlier steps of its
+    block are scored.
 
     Returns the (B,) average powers in dBm and, with `trajectory`, one list
     of rows (step, t, p_r_dbm, r_p, a_p, a_a, sbs_x, sbs_y, sbs_z, theta_s,
@@ -263,11 +272,17 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
     pick, first = np.empty(len(kinds), dtype=np.int64), np.arange(0, scored, N_PROTAGONIST_ACTIONS)
     pick[others] = np.arange(scored, len(cand_rows))
     a_p, a_a = chosen = np.zeros((2, len(kinds)), dtype=np.int64)  # views of `chosen`, written in place
+    # the block's station track: each row's position and velocity after each interval, and the times; the last
+    # entries hold the state that a block's first step observes (at first, rest)
+    span = NOISE_BLOCK if all(a is None for a in adversary) else 1
+    track_pos, track_vel = np.empty((2, span) + env.sbs_position.shape)
+    track_pos[-1], track_vel[-1], times = env.sbs_position, env.sbs_velocity, [0.0] * span
     total = np.zeros(len(kinds))
     rows = [[] for _ in kinds]
     for k in range(steps):
+        j = k % span
         if observed.size:
-            obs[observed] = env.observe(observed)
+            obs[observed] = env.observation(track_pos[j - 1, observed], track_vel[j - 1, observed], env.steer[observed])
         for own, offsets, scales, block, heads in stacks:
             for (slot, head_rows), q in zip(heads, block.forward((obs[own] - offsets) / scales)):
                 chosen[slot, head_rows] = np.argmax(q, axis=-1)
@@ -276,10 +291,15 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
                 row_moves[:] = rng.integers(N_PROTAGONIST_ACTIONS, size=NOISE_BLOCK)
         a_p[randoms] = random_moves[:, k % NOISE_BLOCK]
 
-        env.advance(a_a)
+        if j == 0:  # advance through the block, then its link terms on each candidate's row: (4, intervals, cand)
+            intervals = min(span, steps - k)
+            for i in range(intervals):
+                env.advance(a_a)
+                track_pos[i], track_vel[i], times[i] = env.sbs_position, env.sbs_velocity, env.time
+            terms = np.stack(env.geometry(track_pos[:intervals]))[..., cand_rows]
         cand_moves[scored:] = a_p[others]
         beams = env.steer[cand_rows] + env.moves[cand_moves]
-        powers = env.power(beams, cand_rows)
+        powers = env.score(terms[:, j], beams)
         best = np.argmax(powers[:scored].reshape(-1, N_PROTAGONIST_ACTIONS), axis=1)
         a_p[oracles], pick[oracles] = best, first + best
         env.steer, p_r = beams[pick], powers[pick]
@@ -289,7 +309,7 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
             for b, env_rows in enumerate(rows):
                 r_p = reward_from_power(p_r[b], env_cfg.clip_offset, env_cfg.clip_scale)
                 names = ProtagonistAction(a_p[b]).name.lower(), AdversaryAction(a_a[b]).name.lower()
-                env_rows.append((k, env.time, p_r[b], r_p, *names, *env.sbs_position[b], *env.steer[b]))
+                env_rows.append((k, times[j], p_r[b], r_p, *names, *track_pos[j, b], *env.steer[b]))
 
     return total / steps, rows if trajectory else None
 

@@ -11,8 +11,9 @@ and the velocity/position SDE is integrated with a first-order
 semi-implicit Euler-Maruyama scheme (velocity first, position advanced
 with the updated velocity; the fully explicit variant is unstable at the
 default step for the stiffest modes). Integrator is the one stepper: it
-advances B wires in place (the wires of an env.EnvBatch, for one), and
-`step` advances one wire into new arrays.
+advances B point-major wires, (N, B, 3), in place (the wires of an
+env.EnvBatch, for one), and `step` advances one (N, 3) wire into new
+arrays.
 """
 
 from __future__ import annotations
@@ -26,13 +27,13 @@ import numpy as np
 class SimulationDivergedError(RuntimeError):
     """Raised when the integrator produces non-finite state."""
 
-    def __init__(self, time: float, substep: int, bad_points: np.ndarray):
+    def __init__(self, time: float, n_sub: int, bad_points: np.ndarray):
         self.time = time
-        self.substep = substep
+        self.n_sub = n_sub
         self.bad_points = np.asarray(bad_points)
         super().__init__(
             f"wire simulation diverged at t={time:.6g}s "
-            f"(substep {substep}, points {self.bad_points.tolist()})"
+            f"(within the interval's {n_sub} substeps, points {self.bad_points.tolist()})"
         )
 
 
@@ -175,7 +176,9 @@ class Integrator:
     """Semi-implicit Euler-Maruyama stepper for B wires that share n_points,
     the decision interval dt and the substep count n_sub. Each wire keeps its
     own PhysParams and draws its noise from its own generator, so a wire's
-    trajectory does not depend on the others.
+    trajectory does not depend on the others. The wires are point-major,
+    (N, B, 3): each substep's ufuncs read every wire's interior points as one
+    contiguous slice.
 
     Noise is drawn `block` decision intervals at a time: one standard_normal
     call per noisy wire fills all `block` * n_sub substeps. A bulk draw of
@@ -190,56 +193,56 @@ class Integrator:
         self.dt, self.n_sub = dt, n_sub
         self.h = dt / n_sub
         self.sqrt_h = math.sqrt(self.h)
-        self.gravity = np.array([p.gravity for p in params])[:, None, :]
-        self.coeff = np.array([p.tension_coeff for p in params])[:, None, None]
-        self.drag = np.array([p.drag_constant for p in params])[:, None, None]
+        self.gravity = np.array([p.gravity for p in params])
+        self.coeff = np.array([p.tension_coeff for p in params])[:, None]
+        self.drag = np.array([p.drag_constant for p in params])[:, None]
         # wires with a zero diffusion matrix draw no noise
         self.noisy = [b for b, p in enumerate(params) if np.count_nonzero(p.wind_cov)]
         self.all_noisy = len(self.noisy) == len(params)
         self.cov_t = [params[b].wind_cov.T for b in self.noisy]
-        # per noisy wire, the (V @ xi)*sqrt(h) of `block` intervals of n_sub substeps, and one wire's draws
-        self.kicks = np.empty((len(self.noisy), block, n_sub, params[0].n_points - 2, 3))
-        self.xi = np.empty(self.kicks.shape[1:])
+        # the (V @ xi)*sqrt(h) of `block` intervals of n_sub substeps, point-major: (block, n_sub, N - 2, noisy
+        # wires, 3); one wire's draws xi and their V @ xi
+        self.kicks = np.empty((block, n_sub, params[0].n_points - 2, len(self.noisy), 3))
+        self.xi, self.kick = np.empty((2, block, n_sub, params[0].n_points - 2, 3))
         self.used = block  # intervals of `kicks` consumed: all, so the first advance draws
 
     def advance(self, pos: np.ndarray, vel: np.ndarray, wind: np.ndarray, rngs: list, time: float):
-        """Advance (B, N, 3) positions and velocities by dt, in place, under
-        a wind (3,) shared by all wires or (B, 1, 3) per wire:
+        """Advance point-major (N, B, 3) positions and velocities by dt, in
+        place, under a wind (3,) shared by all wires or (B, 3) per wire:
 
             v += a*h - c0*(v - v_wind)*h + (V @ xi)*sqrt(h),  xi ~ N(0, I3)
             x += v*h          (updated v; endpoints never move)
 
         Noise is i.i.d. per interior point per substep, wire b's from rngs[b]
         (the same generators on every call), drawn a block at a time. Raises
-        SimulationDivergedError for the first wire that goes non-finite.
+        SimulationDivergedError for the first wire that goes non-finite
+        within the interval's substeps.
         """
         h = self.h
         if self.noisy:
-            if self.used == self.kicks.shape[1]:
-                for kick, cov_t, b in zip(self.kicks, self.cov_t, self.noisy):
+            if self.used == self.kicks.shape[0]:
+                for j, (cov_t, b) in enumerate(zip(self.cov_t, self.noisy)):
                     rngs[b].standard_normal(out=self.xi)
-                    np.matmul(self.xi, cov_t, out=kick)
-                self.kicks *= self.sqrt_h
+                    np.matmul(self.xi, cov_t, out=self.kick)
+                    np.multiply(self.kick, self.sqrt_h, out=self.kicks[:, :, :, j])
                 self.used = 0
-            kicks = self.kicks[:, self.used]
+            kicks = self.kicks[self.used]
             self.used += 1
         for s in range(self.n_sub):
-            inner = pos[:, 1:-1]
-            accel = self.gravity + self.coeff * (pos[:, 2:] + pos[:, :-2] - 2.0 * inner)
-            dv = (accel - self.drag * (vel[:, 1:-1] - wind)) * h
+            inner = pos[1:-1]
+            accel = self.gravity + self.coeff * (pos[2:] + pos[:-2] - 2.0 * inner)
+            dv = (accel - self.drag * (vel[1:-1] - wind)) * h
             if self.all_noisy:
-                dv += kicks[:, s]
+                dv += kicks[s]
             elif self.noisy:
-                dv[self.noisy] += kicks[:, s]
-            vel[:, 1:-1] += dv
-            pos[:, 1:-1] += vel[:, 1:-1] * h
+                dv[:, self.noisy] += kicks[s]
+            vel[1:-1] += dv
+            pos[1:-1] += vel[1:-1] * h
 
         if not (np.isfinite(pos).all() and np.isfinite(vel).all()):
-            bad_pos = ~np.isfinite(pos).all(axis=2)
-            bad_vel = ~np.isfinite(vel).all(axis=2)
-            b = int(np.nonzero((bad_pos | bad_vel).any(axis=1))[0][0])
-            bad = np.nonzero(bad_pos[b] | bad_vel[b])[0]
-            raise SimulationDivergedError(time + self.dt, self.n_sub, bad)
+            bad = ~(np.isfinite(pos).all(axis=2) & np.isfinite(vel).all(axis=2))  # (N, B)
+            b = int(np.flatnonzero(bad.any(axis=0))[0])
+            raise SimulationDivergedError(time + self.dt, self.n_sub, np.flatnonzero(bad[:, b]))
 
 
 def step(
@@ -260,10 +263,10 @@ def step(
         raise ValueError("dt must be > 0")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    pos, vel = state.positions[None].copy(), state.velocities[None].copy()
+    pos, vel = state.positions[:, None].copy(), state.velocities[:, None].copy()
     integrator = Integrator([params], dt, effective_substeps(params, dt, substeps))
     integrator.advance(pos, vel, np.asarray(wind_velocity, dtype=np.float64), [rng], state.time)
-    return WireState(pos[0], vel[0], state.time + dt)
+    return WireState(pos[:, 0], vel[:, 0], state.time + dt)
 
 
 def env_wind(t: float) -> np.ndarray:

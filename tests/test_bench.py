@@ -245,6 +245,45 @@ class TestSweepCommand:
         assert [r[2] for r in rows[0][1::2]] == [str(first)] * 2 and [r[2] for r in rows[1][1::2]] == [str(second)] * 2
         assert [r[:2] + r[3:] for r in rows[0]] == [r[:2] + r[3:] for r in rows[1]]
 
+    def test_wire_diverging_mid_block_fails_as_per_step(self, tmp_path, monkeypatch):
+        # an adversary-free rollout advances its wires a block ahead of the steps it scores; a wire that goes
+        # non-finite at interval 70, inside the second block, must raise what the per-step reference loop
+        # raises, and a sweep must record that error's text for the failing cells
+        advance, targets = wire.Integrator.advance, []
+
+        def diverge_at_70(self, pos, vel, wind, rngs, time):
+            if round(time / self.dt) == 69:
+                pos[1, np.isin(self.coeff[:, 0], targets)] = np.nan
+            advance(self, pos, vel, wind, rngs, time)
+
+        monkeypatch.setattr(wire.Integrator, "advance", diverge_at_70)
+        physes = [wire.PhysParams(total_mass=10.0), wire.PhysParams(total_mass=0.3, spring_constant=200.0)]
+        assert [wire.effective_substeps(p, 0.01, 1) for p in physes] == [1, 2]
+        targets.append(physes[1].tension_coeff)
+        env_cfg, policies = EnvConfig(), [Policy(PolicyKind.STAY), Policy(PolicyKind.UPPER_LIMIT)]
+        with pytest.raises(wire.SimulationDivergedError) as batch:
+            rollout(policies * 2, env_cfg, physes * 2, [[3, i] for i in range(4)], 100)
+        with pytest.raises(wire.SimulationDivergedError) as alone:
+            reference_average(policies[0], replace(env_cfg, phys=physes[1]), [3, 1], 100)
+        assert round(alone.value.time / env_cfg.tau) == 70 and alone.value.n_sub == 2
+        assert (batch.value.time, batch.value.n_sub, batch.value.bad_points.tolist(), str(batch.value)) == (
+            alone.value.time, alone.value.n_sub, alone.value.bad_points.tolist(), str(alone.value))
+        assert "within the interval's 2 substeps" in str(alone.value)
+
+        cfg = write_cfg(tmp_path, SMALL_CFG.replace("observation_time_s: 0.4", "observation_time_s: 1.0"))
+        spec = tmp_path / "sweep.spec"
+        spec.write_text("mass_grid_kg: 10,5\nspring_grid_n_per_m: 100\npolicies: stay,upper_limit\n")
+        targets[:] = [wire.PhysParams(total_mass=5.0).tension_coeff]
+        assert main(["sweep", "--config", cfg, "--spec", str(spec), "--out", str(tmp_path / "bad")]) == 3
+        sweep_env = train_config_from_text(Path(cfg).read_text()).env
+        assert sweep_env.horizon == 100
+        with pytest.raises(wire.SimulationDivergedError) as cell:
+            reference_average(policies[0], replace(sweep_env, phys=wire.PhysParams(total_mass=5.0)), 0, 100)
+        failed = json.loads((tmp_path / "bad" / "manifest.json").read_text())["failed_cells"]
+        error = f"SimulationDivergedError: {cell.value}"
+        assert [(c["mass_kg"], c["policy"], c["error"]) for c in failed] == [
+            (5.0, "stay", error), (5.0, "upper_limit", error)]
+
     def test_diverging_cell_only_fails_itself(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path)
         spec = tmp_path / "sweep.spec"
@@ -255,7 +294,7 @@ class TestSweepCommand:
         advance = wire.Integrator.advance
 
         def diverge_at_5_kg(self, pos, vel, wind, rngs, time):
-            pos[self.coeff[:, 0, 0] == 100.0 * 11 / 5.0, 1] = np.nan
+            pos[1, self.coeff[:, 0] == 100.0 * 11 / 5.0] = np.nan
             advance(self, pos, vel, wind, rngs, time)
 
         # a 4 x 4 single-policy grid whose only diverging cell is 5 kg / 100 N/m

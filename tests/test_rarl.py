@@ -92,6 +92,7 @@ class TestTrainValidation:
             ({"gamma": 1.0}, "gamma"),
             ({"gamma": -0.1}, "gamma"),
             ({"hidden": (32, 0)}, "hidden"),
+            ({"hidden": ()}, "hidden"),
         ],
     )
     def test_learner_settings_rejected(self, bad, field):
@@ -494,6 +495,34 @@ class TestRollout:
             for policy, p, s, adv in zip(policies, physes, seeds, adversaries)
         ]
         assert avg.tolist() == expected
+
+    def test_adversary_free_rows_cross_blocks_as_reference_loop(self):
+        # no row has an adversary, so the batch advances its wires NOISE_BLOCK intervals ahead and scores each
+        # step on the recorded track: two block boundaries and a partial last block, every tracker kind, a quiet
+        # wire, and one- and two-substep groups
+        quiet = replace(MIXED_PHYSES[0], wind_cov=np.zeros((3, 3)))
+        physes = MIXED_PHYSES + [quiet]
+        greedy = Policy(PolicyKind.GREEDY_DQN, greedy_ckpt(5, 3))
+        kinds = [Policy(k) for k in PolicyKind if k is not PolicyKind.GREEDY_DQN] + [greedy]
+        policies = [policy for policy in kinds for _ in physes]
+        physes = physes * len(kinds)
+        cfg, steps = wb.EnvConfig(), 2 * NOISE_BLOCK + 3
+        seeds = [[31, i] for i in range(len(physes))]
+        avg, rows = rollout(policies, cfg, physes, seeds, steps, trajectory=True)
+        expected = [
+            reference_average(policy, replace(cfg, phys=p), s, steps)
+            for policy, p, s in zip(policies, physes, seeds)
+        ]
+        assert avg.tolist() == expected
+        for policy, phys, seed, batch_rows in zip(policies, physes, seeds, rows):
+            row_cfg = replace(cfg, phys=phys)
+            assert run_policy(policy, row_cfg, steps, seed)[1] == batch_rows
+            # each row's time, station position, steering and power are those of its own environment, stepped
+            # one interval at a time with the row's moves
+            env = BeamTrackingEnv(replace(row_cfg, horizon=steps), seed=rarl._eval_streams(seed)[0])
+            for _, t, p_r, _, a_p, _, *station_and_steer in batch_rows:
+                *_, power = env.step(ProtagonistAction[a_p.upper()])
+                assert (t, p_r, station_and_steer) == (env.time, power, [*env.sbs_position, *env.steer])
 
     def test_batch_rows_equal_single_rows(self):
         policy, cfg = Policy(PolicyKind.UPPER_LIMIT), wb.EnvConfig()

@@ -222,14 +222,14 @@ class TestStep:
         ]
         winds = np.array([[1.0, 0.0, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, 3.0]])
         n_sub, h = 2, TAU / 2
-        pos = np.array([equilibrium_shape(p).positions for p in params])
+        pos = np.stack([equilibrium_shape(p).positions for p in params], axis=1)  # point-major (N, B, 3)
         vel = np.zeros_like(pos)
-        ref_pos, ref_vel = pos.copy(), vel.copy()
+        ref_pos, ref_vel = pos.transpose(1, 0, 2).copy(), vel.transpose(1, 0, 2).copy()
         rngs = [np.random.default_rng(i) for i in range(3)]
         ref_rngs = [np.random.default_rng(i) for i in range(3)]
         integrator = wire.Integrator(params, TAU, n_sub)
         for k in range(50):
-            integrator.advance(pos, vel, winds[:, None, :], rngs, k * TAU)
+            integrator.advance(pos, vel, winds, rngs, k * TAU)
             for x, v, w, p, rng in zip(ref_pos, ref_vel, winds, params, ref_rngs):
                 for _ in range(n_sub):
                     accel = p.gravity + p.tension_coeff * (x[2:] + x[:-2] - 2.0 * x[1:-1])
@@ -238,8 +238,8 @@ class TestStep:
                         dv += (rng.standard_normal((p.n_points - 2, 3)) @ p.wind_cov.T) * math.sqrt(h)
                     v[1:-1] += dv
                     x[1:-1] += v[1:-1] * h
-        np.testing.assert_array_equal(pos, ref_pos)
-        np.testing.assert_array_equal(vel, ref_vel)
+        np.testing.assert_array_equal(pos, ref_pos.transpose(1, 0, 2))
+        np.testing.assert_array_equal(vel, ref_vel.transpose(1, 0, 2))
 
     def test_block_draws_equal_one_interval_draws(self):
         # a block of 4 intervals over 10 advances (two refills and a partial last block) gives the bits of
@@ -247,7 +247,7 @@ class TestStep:
         params = [PhysParams(total_mass=10.0), PhysParams(total_mass=5.0, wind_cov=np.zeros((3, 3)))]
         states = {}
         for block in (1, 4):
-            pos = np.array([equilibrium_shape(p).positions for p in params])
+            pos = np.stack([equilibrium_shape(p).positions for p in params], axis=1)  # point-major (N, B, 3)
             vel, rngs = np.zeros_like(pos), [np.random.default_rng(i) for i in range(2)]
             integrator = wire.Integrator(params, TAU, 2, block)
             for k in range(10):

@@ -1,24 +1,23 @@
-"""Measure block-drawn wire noise and random actions against a parent tree.
+"""Measure a change against its parent tree in alternating pairs of benchmark runs.
 
 Usage (from the repository root; PARENT is a clean checkout of the parent
 commit, CHANGE one of this commit, each with its own benchmarks/):
 
-    python3 tools/bench_block_draws.py PARENT CHANGE --pairs 10 --seed0 301 \
-        --out BENCH_block_draws.json
+    python3 tools/bench_pairs.py PARENT CHANGE --pairs 10 --seed0 301 \
+        --what "Parent against the change that ..." --out BENCH_<name>.json
 
 Four steps, all by default, or those named by --steps:
 
-calls   Generator calls: one `wirebeam sweep` command of the `sweep_grid`
-        workload (seed0) per tree, each in a fresh process, with
-        `numpy.random.default_rng` wrapped so that every generator it
-        returns counts its `standard_normal` and `integers` calls.
-        `benchmarks/tracer.py` has no span around `rarl.rollout` or
-        `wire.Integrator.advance`, so its trace cannot show where the
-        saving is; these counts show the calls that went away.
+calls   Layer calls: one `wirebeam sweep` command of the `sweep_grid`
+        workload (seed0) per tree, each in a fresh process, with every
+        function of COUNTED that the tree has wrapped to count its calls.
+        `benchmarks/tracer.py` has spans for neither `wire.Integrator.advance`
+        nor the link-geometry calls, so its trace cannot show where a
+        rollout's time goes; these counts show which calls went away.
 pairs   End to end: `benchmarks/run.py --trace 0` on every workload,
         --pairs pairs per workload on seeds seed0, seed0 + 1, ...; parent
         and change alternate, and which side runs first alternates from
-        pair to pair.
+        pair to pair, because the side that runs first reads faster.
 traced  One `--trace 1` run per workload and side on seed0, whose output
         hashes must equal the untraced ones.
 report  Judge the kept records with `benchmarks/compare.py` and write
@@ -44,47 +43,48 @@ from pathlib import Path
 
 WORKLOADS = ("train_rarl", "sweep_grid", "antenna_pattern")
 SIDES = ("parent", "change")
+# (module, attribute path) of each function whose calls the `calls` step counts; a tree without one reports none
+COUNTED = (
+    ("radio", "aod_batch"),
+    ("radio", "path_gain_db"),
+    ("radio", "element_pattern"),
+    ("radio", "array_factor"),
+    ("wire", "Integrator.advance"),
+)
 
 
 def count_calls(tree: Path, seed: int) -> dict:
-    """Generator calls of one sweep_grid command of `tree`, run in this process."""
+    """Calls of each COUNTED function in one sweep_grid command of `tree`, run in this process."""
     sys.path.insert(0, str(tree / "src"))
     spec = importlib.util.spec_from_file_location("bench_run", tree / "benchmarks" / "run.py")
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
-    import numpy as np
-
     from wirebeam import bench, env, wire
     from wirebeam.config import train_config_from_text
 
-    work = Path(os.environ.get("TMPDIR", "/tmp")) / f"block_draws_calls_{os.getpid()}"
+    work = Path(os.environ.get("TMPDIR", "/tmp")) / f"bench_pairs_calls_{os.getpid()}"
     job = run.prepare("sweep_grid", seed, work)
     cfg = train_config_from_text(Path(job["argv"][job["argv"].index("--config") + 1]).read_text()).env
     counts = collections.Counter()
 
-    class Counting:
-        """A generator whose standard_normal and integers calls are counted."""
+    def counting(name, fn):
+        def counted(*args, **kw):
+            counts[name] += 1
+            return fn(*args, **kw)
 
-        def __init__(self, rng):
-            self._rng = rng
+        return counted
 
-        def __getattr__(self, name):
-            method = getattr(self._rng, name)
-            if name not in ("standard_normal", "integers"):
-                return method
-
-            def counted(*args, **kw):
-                counts[name] += 1
-                return method(*args, **kw)
-
-            return counted
-
-    make = np.random.default_rng
-    np.random.default_rng = lambda *args, **kw: Counting(make(*args, **kw))
+    for module_name, path in COUNTED:
+        *owners, attr = path.split(".")
+        owner = importlib.import_module(f"wirebeam.{module_name}")
+        for name in owners:
+            owner = getattr(owner, name)
+        if hasattr(owner, attr):  # module functions are looked up at call time, so the wrapper sees every call
+            setattr(owner, attr, counting(f"{module_name}.{path}", getattr(owner, attr)))
+            counts[f"{module_name}.{path}"] = 0
     try:
         code = bench.main(list(job["argv"]))
     finally:
-        np.random.default_rng = make
         shutil.rmtree(work, ignore_errors=True)
     if code != 0:
         raise SystemExit(f"sweep command exited {code}")
@@ -119,6 +119,7 @@ def summary(path: Path) -> dict:
 
 
 def report(args, sides: dict) -> dict:
+    """The JSON report of the kept records: compare.py's judgement, the call counts, the hash checks."""
     runs = {side: sorted((summary(p) for p in (args.out_dir / side).glob("*.json")), key=lambda r: r["started_utc"])
             for side in SIDES}
     traced = {side: [summary(p) for p in sorted((args.out_dir / "traced" / side).glob("*.json"))] for side in SIDES}
@@ -134,21 +135,13 @@ def report(args, sides: dict) -> dict:
                 medians.setdefault(workload, {})[side] = statistics.median(walls)
     import numpy as np
 
+    calls = args.out_dir / "calls.json"
     return {
-        "what": "Parent against the change that draws each rollout row's wire noise and random actions a block at"
-                " a time (env.NOISE_BLOCK decision intervals per generator call) for the generators that"
-                " env.EnvBatch.of and rarl.rollout make for themselves, and fixes rollout's candidate beam layout"
-                " once per call. No gain is claimed but sweep_grid's calibrated_units_per_s.",
+        "what": args.what,
         "method": __doc__,
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "cpus": len(os.sched_getaffinity(0)), "machine": platform.machine()},
-        "generator_calls_per_sweep_command": json.loads((args.out_dir / "calls.json").read_text()),
-        "generator_calls_expected": {
-            "parent": "standard_normal: one per noisy row per substep per step; integers: one per random_uniform"
-                      " row per step",
-            "change": "one per noisy row (standard_normal) or random_uniform row (integers) per block of"
-                      " NOISE_BLOCK steps, i.e. rows * ceil(steps / NOISE_BLOCK)",
-        },
+        "calls_per_sweep_command": json.loads(calls.read_text()) if calls.exists() else None,
         "compare_py_output": compare.stdout.splitlines(),
         "compare_py_exit_code": compare.returncode,
         "command_median_of_run_medians_s": medians,
@@ -170,8 +163,9 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed0", type=int, default=301)
     parser.add_argument("--steps", default="calls,pairs,traced,report")
-    parser.add_argument("--out", type=Path, default=Path("BENCH_block_draws.json"))
-    parser.add_argument("--out-dir", type=Path, default=Path(".bench_out/block_draws"))
+    parser.add_argument("--what", help="what the report compares: the change, and the gain it claims (report step)")
+    parser.add_argument("--out", type=Path, default=Path("BENCH_pairs.json"))
+    parser.add_argument("--out-dir", type=Path, default=Path(".bench_out/pairs"))
     parser.add_argument("--count-calls", type=Path, metavar="TREE", help="only count the calls of TREE")
     args = parser.parse_args(argv)
     if args.count_calls:
@@ -181,6 +175,8 @@ def main(argv=None) -> int:
         parser.error("PARENT and CHANGE are required")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     steps = args.steps.split(",")
+    if "report" in steps and not args.what:
+        parser.error("the report step needs --what")
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
     if "calls" in steps:
