@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -278,6 +279,9 @@ def cmd_sweep(args, cfg, out):
 
 
 def cmd_antenna_pattern(args, cfg, out):
+    for flag in ("az_start", "az_stop", "az_step"):
+        if not math.isfinite(getattr(args, flag)):
+            raise _Rejected(f"antenna-pattern: --{flag.replace('_', '-')} must be finite, got {getattr(args, flag)!r}")
     if args.az_step <= 0 or args.az_stop < args.az_start:
         raise _Rejected("antenna-pattern: empty azimuth range")
     azimuths = np.arange(args.az_start, args.az_stop + args.az_step / 2, args.az_step)

@@ -135,7 +135,7 @@ class EnvBatch:
     which the integrator sees as a batch of one; a slice or an index array
     for a batch), one generator per row. The generators that EnvBatch.of
     makes are the batch's own, so their integrators draw NOISE_BLOCK
-    intervals of noise per call; a generator that a caller can read
+    intervals of noise at a time; a generator that a caller can read
     (BeamTrackingEnv.rng) is drawn one interval at a time.
     """
 
@@ -198,17 +198,42 @@ class EnvBatch:
         """The observation of `rows` (an index of the leading shape)."""
         return self.observation(self.sbs_position[rows], self.sbs_velocity[rows], self.steer[rows])
 
-    def advance(self, a_a):
+    def advance(self, a_a, track=None) -> list:
         """Advance every wire by tau, in place, under the ambient wind plus the
-        gust of each adversary action in a_a (STAY adds none)."""
-        ambient = wire.env_wind(self.time) if self.cfg.ambient_wind else 0.0
-        wind = ambient + self.gusts[a_a]  # (..., 3)
+        gust of each adversary action in a_a (STAY adds none); or, given
+        `track`, a pair of (L, ..., 3) buffers, by L intervals under the same
+        gusts, one Integrator.advance call per group, writing each row's
+        station position and velocity after interval l into track[0][l] and
+        track[1][l]. The ambient wind of each interval is env_wind at its start
+        time, the times adding tau once per interval. Returns the L times
+        after each interval. A wire that diverges raises the
+        SimulationDivergedError of a per-interval run: the earliest interval's,
+        the first group's at a tie."""
+        times = [self.time]
+        for _ in range(1 if track is None else len(track[0])):
+            times.append(times[-1] + self.cfg.tau)
+        gust = self.gusts[a_a]  # (..., 3)
+        if self.cfg.ambient_wind:
+            ambient = np.array([wire.env_wind(t) for t in times[:-1]])
+        else:
+            ambient = np.zeros((len(times) - 1, 3))
+        winds = (ambient[:, None] if gust.ndim == 2 else ambient) + gust  # (L, ..., 3)
+        errors = []
         for rows, integrator, rngs in self.groups:
             pos, vel = self.pos[:, rows], self.vel[:, rows]  # views, or copies for an index array
-            integrator.advance(pos, vel, wind[rows], rngs, self.time)
+            out = None if track is None else (self.cfg.sbs_index, track[0][:, rows], track[1][:, rows])
+            try:
+                integrator.advance(pos, vel, winds[:, rows], rngs, self.time, out)
+            except wire.SimulationDivergedError as error:
+                errors.append(error)
             if isinstance(rows, np.ndarray):
                 self.pos[:, rows], self.vel[:, rows] = pos, vel
-        self.time += self.cfg.tau
+                if track is not None:
+                    track[0][:, rows], track[1][:, rows] = out[1:]
+        if errors:
+            raise min(errors, key=lambda error: error.time)
+        self.time = times[-1]
+        return times[1:]
 
     def geometry(self, positions: np.ndarray):
         """The steering-free link terms of station positions toward the rows'

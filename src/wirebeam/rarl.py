@@ -28,7 +28,8 @@ import numpy as np
 
 from . import deepq
 from .checkpoint import AgentCheckpoint, load_checkpoint, param_digest
-from .env import NOISE_BLOCK, AdversaryAction, BeamTrackingEnv, EnvBatch, EnvConfig, ProtagonistAction, reward_from_power
+from .env import (NOISE_BLOCK, AdversaryAction, BeamTrackingEnv, EnvBatch, EnvConfig, ProtagonistAction,
+                  beam_direction, reward_from_power)
 
 VARIANTS = ("rarl", "no_adversary", "random_adversary")
 
@@ -201,20 +202,23 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
     (net, checkpoint or path) for every row or a list with one agent or None
     per row; a row without one has its adversary play STAY. The rows are one
     EnvBatch, advanced a block at a time: the wire never depends on the
-    tracker, so without adversaries a block is NOISE_BLOCK intervals, whose
-    station track (positions, velocities, times) the loop records and whose
-    steering-free link terms EnvBatch.geometry computes in one call; with
-    any adversary, whose gusts read each step's observation, it is one
-    interval. Per step this loop builds the greedy rows' observations from
-    the recorded track, runs one stacked QBlock forward per group of
-    distinct greedy agents (trackers and adversaries alike) that share a
-    trunk shape and a row count, and scores one EnvBatch.score call over each
-    oracle row's five candidate beams, then every other row's chosen beam,
-    keeping each oracle row's best. A random row draws NOISE_BLOCK moves at a
-    time from its own action stream, as the batch draws its wire noise. A
-    wire that diverges raises the SimulationDivergedError of its interval's
-    advance, as a per-step loop would, only before the earlier steps of its
-    block are scored.
+    tracker, so without adversaries a block is NOISE_BLOCK intervals, which
+    one EnvBatch.advance call (one Integrator.advance call per substep group)
+    steps while recording the station track (positions, velocities, times),
+    and whose steering-free link terms EnvBatch.geometry computes in one call;
+    with any adversary, whose gusts read each step's observation, it is one
+    interval. Per block this loop builds every greedy player's normalised
+    position and velocity inputs from the recorded track (step j reads the
+    state after interval j - 1, the previous block's last for j = 0); per
+    step it adds the beam-direction inputs of the kept steering, runs one
+    stacked QBlock forward per group of distinct greedy agents (trackers and
+    adversaries alike) that share a trunk shape and a row count, and scores
+    one EnvBatch.score call over each oracle row's five candidate beams, then
+    every other row's chosen beam, keeping each oracle row's best. A random
+    row draws NOISE_BLOCK moves at a time from its own action stream, as the
+    batch draws its wire noise. A wire that diverges raises the
+    SimulationDivergedError of a per-step loop, with the same time and
+    points, only before the steps of its block are scored.
 
     Returns the (B,) average powers in dBm and, with `trajectory`, one list
     of rows (step, t, p_r_dbm, r_p, a_p, a_a, sbs_x, sbs_y, sbs_z, theta_s,
@@ -232,7 +236,7 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
         raise ValueError("need one adversary (or None) per seed")
     streams = [_eval_streams(seed) for seed in seeds]
     env = EnvBatch.of(env_cfg, physes, [stream[0] for stream in streams])
-    obs = env.observe()  # the rest observations
+    rest = env.observe()
 
     # one player per distinct greedy agent (by identity): 0 for a tracker or 1 for an adversary, the rows it
     # plays, its net, and the offsets and scale of its inputs: the ObsNormalizer of its rows and recorded scale
@@ -245,20 +249,30 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
                     f"rollout row {own[0]}: its {('tracker', 'adversary')[slot]} has n_actions "
                     f"{net.n_actions}; trackers need {N_PROTAGONIST_ACTIONS}, adversaries {N_ADVERSARY_ACTIONS}"
                 )
-            norm = ObsNormalizer.at_rest(obs[own], scale)
+            norm = ObsNormalizer.at_rest(rest[own], scale)
             shared.setdefault((net.hidden, len(own)), []).append((slot, own, net, norm.offset, norm.scale))
+    # the block's station track, each row's position and velocity (..., 6): entry 0 the state that the block's
+    # first step observes, entry 1 + i the state after the block's interval i; entry -1 is carried to entry 0
+    # (at first, rest)
+    free = all(a is None for a in adversary)
+    span = NOISE_BLOCK if free else 1
+    track = np.empty((span + 1, len(seeds), 6))
+    track[-1] = np.concatenate([env.sbs_position, env.sbs_velocity], axis=-1)
     # players that share a trunk shape and a row count act through one stacked forward; sorted by slot, so
-    # each head group is one slot's players: per group its (P, R) rows, (P, R, 9) offsets, (P, 1, 9)
-    # scales, block and the (slot, (P_g, R) rows) that each head group's argmax is scattered to
+    # each head group is one slot's players: per group its (P, R) rows, the (P, R, 6) offsets and (P, 1, 6)
+    # scales of the position and velocity inputs, those of the beam-direction inputs (3 columns), block, the
+    # (slot, (P_g, R) rows) that each head group's argmax is scattered to, and its (span, P, R, 9) inputs, whose
+    # position and velocity columns are filled once per block
     stacks = []
     for group in shared.values():
         slots, own, nets, offsets, scales = zip(*sorted(group, key=lambda player: player[0]))
-        own, slots = np.array(own), np.array(slots)
+        own, slots, offsets, scales = np.array(own), np.array(slots), np.array(offsets), np.array(scales)[:, None]
         heads = [(slot, own[slots == slot]) for slot in np.unique(slots)]
-        stacks.append((own, np.array(offsets), np.array(scales)[:, None], deepq.QBlock(nets), heads))
+        inputs = np.empty((span,) + own.shape + rest.shape[-1:])
+        state, beam = (offsets[..., :6], scales[..., :6]), (offsets[..., 6:], scales[..., 6:])
+        stacks.append((own, state, beam, deepq.QBlock(nets), heads, inputs))
 
     kinds = np.array([p.kind for p in policies])
-    observed = np.flatnonzero([a is not None or t is not None for a, t in zip(adversary, trackers)])  # read by a net
     randoms = np.flatnonzero(kinds == PolicyKind.RANDOM_UNIFORM)
     # each random row's moves, NOISE_BLOCK steps per draw from its own action stream
     draws = [np.random.default_rng(streams[b][1]) for b in randoms]
@@ -272,31 +286,30 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
     pick, first = np.empty(len(kinds), dtype=np.int64), np.arange(0, scored, N_PROTAGONIST_ACTIONS)
     pick[others] = np.arange(scored, len(cand_rows))
     a_p, a_a = chosen = np.zeros((2, len(kinds)), dtype=np.int64)  # views of `chosen`, written in place
-    # the block's station track: each row's position and velocity after each interval, and the times; the last
-    # entries hold the state that a block's first step observes (at first, rest)
-    span = NOISE_BLOCK if all(a is None for a in adversary) else 1
-    track_pos, track_vel = np.empty((2, span) + env.sbs_position.shape)
-    track_pos[-1], track_vel[-1], times = env.sbs_position, env.sbs_velocity, [0.0] * span
     total = np.zeros(len(kinds))
     rows = [[] for _ in kinds]
     for k in range(steps):
         j = k % span
-        if observed.size:
-            obs[observed] = env.observation(track_pos[j - 1, observed], track_vel[j - 1, observed], env.steer[observed])
-        for own, offsets, scales, block, heads in stacks:
-            for (slot, head_rows), q in zip(heads, block.forward((obs[own] - offsets) / scales)):
+        if j == 0:
+            intervals = min(span, steps - k)
+            track[0] = track[-1]
+            if free:  # advance through the block first: the wire never depends on the tracker
+                times = env.advance(a_a, (track[1 : intervals + 1, :, :3], track[1 : intervals + 1, :, 3:]))
+            for own, (offset, scale), _, _, _, inputs in stacks:
+                inputs[:intervals, ..., :6] = (track[:intervals, own] - offset) / scale
+        for own, _, (offset, scale), block, heads, inputs in stacks:
+            inputs[j, ..., 6:] = (beam_direction(*env.steer[own].T) - offset) / scale
+            for (slot, head_rows), q in zip(heads, block.forward(inputs[j])):
                 chosen[slot, head_rows] = np.argmax(q, axis=-1)
         if k % NOISE_BLOCK == 0:
             for row_moves, rng in zip(random_moves, draws):
                 row_moves[:] = rng.integers(N_PROTAGONIST_ACTIONS, size=NOISE_BLOCK)
         a_p[randoms] = random_moves[:, k % NOISE_BLOCK]
 
-        if j == 0:  # advance through the block, then its link terms on each candidate's row: (4, intervals, cand)
-            intervals = min(span, steps - k)
-            for i in range(intervals):
-                env.advance(a_a)
-                track_pos[i], track_vel[i], times[i] = env.sbs_position, env.sbs_velocity, env.time
-            terms = np.stack(env.geometry(track_pos[:intervals]))[..., cand_rows]
+        if j == 0:  # the block's link terms on each candidate's row: (4, intervals, candidates)
+            if not free:  # an adversary's gust reads this step's observation
+                times = env.advance(a_a, (track[1:2, :, :3], track[1:2, :, 3:]))
+            terms = np.stack(env.geometry(track[1 : intervals + 1, :, :3]))[..., cand_rows]
         cand_moves[scored:] = a_p[others]
         beams = env.steer[cand_rows] + env.moves[cand_moves]
         powers = env.score(terms[:, j], beams)
@@ -309,7 +322,7 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
             for b, env_rows in enumerate(rows):
                 r_p = reward_from_power(p_r[b], env_cfg.clip_offset, env_cfg.clip_scale)
                 names = ProtagonistAction(a_p[b]).name.lower(), AdversaryAction(a_a[b]).name.lower()
-                env_rows.append((k, times[j], p_r[b], r_p, *names, *track_pos[j, b], *env.steer[b]))
+                env_rows.append((k, times[j], p_r[b], r_p, *names, *track[j + 1, b, :3], *env.steer[b]))
 
     return total / steps, rows if trajectory else None
 

@@ -11,9 +11,9 @@ and the velocity/position SDE is integrated with a first-order
 semi-implicit Euler-Maruyama scheme (velocity first, position advanced
 with the updated velocity; the fully explicit variant is unstable at the
 default step for the stiffest modes). Integrator is the one stepper: it
-advances B point-major wires, (N, B, 3), in place (the wires of an
-env.EnvBatch, for one), and `step` advances one (N, 3) wire into new
-arrays.
+advances B point-major wires, (N, B, 3), in place by any number of
+decision intervals per call (the wires of an env.EnvBatch, for one), and
+`step` advances one (N, 3) wire by one interval into new arrays.
 """
 
 from __future__ import annotations
@@ -172,13 +172,17 @@ def equilibrium_shape(params: PhysParams) -> WireState:
     return WireState(positions, np.zeros((n, 3)), 0.0)
 
 
+def _finite(pos: np.ndarray, vel: np.ndarray) -> bool:
+    return bool(np.isfinite(pos).all() and np.isfinite(vel).all())
+
+
 class Integrator:
     """Semi-implicit Euler-Maruyama stepper for B wires that share n_points,
     the decision interval dt and the substep count n_sub. Each wire keeps its
     own PhysParams and draws its noise from its own generator, so a wire's
     trajectory does not depend on the others. The wires are point-major,
     (N, B, 3): each substep's ufuncs read every wire's interior points as one
-    contiguous slice.
+    contiguous slice. One `advance` call steps any number of intervals.
 
     Noise is drawn `block` decision intervals at a time: one standard_normal
     call per noisy wire fills all `block` * n_sub substeps. A bulk draw of
@@ -186,7 +190,7 @@ class Integrator:
     do not depend on `block`; but a generator is left up to block - 1
     intervals ahead of the draws consumed. So a block above 1 is only for
     generators that no caller reads (env.EnvBatch.of's own); with block 1,
-    each advance draws exactly the noise it uses.
+    each interval draws exactly the noise it uses.
     """
 
     def __init__(self, params: list, dt: float, n_sub: int, block: int = 1):
@@ -201,48 +205,99 @@ class Integrator:
         self.all_noisy = len(self.noisy) == len(params)
         self.cov_t = [params[b].wind_cov.T for b in self.noisy]
         # the (V @ xi)*sqrt(h) of `block` intervals of n_sub substeps, point-major: (block, n_sub, N - 2, noisy
-        # wires, 3); one wire's draws xi and their V @ xi
+        # wires, 3); one wire's draws xi
         self.kicks = np.empty((block, n_sub, params[0].n_points - 2, len(self.noisy), 3))
-        self.xi, self.kick = np.empty((2, block, n_sub, params[0].n_points - 2, 3))
+        self.xi = np.empty((block, n_sub, params[0].n_points - 2, 3))
         self.used = block  # intervals of `kicks` consumed: all, so the first advance draws
+        self.accel, self.temp = np.empty((2, params[0].n_points - 2, len(params), 3))  # each substep's temporaries
 
-    def advance(self, pos: np.ndarray, vel: np.ndarray, wind: np.ndarray, rngs: list, time: float):
-        """Advance point-major (N, B, 3) positions and velocities by dt, in
-        place, under a wind (3,) shared by all wires or (B, 3) per wire:
+    def _draw(self, rngs: list):
+        """Refill `kicks` with the next `block` intervals of every noisy wire's noise: each wire's xi @ V
+        as one 2-D matmul into its strided slot, then the whole block scaled by sqrt(h) at once."""
+        slots = self.kicks.reshape(-1, len(self.noisy), 3)
+        for j, (cov_t, b) in enumerate(zip(self.cov_t, self.noisy)):
+            rngs[b].standard_normal(out=self.xi)
+            np.matmul(self.xi.reshape(-1, 3), cov_t, out=slots[:, j])
+        self.kicks *= self.sqrt_h
+        self.used = 0
+
+    def advance(self, pos: np.ndarray, vel: np.ndarray, winds: np.ndarray, rngs: list, time: float, track=None):
+        """Advance point-major (N, B, 3) positions and velocities by L
+        intervals of dt, in place, under the winds of L intervals, (L, 3)
+        shared by all wires or (L, B, 3) per wire, each held over its interval:
 
             v += a*h - c0*(v - v_wind)*h + (V @ xi)*sqrt(h),  xi ~ N(0, I3)
             x += v*h          (updated v; endpoints never move)
 
         Noise is i.i.d. per interior point per substep, wire b's from rngs[b]
-        (the same generators on every call), drawn a block at a time. Raises
-        SimulationDivergedError for the first wire that goes non-finite
-        within the interval's substeps.
-        """
-        h = self.h
-        if self.noisy:
-            if self.used == self.kicks.shape[0]:
-                for j, (cov_t, b) in enumerate(zip(self.cov_t, self.noisy)):
-                    rngs[b].standard_normal(out=self.xi)
-                    np.matmul(self.xi, cov_t, out=self.kick)
-                    np.multiply(self.kick, self.sqrt_h, out=self.kicks[:, :, :, j])
-                self.used = 0
-            kicks = self.kicks[self.used]
-            self.used += 1
-        for s in range(self.n_sub):
-            inner = pos[1:-1]
-            accel = self.gravity + self.coeff * (pos[2:] + pos[:-2] - 2.0 * inner)
-            dv = (accel - self.drag * (vel[1:-1] - wind)) * h
-            if self.all_noisy:
-                dv += kicks[s]
-            elif self.noisy:
-                dv[:, self.noisy] += kicks[s]
-            vel[1:-1] += dv
-            pos[1:-1] += vel[1:-1] * h
+        (the same generators on every call), drawn a block at a time. With
+        `track`, a triple (point, positions, velocities) of a point index and
+        two (L, B, 3) buffers, each wire's pos[point] and vel[point] after
+        interval l go to positions[l] and velocities[l].
 
-        if not (np.isfinite(pos).all() and np.isfinite(vel).all()):
-            bad = ~(np.isfinite(pos).all(axis=2) & np.isfinite(vel).all(axis=2))  # (N, B)
-            b = int(np.flatnonzero(bad.any(axis=0))[0])
-            raise SimulationDivergedError(time + self.dt, self.n_sub, np.flatnonzero(bad[:, b]))
+        Finiteness is checked once per noise block that the call reaches, not
+        per interval: the update only adds, subtracts and multiplies, which
+        never turn inf or NaN back into a finite number, and the endpoints never
+        move, so a wire that went non-finite anywhere in the block ends
+        non-finite. The block is then rerun from its start state and its noise
+        cursor (the kicks already drawn) one interval at a time, so the call
+        raises the SimulationDivergedError of a per-interval run, with the same
+        time (`time`, the call's start, plus dt once per interval), substep
+        count and points, for the first wire non-finite after its interval, and
+        leaves every generator where such a run leaves it.
+        """
+        done = 0
+        while done < len(winds):
+            if self.noisy and self.used == len(self.kicks):
+                self._draw(rngs)
+            count = len(winds) - done
+            if self.noisy:
+                count = min(count, len(self.kicks) - self.used)
+            start = (pos.copy(), vel.copy(), self.used) if count > 1 else None
+            self._substeps(pos, vel, winds, done, count, track)
+            if not _finite(pos, vel):
+                if start is not None:  # rerun the block one interval at a time up to its first bad one
+                    pos[...], vel[...], self.used = start
+                    for l in range(done, done + count):
+                        self._substeps(pos, vel, winds, l, 1, track)
+                        if not _finite(pos, vel):
+                            break
+                        time += self.dt
+                bad = ~(np.isfinite(pos).all(axis=2) & np.isfinite(vel).all(axis=2))  # (N, B)
+                b = int(np.flatnonzero(bad.any(axis=0))[0])
+                raise SimulationDivergedError(time + self.dt, self.n_sub, np.flatnonzero(bad[:, b]))
+            for _ in range(count):
+                time += self.dt
+            done += count
+
+    def _substeps(self, pos, vel, winds, first: int, count: int, track):
+        """The substeps of intervals first, ..., first + count - 1 of `winds`, recording `track`."""
+        h, inner, right, left, inner_vel = self.h, pos[1:-1], pos[2:], pos[:-2], vel[1:-1]
+        accel, temp = self.accel, self.temp
+        for l in range(first, first + count):
+            wind = winds[l]
+            if self.noisy:
+                kicks = self.kicks[self.used]
+                self.used += 1
+            for s in range(self.n_sub):  # the formula of `advance`, op for op, in two buffers
+                np.add(right, left, out=accel)
+                np.multiply(2.0, inner, out=temp)
+                np.subtract(accel, temp, out=accel)
+                np.multiply(self.coeff, accel, out=accel)
+                np.add(self.gravity, accel, out=accel)
+                np.subtract(inner_vel, wind, out=temp)
+                np.multiply(self.drag, temp, out=temp)
+                np.subtract(accel, temp, out=accel)
+                dv = np.multiply(accel, h, out=accel)
+                if self.all_noisy:
+                    dv += kicks[s]
+                elif self.noisy:
+                    dv[:, self.noisy] += kicks[s]
+                inner_vel += dv
+                inner += np.multiply(inner_vel, h, out=temp)
+            if track is not None:
+                point, positions, velocities = track
+                positions[l], velocities[l] = pos[point], vel[point]
 
 
 def step(
@@ -265,7 +320,7 @@ def step(
         raise ValueError("substeps must be >= 1")
     pos, vel = state.positions[:, None].copy(), state.velocities[:, None].copy()
     integrator = Integrator([params], dt, effective_substeps(params, dt, substeps))
-    integrator.advance(pos, vel, np.asarray(wind_velocity, dtype=np.float64), [rng], state.time)
+    integrator.advance(pos, vel, np.asarray(wind_velocity, dtype=np.float64)[None], [rng], state.time)
     return WireState(pos[:, 0], vel[:, 0], state.time + dt)
 
 

@@ -251,10 +251,12 @@ class TestSweepCommand:
         # raises, and a sweep must record that error's text for the failing cells
         advance, targets = wire.Integrator.advance, []
 
-        def diverge_at_70(self, pos, vel, wind, rngs, time):
-            if round(time / self.dt) == 69:
-                pos[1, np.isin(self.coeff[:, 0], targets)] = np.nan
-            advance(self, pos, vel, wind, rngs, time)
+        def diverge_at_70(self, pos, vel, winds, rngs, time, track=None):
+            first = round(time / self.dt)  # the call's first interval, of len(winds)
+            if first <= 69 < first + len(winds):
+                winds = winds.copy()
+                winds[69 - first, np.isin(self.coeff[:, 0], targets)] = np.nan
+            advance(self, pos, vel, winds, rngs, time, track)
 
         monkeypatch.setattr(wire.Integrator, "advance", diverge_at_70)
         physes = [wire.PhysParams(total_mass=10.0), wire.PhysParams(total_mass=0.3, spring_constant=200.0)]
@@ -284,6 +286,50 @@ class TestSweepCommand:
         assert [(c["mass_kg"], c["policy"], c["error"]) for c in failed] == [
             (5.0, "stay", error), (5.0, "upper_limit", error)]
 
+    @pytest.mark.parametrize("interval, nan", [(65, "position"), (128, "wind")])
+    def test_wire_diverging_at_block_edge_fails_as_per_step(self, tmp_path, monkeypatch, interval, nan):
+        # a wire that goes non-finite in the first or the last interval of a rollout's second noise block, which
+        # one Integrator.advance call steps, raises what the per-step reference loop raises, and a sweep records
+        # that error's text for the failing cells: a NaN at point 1 when the block starts, which spreads point by
+        # point, or a NaN wind in the block's last interval
+        advance, targets = wire.Integrator.advance, []
+
+        def diverge(self, pos, vel, winds, rngs, time, track=None):
+            at, hit = interval - 1 - round(time / self.dt), np.isin(self.coeff[:, 0], targets)
+            if nan == "position" and at == 0:
+                pos[1, hit] = np.nan
+            elif nan == "wind" and 0 <= at < len(winds):
+                winds = winds.copy()
+                winds[at, hit] = np.nan
+            advance(self, pos, vel, winds, rngs, time, track)
+
+        monkeypatch.setattr(wire.Integrator, "advance", diverge)
+        physes = [wire.PhysParams(total_mass=10.0), wire.PhysParams(total_mass=0.3, spring_constant=200.0)]
+        targets.append(physes[1].tension_coeff)
+        env_cfg, policies = EnvConfig(), [Policy(PolicyKind.STAY), Policy(PolicyKind.UPPER_LIMIT)]
+        with pytest.raises(wire.SimulationDivergedError) as batch:
+            rollout(policies * 2, env_cfg, physes * 2, [[3, i] for i in range(4)], 200)
+        with pytest.raises(wire.SimulationDivergedError) as alone:
+            reference_average(policies[0], replace(env_cfg, phys=physes[1]), [3, 1], 200)
+        assert round(alone.value.time / env_cfg.tau) == interval and alone.value.n_sub == 2
+        assert (batch.value.time, batch.value.n_sub, batch.value.bad_points.tolist(), str(batch.value)) == (
+            alone.value.time, alone.value.n_sub, alone.value.bad_points.tolist(), str(alone.value))
+
+        cfg = write_cfg(tmp_path, SMALL_CFG.replace("observation_time_s: 0.4", "observation_time_s: 2.0"))
+        spec = tmp_path / "sweep.spec"
+        spec.write_text("mass_grid_kg: 10,5\nspring_grid_n_per_m: 100\npolicies: stay,upper_limit\n")
+        targets[:] = [wire.PhysParams(total_mass=5.0).tension_coeff]
+        assert main(["sweep", "--config", cfg, "--spec", str(spec), "--out", str(tmp_path / "bad")]) == 3
+        sweep_env = train_config_from_text(Path(cfg).read_text()).env
+        assert sweep_env.horizon == 200
+        with pytest.raises(wire.SimulationDivergedError) as cell:
+            reference_average(policies[0], replace(sweep_env, phys=wire.PhysParams(total_mass=5.0)), 0, 200)
+        assert round(cell.value.time / sweep_env.tau) == interval
+        failed = json.loads((tmp_path / "bad" / "manifest.json").read_text())["failed_cells"]
+        error = f"SimulationDivergedError: {cell.value}"
+        assert [(c["mass_kg"], c["policy"], c["error"]) for c in failed] == [
+            (5.0, "stay", error), (5.0, "upper_limit", error)]
+
     def test_diverging_cell_only_fails_itself(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path)
         spec = tmp_path / "sweep.spec"
@@ -293,9 +339,9 @@ class TestSweepCommand:
 
         advance = wire.Integrator.advance
 
-        def diverge_at_5_kg(self, pos, vel, wind, rngs, time):
+        def diverge_at_5_kg(self, pos, vel, winds, rngs, time, track=None):
             pos[1, self.coeff[:, 0] == 100.0 * 11 / 5.0] = np.nan
-            advance(self, pos, vel, wind, rngs, time)
+            advance(self, pos, vel, winds, rngs, time, track)
 
         # a 4 x 4 single-policy grid whose only diverging cell is 5 kg / 100 N/m
         big = tmp_path / "big.spec"
@@ -386,6 +432,15 @@ class TestAntennaPatternCommand:
         assert main(["antenna-pattern", "--az-start", "5", "--az-stop", "-5", "--out", str(out)]) == 1
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("flag", ["--az-start", "--az-stop", "--az-step"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_flag_rejected(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "ant"
+        assert main(["antenna-pattern", f"{flag}={value}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and flag in err[0] and "finite" in err[0]
+        assert not out.exists()
 
 def _pattern_columns(azimuths):
     """antenna-pattern's header and numpy columns over `azimuths`."""

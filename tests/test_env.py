@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import wirebeam as wb
 from wirebeam.env import (
+    NOISE_BLOCK,
     AdversaryAction,
     BeamTrackingEnv,
     EnvBatch,
@@ -270,3 +271,58 @@ class TestHeldState:
                 assert obs.tobytes() == batch.observe(np.array([b]))[0].tobytes()
                 assert p_r == powers[b]
         assert batch.time == lone[0].wire_state.time
+
+    @pytest.mark.parametrize("ambient_wind", [True, False])
+    def test_block_advance_equals_one_interval_advances(self, ambient_wind):
+        # two substep groups (index-array rows), a quiet row among noisy ones in the first, and a partial last
+        # block: block calls give the station tracks, times, states and generator states of one-interval calls
+        cfg = EnvConfig(ambient_wind=ambient_wind)
+        physes = [cfg.phys, replace(cfg.phys, total_mass=0.3, spring_constant=200.0),
+                  replace(cfg.phys, total_mass=5.0, wind_cov=np.zeros((3, 3))), replace(cfg.phys, total_mass=2.0)]
+        seeds = [[6, i] for i in range(4)]
+        a_a = np.array([AdversaryAction.STAY, AdversaryAction.UP, AdversaryAction.LEFT, AdversaryAction.STAY])
+        steps = 2 * NOISE_BLOCK + 5
+        one, block = EnvBatch.of(cfg, physes, seeds), EnvBatch.of(cfg, physes, seeds)
+        assert [rows.tolist() for rows, *_ in one.groups] == [[0, 2, 3], [1]]
+        assert [integrator.noisy for _, integrator, _ in one.groups] == [[0, 2], [0]]
+        one_pos, one_vel, one_times = np.empty((steps, 4, 3)), np.empty((steps, 4, 3)), []
+        for k in range(steps):
+            one_times += one.advance(a_a)
+            one_pos[k], one_vel[k] = one.sbs_position, one.sbs_velocity
+        track_pos, track_vel, times = np.empty((steps, 4, 3)), np.empty((steps, 4, 3)), []
+        for k in range(0, steps, NOISE_BLOCK):
+            end = min(k + NOISE_BLOCK, steps)
+            times += block.advance(a_a, (track_pos[k:end], track_vel[k:end]))
+        np.testing.assert_array_equal(track_pos, one_pos)
+        np.testing.assert_array_equal(track_vel, one_vel)
+        assert times == one_times and block.time == one.time == one_times[-1]
+        np.testing.assert_array_equal(block.pos, one.pos)
+        np.testing.assert_array_equal(block.vel, one.vel)
+        for (_, _, rngs), (_, _, one_rngs) in zip(block.groups, one.groups):
+            assert [rng.bit_generator.state for rng in rngs] == [rng.bit_generator.state for rng in one_rngs]
+
+    def test_block_advance_raises_the_earliest_divergence(self, monkeypatch):
+        # a NaN wind makes row 0 (the first group) go non-finite in interval 40 and row 1 (the second) in
+        # interval 20: the block call raises row 1's error, as one-interval calls do
+        cfg = EnvConfig()
+        physes = [cfg.phys, replace(cfg.phys, total_mass=0.3, spring_constant=200.0)]
+        bad_at, advance = {p.tension_coeff: at for p, at in zip(physes, (39, 19))}, wb.wire.Integrator.advance
+
+        def diverge(self, pos, vel, winds, rngs, time, track=None):
+            winds, first = winds.copy(), round(time / self.dt)
+            for coeff, at in bad_at.items():
+                if 0 <= at - first < len(winds):
+                    winds[at - first, self.coeff[:, 0] == coeff] = np.nan
+            advance(self, pos, vel, winds, rngs, time, track)
+
+        monkeypatch.setattr(wb.wire.Integrator, "advance", diverge)
+        errors = []
+        for block in (False, True):
+            batch = EnvBatch.of(cfg, physes, [1, 2])
+            with pytest.raises(wb.SimulationDivergedError) as err:
+                if block:
+                    batch.advance(np.zeros(2, dtype=np.int64), np.empty((2, NOISE_BLOCK, 2, 3)))
+                for _ in range(NOISE_BLOCK):
+                    batch.advance(np.zeros(2, dtype=np.int64))
+            errors.append((err.value.time, err.value.n_sub, err.value.bad_points.tolist(), str(err.value)))
+        assert errors[0] == errors[1] and round(errors[0][0] / cfg.tau) == 20 and errors[0][1] == 2

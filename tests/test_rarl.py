@@ -524,6 +524,19 @@ class TestRollout:
                 *_, power = env.step(ProtagonistAction[a_p.upper()])
                 assert (t, p_r, station_and_steer) == (env.time, power, [*env.sbs_position, *env.steer])
 
+    def test_integrator_calls_per_rollout(self, monkeypatch):
+        # 1000 adversary-free steps are 16 Integrator.advance calls per substep group, one per noise block; with an
+        # adversary row the block is one interval, so 1000 calls per group
+        calls, advance = [], wb.wire.Integrator.advance
+        monkeypatch.setattr(wb.wire.Integrator, "advance", lambda self, *args: calls.append(self) or advance(self, *args))
+        cfg, policies, seeds = wb.EnvConfig(), [Policy(PolicyKind.STAY)] * 2, [[41, 0], [41, 1]]
+        assert [wb.wire.effective_substeps(p, cfg.tau, cfg.substeps) for p in MIXED_PHYSES[:2]] == [1, 2]
+        rollout(policies, cfg, MIXED_PHYSES[:2], seeds, 1000)
+        assert len(calls) == 2 * 16 and len(set(calls)) == 2
+        calls.clear()
+        rollout(policies, cfg, MIXED_PHYSES[:2], seeds, 1000, adversary=[greedy_ckpt(7, 2), None])
+        assert len(calls) == 2 * 1000 and len(set(calls)) == 2
+
     def test_batch_rows_equal_single_rows(self):
         policy, cfg = Policy(PolicyKind.UPPER_LIMIT), wb.EnvConfig()
         _, rows = rollout([policy] * 3, cfg, MIXED_PHYSES, [1, 2, 3], 30, trajectory=True)

@@ -11,9 +11,11 @@ Four steps, all by default, or those named by --steps:
 calls   Layer calls: one `wirebeam sweep` command of the `sweep_grid`
         workload (seed0) per tree, each in a fresh process, with every
         function of COUNTED that the tree has wrapped to count its calls.
-        `benchmarks/tracer.py` has spans for neither `wire.Integrator.advance`
-        nor the link-geometry calls, so its trace cannot show where a
-        rollout's time goes; these counts show which calls went away.
+        `benchmarks/tracer.py` has spans for none of `wire.Integrator.advance`,
+        `env.EnvBatch.advance`, `deepq.QBlock.forward` or the link-geometry
+        calls, so its trace cannot show where a rollout's time goes; these
+        counts show which calls went away. `--count-calls TREE` runs this
+        step alone on one tree and prints its counts.
 pairs   End to end: `benchmarks/run.py --trace 0` on every workload,
         --pairs pairs per workload on seeds seed0, seed0 + 1, ...; parent
         and change alternate, and which side runs first alternates from
@@ -50,6 +52,8 @@ COUNTED = (
     ("radio", "element_pattern"),
     ("radio", "array_factor"),
     ("wire", "Integrator.advance"),
+    ("env", "EnvBatch.advance"),
+    ("deepq", "QBlock.forward"),
 )
 
 
