@@ -354,8 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(1, len(argv))):  # argparse reads a value such as -1e2 as a flag: join it to its flag
+        if argv[i - 1] in ("--az-start", "--az-stop", "--az-step") and argv[i].startswith("-"):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    args = build_parser().parse_args(argv)
     try:
         return _run(args)
     except _Rejected as exc:

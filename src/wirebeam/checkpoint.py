@@ -103,9 +103,16 @@ def load_checkpoint(path) -> AgentCheckpoint:
 
 
 def _from_header(header: dict, raw: bytes, offset: int, path) -> AgentCheckpoint:
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: checkpoint header is not a JSON object")
     if header["n_inputs"] != N_INPUTS:
         raise ValueError(f"{path}: header declares n_inputs {header['n_inputs']!r}; every network reads {N_INPUTS}")
-    net = QNetwork(header["hidden"], header["n_actions"])
+    hidden, n_actions = header["hidden"], header["n_actions"]
+    if not isinstance(hidden, list) or not hidden or any(type(w) is not int or w < 1 for w in hidden):
+        raise ValueError(f"{path}: header declares hidden {hidden!r}; a network needs layers of int width >= 1")
+    if type(n_actions) is not int or n_actions not in (5, 7):
+        raise ValueError(f"{path}: header declares n_actions {n_actions!r}; a network has 5 (tracker) or 7 (adversary)")
+    net = QNetwork(hidden, n_actions)
     if header["arrays"] != _array_specs(net.layout, header["adam"] is not None):
         raise ValueError(f"{path}: array shapes disagree with the declared layout")
     size = net.flat.size

@@ -9,7 +9,8 @@ reward is its exact negation (zero-sum).
 EnvBatch holds the state once, as arrays of leading shape () for one
 environment (BeamTrackingEnv) or (B,) for a batch (EnvBatch.of, which
 rarl.rollout and rarl.train step), its wires point-major: its methods are
-the only copy of the step arithmetic.
+the only copy of the step arithmetic. EnvBatch.advance steps any number of
+intervals and returns their times and the station track.
 """
 
 from __future__ import annotations
@@ -188,52 +189,43 @@ class EnvBatch:
     def sbs_velocity(self) -> np.ndarray:
         return self.vel[self.cfg.sbs_index]
 
-    @staticmethod
-    def observation(position, velocity, steer) -> np.ndarray:
+    def observe(self) -> np.ndarray:
         """What both agents see, in new memory: station position, velocity and
-        the beam direction of the steering angles `steer`, (..., 9)."""
-        return np.concatenate([position, velocity, beam_direction(*steer.T)], axis=-1)
+        the beam direction of the steering angles, (..., 9)."""
+        return np.concatenate([self.sbs_position, self.sbs_velocity, beam_direction(*self.steer.T)], axis=-1)
 
-    def observe(self, rows=()) -> np.ndarray:
-        """The observation of `rows` (an index of the leading shape)."""
-        return self.observation(self.sbs_position[rows], self.sbs_velocity[rows], self.steer[rows])
-
-    def advance(self, a_a, track=None) -> list:
-        """Advance every wire by tau, in place, under the ambient wind plus the
-        gust of each adversary action in a_a (STAY adds none); or, given
-        `track`, a pair of (L, ..., 3) buffers, by L intervals under the same
-        gusts, one Integrator.advance call per group, writing each row's
-        station position and velocity after interval l into track[0][l] and
-        track[1][l]. The ambient wind of each interval is env_wind at its start
-        time, the times adding tau once per interval. Returns the L times
-        after each interval. A wire that diverges raises the
+    def advance(self, a_a, intervals: int = 1):
+        """Advance every wire by `intervals` intervals of tau, in place, under
+        the ambient wind plus the gust of each adversary action in a_a (STAY
+        adds none), one Integrator.advance call per group. The ambient wind of
+        each interval is env_wind at its start time, the times adding tau once
+        per interval. Returns the `intervals` times after each interval and the
+        station track, (intervals, ..., 6): each row's station position and
+        velocity after each interval. A wire that diverges raises the
         SimulationDivergedError of a per-interval run: the earliest interval's,
         the first group's at a tie."""
         times = [self.time]
-        for _ in range(1 if track is None else len(track[0])):
+        for _ in range(intervals):
             times.append(times[-1] + self.cfg.tau)
         gust = self.gusts[a_a]  # (..., 3)
         if self.cfg.ambient_wind:
             ambient = np.array([wire.env_wind(t) for t in times[:-1]])
         else:
-            ambient = np.zeros((len(times) - 1, 3))
+            ambient = np.zeros((intervals, 3))
         winds = (ambient[:, None] if gust.ndim == 2 else ambient) + gust  # (L, ..., 3)
-        errors = []
+        track, errors = np.empty((intervals,) + self.pos.shape[1:-1] + (6,)), []
         for rows, integrator, rngs in self.groups:
             pos, vel = self.pos[:, rows], self.vel[:, rows]  # views, or copies for an index array
-            out = None if track is None else (self.cfg.sbs_index, track[0][:, rows], track[1][:, rows])
             try:
-                integrator.advance(pos, vel, winds[:, rows], rngs, self.time, out)
+                track[:, rows] = integrator.advance(pos, vel, winds[:, rows], rngs, times, self.cfg.sbs_index)
             except wire.SimulationDivergedError as error:
                 errors.append(error)
             if isinstance(rows, np.ndarray):
                 self.pos[:, rows], self.vel[:, rows] = pos, vel
-                if track is not None:
-                    track[0][:, rows], track[1][:, rows] = out[1:]
         if errors:
             raise min(errors, key=lambda error: error.time)
         self.time = times[-1]
-        return times[1:]
+        return times[1:], track
 
     def geometry(self, positions: np.ndarray):
         """The steering-free link terms of station positions toward the rows'

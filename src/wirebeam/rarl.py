@@ -204,21 +204,20 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
     EnvBatch, advanced a block at a time: the wire never depends on the
     tracker, so without adversaries a block is NOISE_BLOCK intervals, which
     one EnvBatch.advance call (one Integrator.advance call per substep group)
-    steps while recording the station track (positions, velocities, times),
-    and whose steering-free link terms EnvBatch.geometry computes in one call;
-    with any adversary, whose gusts read each step's observation, it is one
-    interval. Per block this loop builds every greedy player's normalised
-    position and velocity inputs from the recorded track (step j reads the
-    state after interval j - 1, the previous block's last for j = 0); per
-    step it adds the beam-direction inputs of the kept steering, runs one
-    stacked QBlock forward per group of distinct greedy agents (trackers and
-    adversaries alike) that share a trunk shape and a row count, and scores
-    one EnvBatch.score call over each oracle row's five candidate beams, then
+    steps, returning its times and station track, and whose steering-free
+    link terms EnvBatch.geometry computes in one call; with any adversary,
+    whose gusts read each step's observation, it is one interval. Step j of
+    a block observes track row j - 1 (the previous block's last for j = 0):
+    each stack of greedy players builds its inputs from that state and the
+    beam direction of the kept steering, and runs one stacked QBlock forward
+    per group of distinct greedy agents (trackers and adversaries alike)
+    that share a trunk shape and a row count. Each step scores one
+    EnvBatch.score call over each oracle row's five candidate beams, then
     every other row's chosen beam, keeping each oracle row's best. A random
-    row draws NOISE_BLOCK moves at a time from its own action stream, as the
-    batch draws its wire noise. A wire that diverges raises the
-    SimulationDivergedError of a per-step loop, with the same time and
-    points, only before the steps of its block are scored.
+    row draws each block's moves at once from its own action stream. A wire
+    that diverges raises the SimulationDivergedError of a per-step loop,
+    with the same time and points, only before the steps of its block are
+    scored.
 
     Returns the (B,) average powers in dBm and, with `trajectory`, one list
     of rows (step, t, p_r_dbm, r_p, a_p, a_a, sbs_x, sbs_y, sbs_z, theta_s,
@@ -251,32 +250,19 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
                 )
             norm = ObsNormalizer.at_rest(rest[own], scale)
             shared.setdefault((net.hidden, len(own)), []).append((slot, own, net, norm.offset, norm.scale))
-    # the block's station track, each row's position and velocity (..., 6): entry 0 the state that the block's
-    # first step observes, entry 1 + i the state after the block's interval i; entry -1 is carried to entry 0
-    # (at first, rest)
-    free = all(a is None for a in adversary)
-    span = NOISE_BLOCK if free else 1
-    track = np.empty((span + 1, len(seeds), 6))
-    track[-1] = np.concatenate([env.sbs_position, env.sbs_velocity], axis=-1)
     # players that share a trunk shape and a row count act through one stacked forward; sorted by slot, so
-    # each head group is one slot's players: per group its (P, R) rows, the (P, R, 6) offsets and (P, 1, 6)
-    # scales of the position and velocity inputs, those of the beam-direction inputs (3 columns), block, the
-    # (slot, (P_g, R) rows) that each head group's argmax is scattered to, and its (span, P, R, 9) inputs, whose
-    # position and velocity columns are filled once per block
+    # each head group is one slot's players: per group its (P, R) rows, (P, R, 9) offsets, (P, 1, 9) scales,
+    # block and the (slot, (P_g, R) rows) that each head group's argmax is scattered to
     stacks = []
     for group in shared.values():
         slots, own, nets, offsets, scales = zip(*sorted(group, key=lambda player: player[0]))
-        own, slots, offsets, scales = np.array(own), np.array(slots), np.array(offsets), np.array(scales)[:, None]
+        own, slots = np.array(own), np.array(slots)
         heads = [(slot, own[slots == slot]) for slot in np.unique(slots)]
-        inputs = np.empty((span,) + own.shape + rest.shape[-1:])
-        state, beam = (offsets[..., :6], scales[..., :6]), (offsets[..., 6:], scales[..., 6:])
-        stacks.append((own, state, beam, deepq.QBlock(nets), heads, inputs))
+        stacks.append((own, np.array(offsets), np.array(scales)[:, None], deepq.QBlock(nets), heads))
 
     kinds = np.array([p.kind for p in policies])
     randoms = np.flatnonzero(kinds == PolicyKind.RANDOM_UNIFORM)
-    # each random row's moves, NOISE_BLOCK steps per draw from its own action stream
-    draws = [np.random.default_rng(streams[b][1]) for b in randoms]
-    random_moves = np.empty((len(randoms), NOISE_BLOCK), dtype=np.int64)
+    draws = [np.random.default_rng(streams[b][1]) for b in randoms]  # each random row's own action stream
     # the beams each step scores, on the wire state the step keeps: every oracle row's five moves, then every
     # other row's chosen move (rewritten per step); `pick` is each row's kept candidate, an oracle row's best
     oracles, others = np.flatnonzero(kinds == PolicyKind.UPPER_LIMIT), np.flatnonzero(kinds != PolicyKind.UPPER_LIMIT)
@@ -288,41 +274,38 @@ def rollout(policies, env_cfg: EnvConfig, physes, seeds, steps: int, adversary=N
     a_p, a_a = chosen = np.zeros((2, len(kinds)), dtype=np.int64)  # views of `chosen`, written in place
     total = np.zeros(len(kinds))
     rows = [[] for _ in kinds]
-    for k in range(steps):
-        j = k % span
-        if j == 0:
-            intervals = min(span, steps - k)
-            track[0] = track[-1]
-            if free:  # advance through the block first: the wire never depends on the tracker
-                times = env.advance(a_a, (track[1 : intervals + 1, :, :3], track[1 : intervals + 1, :, 3:]))
-            for own, (offset, scale), _, _, _, inputs in stacks:
-                inputs[:intervals, ..., :6] = (track[:intervals, own] - offset) / scale
-        for own, _, (offset, scale), block, heads, inputs in stacks:
-            inputs[j, ..., 6:] = (beam_direction(*env.steer[own].T) - offset) / scale
-            for (slot, head_rows), q in zip(heads, block.forward(inputs[j])):
-                chosen[slot, head_rows] = np.argmax(q, axis=-1)
-        if k % NOISE_BLOCK == 0:
-            for row_moves, rng in zip(random_moves, draws):
-                row_moves[:] = rng.integers(N_PROTAGONIST_ACTIONS, size=NOISE_BLOCK)
-        a_p[randoms] = random_moves[:, k % NOISE_BLOCK]
+    free = all(a is None for a in adversary)
+    span = NOISE_BLOCK if free else 1
+    state = np.concatenate([env.sbs_position, env.sbs_velocity], axis=-1)  # the station state a step observes
+    for start in range(0, steps, span):
+        intervals = min(span, steps - start)
+        if free:  # advance through the block first: the wire never depends on the tracker
+            times, track = env.advance(a_a, intervals)
+        moves = np.reshape([rng.integers(N_PROTAGONIST_ACTIONS, size=intervals) for rng in draws], (-1, intervals))
+        for j in range(intervals):
+            for own, offset, scale, block, heads in stacks:
+                inputs = (np.concatenate([state[own], beam_direction(*env.steer[own].T)], axis=-1) - offset) / scale
+                for (slot, head_rows), q in zip(heads, block.forward(inputs)):
+                    chosen[slot, head_rows] = np.argmax(q, axis=-1)
+            a_p[randoms] = moves[:, j]
 
-        if j == 0:  # the block's link terms on each candidate's row: (4, intervals, candidates)
-            if not free:  # an adversary's gust reads this step's observation
-                times = env.advance(a_a, (track[1:2, :, :3], track[1:2, :, 3:]))
-            terms = np.stack(env.geometry(track[1 : intervals + 1, :, :3]))[..., cand_rows]
-        cand_moves[scored:] = a_p[others]
-        beams = env.steer[cand_rows] + env.moves[cand_moves]
-        powers = env.score(terms[:, j], beams)
-        best = np.argmax(powers[:scored].reshape(-1, N_PROTAGONIST_ACTIONS), axis=1)
-        a_p[oracles], pick[oracles] = best, first + best
-        env.steer, p_r = beams[pick], powers[pick]
-        total += p_r
+            if j == 0:  # the block's link terms on each candidate's row: (4, intervals, candidates)
+                if not free:  # an adversary's gust reads this step's observation
+                    times, track = env.advance(a_a)
+                terms = np.stack(env.geometry(track[..., :3]))[..., cand_rows]
+            cand_moves[scored:] = a_p[others]
+            beams = env.steer[cand_rows] + env.moves[cand_moves]
+            powers = env.score(terms[:, j], beams)
+            best = np.argmax(powers[:scored].reshape(-1, N_PROTAGONIST_ACTIONS), axis=1)
+            a_p[oracles], pick[oracles] = best, first + best
+            env.steer, p_r, state = beams[pick], powers[pick], track[j]
+            total += p_r
 
-        if trajectory:
-            for b, env_rows in enumerate(rows):
-                r_p = reward_from_power(p_r[b], env_cfg.clip_offset, env_cfg.clip_scale)
-                names = ProtagonistAction(a_p[b]).name.lower(), AdversaryAction(a_a[b]).name.lower()
-                env_rows.append((k, times[j], p_r[b], r_p, *names, *track[j + 1, b, :3], *env.steer[b]))
+            if trajectory:
+                for b, env_rows in enumerate(rows):
+                    r_p = reward_from_power(p_r[b], env_cfg.clip_offset, env_cfg.clip_scale)
+                    names = ProtagonistAction(a_p[b]).name.lower(), AdversaryAction(a_a[b]).name.lower()
+                    env_rows.append((start + j, times[j], p_r[b], r_p, *names, *state[b, :3], *env.steer[b]))
 
     return total / steps, rows if trajectory else None
 

@@ -12,8 +12,9 @@ semi-implicit Euler-Maruyama scheme (velocity first, position advanced
 with the updated velocity; the fully explicit variant is unstable at the
 default step for the stiffest modes). Integrator is the one stepper: it
 advances B point-major wires, (N, B, 3), in place by any number of
-decision intervals per call (the wires of an env.EnvBatch, for one), and
-`step` advances one (N, 3) wire by one interval into new arrays.
+decision intervals per call (the wires of an env.EnvBatch, for one) and
+returns the track of one point; `step` advances one (N, 3) wire by one
+interval into new arrays.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ class Integrator:
         self.kicks *= self.sqrt_h
         self.used = 0
 
-    def advance(self, pos: np.ndarray, vel: np.ndarray, winds: np.ndarray, rngs: list, time: float, track=None):
+    def advance(self, pos: np.ndarray, vel: np.ndarray, winds: np.ndarray, rngs: list, times, point: int) -> np.ndarray:
         """Advance point-major (N, B, 3) positions and velocities by L
         intervals of dt, in place, under the winds of L intervals, (L, 3)
         shared by all wires or (L, B, 3) per wire, each held over its interval:
@@ -230,10 +231,9 @@ class Integrator:
             x += v*h          (updated v; endpoints never move)
 
         Noise is i.i.d. per interior point per substep, wire b's from rngs[b]
-        (the same generators on every call), drawn a block at a time. With
-        `track`, a triple (point, positions, velocities) of a point index and
-        two (L, B, 3) buffers, each wire's pos[point] and vel[point] after
-        interval l go to positions[l] and velocities[l].
+        (the same generators on every call), drawn a block at a time. `times`
+        holds the L + 1 interval-edge times. Returns the (L, B, 6) track of
+        `point`: each wire's pos[point] and vel[point] after each interval.
 
         Finiteness is checked once per noise block that the call reaches, not
         per interval: the update only adds, subtracts and multiplies, which
@@ -241,12 +241,12 @@ class Integrator:
         move, so a wire that went non-finite anywhere in the block ends
         non-finite. The block is then rerun from its start state and its noise
         cursor (the kicks already drawn) one interval at a time, so the call
-        raises the SimulationDivergedError of a per-interval run, with the same
-        time (`time`, the call's start, plus dt once per interval), substep
-        count and points, for the first wire non-finite after its interval, and
-        leaves every generator where such a run leaves it.
+        raises the SimulationDivergedError of a per-interval run, at times[l + 1]
+        for the first interval l after which a wire is non-finite, with the same
+        substep count and points, and leaves every generator where such a run
+        leaves it.
         """
-        done = 0
+        track, done = np.empty((len(winds), pos.shape[1], 6)), 0
         while done < len(winds):
             if self.noisy and self.used == len(self.kicks):
                 self._draw(rngs)
@@ -254,28 +254,26 @@ class Integrator:
             if self.noisy:
                 count = min(count, len(self.kicks) - self.used)
             start = (pos.copy(), vel.copy(), self.used) if count > 1 else None
-            self._substeps(pos, vel, winds, done, count, track)
+            self._substeps(pos, vel, winds[done : done + count], track[done : done + count], point)
             if not _finite(pos, vel):
+                l = done
                 if start is not None:  # rerun the block one interval at a time up to its first bad one
                     pos[...], vel[...], self.used = start
                     for l in range(done, done + count):
-                        self._substeps(pos, vel, winds, l, 1, track)
+                        self._substeps(pos, vel, winds[l : l + 1], track[l : l + 1], point)
                         if not _finite(pos, vel):
                             break
-                        time += self.dt
                 bad = ~(np.isfinite(pos).all(axis=2) & np.isfinite(vel).all(axis=2))  # (N, B)
                 b = int(np.flatnonzero(bad.any(axis=0))[0])
-                raise SimulationDivergedError(time + self.dt, self.n_sub, np.flatnonzero(bad[:, b]))
-            for _ in range(count):
-                time += self.dt
+                raise SimulationDivergedError(times[l + 1], self.n_sub, np.flatnonzero(bad[:, b]))
             done += count
+        return track
 
-    def _substeps(self, pos, vel, winds, first: int, count: int, track):
-        """The substeps of intervals first, ..., first + count - 1 of `winds`, recording `track`."""
+    def _substeps(self, pos, vel, winds, track, point: int):
+        """The substeps of the intervals of `winds`, each wire's pos[point] and vel[point] after each into `track`."""
         h, inner, right, left, inner_vel = self.h, pos[1:-1], pos[2:], pos[:-2], vel[1:-1]
         accel, temp = self.accel, self.temp
-        for l in range(first, first + count):
-            wind = winds[l]
+        for wind, out in zip(winds, track):
             if self.noisy:
                 kicks = self.kicks[self.used]
                 self.used += 1
@@ -295,9 +293,7 @@ class Integrator:
                     dv[:, self.noisy] += kicks[s]
                 inner_vel += dv
                 inner += np.multiply(inner_vel, h, out=temp)
-            if track is not None:
-                point, positions, velocities = track
-                positions[l], velocities[l] = pos[point], vel[point]
+            out[:, :3], out[:, 3:] = pos[point], vel[point]
 
 
 def step(
@@ -320,7 +316,8 @@ def step(
         raise ValueError("substeps must be >= 1")
     pos, vel = state.positions[:, None].copy(), state.velocities[:, None].copy()
     integrator = Integrator([params], dt, effective_substeps(params, dt, substeps))
-    integrator.advance(pos, vel, np.asarray(wind_velocity, dtype=np.float64)[None], [rng], state.time)
+    winds = np.asarray(wind_velocity, dtype=np.float64)[None]
+    integrator.advance(pos, vel, winds, [rng], [state.time, state.time + dt], 0)
     return WireState(pos[:, 0], vel[:, 0], state.time + dt)
 
 

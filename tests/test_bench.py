@@ -4,6 +4,8 @@ import importlib
 import importlib.util
 import json
 import os
+import re
+import struct
 import subprocess
 import sys
 import time
@@ -251,12 +253,12 @@ class TestSweepCommand:
         # raises, and a sweep must record that error's text for the failing cells
         advance, targets = wire.Integrator.advance, []
 
-        def diverge_at_70(self, pos, vel, winds, rngs, time, track=None):
-            first = round(time / self.dt)  # the call's first interval, of len(winds)
+        def diverge_at_70(self, pos, vel, winds, rngs, times, point):
+            first = round(times[0] / self.dt)  # the call's first interval, of len(winds)
             if first <= 69 < first + len(winds):
                 winds = winds.copy()
                 winds[69 - first, np.isin(self.coeff[:, 0], targets)] = np.nan
-            advance(self, pos, vel, winds, rngs, time, track)
+            return advance(self, pos, vel, winds, rngs, times, point)
 
         monkeypatch.setattr(wire.Integrator, "advance", diverge_at_70)
         physes = [wire.PhysParams(total_mass=10.0), wire.PhysParams(total_mass=0.3, spring_constant=200.0)]
@@ -294,14 +296,14 @@ class TestSweepCommand:
         # point, or a NaN wind in the block's last interval
         advance, targets = wire.Integrator.advance, []
 
-        def diverge(self, pos, vel, winds, rngs, time, track=None):
-            at, hit = interval - 1 - round(time / self.dt), np.isin(self.coeff[:, 0], targets)
+        def diverge(self, pos, vel, winds, rngs, times, point):
+            at, hit = interval - 1 - round(times[0] / self.dt), np.isin(self.coeff[:, 0], targets)
             if nan == "position" and at == 0:
                 pos[1, hit] = np.nan
             elif nan == "wind" and 0 <= at < len(winds):
                 winds = winds.copy()
                 winds[at, hit] = np.nan
-            advance(self, pos, vel, winds, rngs, time, track)
+            return advance(self, pos, vel, winds, rngs, times, point)
 
         monkeypatch.setattr(wire.Integrator, "advance", diverge)
         physes = [wire.PhysParams(total_mass=10.0), wire.PhysParams(total_mass=0.3, spring_constant=200.0)]
@@ -339,9 +341,9 @@ class TestSweepCommand:
 
         advance = wire.Integrator.advance
 
-        def diverge_at_5_kg(self, pos, vel, winds, rngs, time, track=None):
+        def diverge_at_5_kg(self, pos, vel, winds, rngs, times, point):
             pos[1, self.coeff[:, 0] == 100.0 * 11 / 5.0] = np.nan
-            advance(self, pos, vel, winds, rngs, time, track)
+            return advance(self, pos, vel, winds, rngs, times, point)
 
         # a 4 x 4 single-policy grid whose only diverging cell is 5 kg / 100 N/m
         big = tmp_path / "big.spec"
@@ -441,6 +443,22 @@ class TestAntennaPatternCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and flag in err[0] and "finite" in err[0]
         assert not out.exists()
+
+    def test_negative_exponent_values_follow_their_flags(self, tmp_path, capsys):
+        # argparse alone reads a token such as -1e2 as a flag, not as the value of the flag before it
+        joined, split = tmp_path / "joined", tmp_path / "split"
+        assert main(["antenna-pattern", "--az-start=-1e2", "--az-stop=-5e1", "--out", str(joined)]) == 0
+        assert main(["antenna-pattern", "--az-start", "-1e2", "--az-stop", "-5e1", "--out", str(split)]) == 0
+        assert (split / "antenna_pattern.csv").read_bytes() == (joined / "antenna_pattern.csv").read_bytes()
+        assert len(read_rows(split / "antenna_pattern.csv")[1]) == 501
+        capsys.readouterr()
+        for flag in ("--az-start", "--az-stop", "--az-step"):
+            out = tmp_path / flag
+            assert main(["antenna-pattern", flag, "-inf", "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"antenna-pattern: {flag} must be finite, got -inf\n"
+            assert not out.exists()
+        assert main(["antenna-pattern", "--az-step", "-1e-1", "--out", str(tmp_path / "step")]) == 1
+        assert capsys.readouterr().err == "antenna-pattern: empty azimuth range\n"
 
 def _pattern_columns(azimuths):
     """antenna-pattern's header and numpy columns over `azimuths`."""
@@ -642,6 +660,40 @@ class TestActionCount:
         assert all("n_actions 7" in c["error"] for c in failed)
         _, rows = read_rows(out / "heatmap.csv")
         assert [r[3] != "nan" for r in rows] == [True, False, True, False]
+
+
+class TestCraftedHeader:
+    """A checkpoint header that is no JSON object, or declares a trunk or an action count that no network
+    has, is refused naming the file: eval prints one line, exits 1 and writes nothing, and a sweep fails only
+    that checkpoint's cells."""
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [(None, None), ("hidden", [2.5]), ("hidden", [-3]), ("hidden", []), ("hidden", [32, 0]), ("hidden", [True]),
+         ("hidden", 32), ("n_actions", 3), ("n_actions", 5.0)],
+        ids=str,
+    )
+    def test_refused_with_path(self, tmp_path, capsys, key, value):
+        # key None writes the whole header as a JSON list
+        path = Path(greedy_ckpt_path(tmp_path))
+        raw = path.read_bytes()
+        (length,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12 : 12 + length])
+        header = json.dumps([header] if key is None else {**header, key: value}).encode()
+        path.write_bytes(raw[:8] + struct.pack("<I", len(header)) + header + raw[12 + length :])
+        message = "checkpoint header is not a JSON object" if key is None else f"header declares {key} {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
+            load_checkpoint(path)
+        cfg, out = write_cfg(tmp_path), tmp_path / "run"
+        assert main(["eval", "--config", cfg, "--checkpoint", str(path), "--steps", "5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+        assert not out.exists()
+        spec, sweep = tmp_path / "sweep.spec", tmp_path / "sw"
+        spec.write_text(f"mass_grid_kg: 10\nspring_grid_n_per_m: 100\npolicies: stay,{path}\n")
+        assert main(["sweep", "--config", cfg, "--spec", str(spec), "--out", str(sweep)]) == 3
+        failed = json.loads((sweep / "manifest.json").read_text())["failed_cells"]
+        assert [(c["policy"], c["error"].startswith(f"ValueError: {path}: {message}")) for c in failed] == [(str(path), True)]
 
 
 class TestManifest:

@@ -242,11 +242,11 @@ class TestHeldState:
     def test_batch_observation_survives_advance(self):
         cfg = EnvConfig()
         batch = EnvBatch.of(cfg, [cfg.phys, replace(cfg.phys, total_mass=2.0)], [1, 2])
-        every, one = batch.observe(), batch.observe(np.array([1]))
+        every, one = batch.observe(), batch.observe()[1]
         kept = every.copy(), one.copy()
         batch.advance(np.array([AdversaryAction.UP, AdversaryAction.STAY]))
         batch.steer = batch.steer + batch.moves[[ProtagonistAction.UP, ProtagonistAction.LEFT]]
-        moved = batch.observe(), batch.observe(np.array([1]))
+        moved = batch.observe(), batch.observe()[1]
         np.testing.assert_array_equal(every, kept[0])
         np.testing.assert_array_equal(one, kept[1])
         assert not np.array_equal(moved[0], kept[0]) and not np.array_equal(moved[1], kept[1])
@@ -268,7 +268,7 @@ class TestHeldState:
             powers = batch.power(batch.steer)
             for b, env in enumerate(lone):
                 obs, _, _, p_r = env.step(ProtagonistAction(a_p[b]), AdversaryAction(a_a[b]))
-                assert obs.tobytes() == batch.observe(np.array([b]))[0].tobytes()
+                assert obs.tobytes() == batch.observe()[b].tobytes()
                 assert p_r == powers[b]
         assert batch.time == lone[0].wire_state.time
 
@@ -285,16 +285,17 @@ class TestHeldState:
         one, block = EnvBatch.of(cfg, physes, seeds), EnvBatch.of(cfg, physes, seeds)
         assert [rows.tolist() for rows, *_ in one.groups] == [[0, 2, 3], [1]]
         assert [integrator.noisy for _, integrator, _ in one.groups] == [[0, 2], [0]]
-        one_pos, one_vel, one_times = np.empty((steps, 4, 3)), np.empty((steps, 4, 3)), []
+        one_track, one_times = np.empty((steps, 4, 6)), []
         for k in range(steps):
-            one_times += one.advance(a_a)
-            one_pos[k], one_vel[k] = one.sbs_position, one.sbs_velocity
-        track_pos, track_vel, times = np.empty((steps, 4, 3)), np.empty((steps, 4, 3)), []
+            times, one_track[k : k + 1] = one.advance(a_a)
+            one_times += times
+            np.testing.assert_array_equal(one_track[k], np.concatenate([one.sbs_position, one.sbs_velocity], axis=-1))
+        track, times = np.empty((steps, 4, 6)), []
         for k in range(0, steps, NOISE_BLOCK):
             end = min(k + NOISE_BLOCK, steps)
-            times += block.advance(a_a, (track_pos[k:end], track_vel[k:end]))
-        np.testing.assert_array_equal(track_pos, one_pos)
-        np.testing.assert_array_equal(track_vel, one_vel)
+            block_times, track[k:end] = block.advance(a_a, end - k)
+            times += block_times
+        np.testing.assert_array_equal(track, one_track)
         assert times == one_times and block.time == one.time == one_times[-1]
         np.testing.assert_array_equal(block.pos, one.pos)
         np.testing.assert_array_equal(block.vel, one.vel)
@@ -308,12 +309,12 @@ class TestHeldState:
         physes = [cfg.phys, replace(cfg.phys, total_mass=0.3, spring_constant=200.0)]
         bad_at, advance = {p.tension_coeff: at for p, at in zip(physes, (39, 19))}, wb.wire.Integrator.advance
 
-        def diverge(self, pos, vel, winds, rngs, time, track=None):
-            winds, first = winds.copy(), round(time / self.dt)
+        def diverge(self, pos, vel, winds, rngs, times, point):
+            winds, first = winds.copy(), round(times[0] / self.dt)
             for coeff, at in bad_at.items():
                 if 0 <= at - first < len(winds):
                     winds[at - first, self.coeff[:, 0] == coeff] = np.nan
-            advance(self, pos, vel, winds, rngs, time, track)
+            return advance(self, pos, vel, winds, rngs, times, point)
 
         monkeypatch.setattr(wb.wire.Integrator, "advance", diverge)
         errors = []
@@ -321,7 +322,7 @@ class TestHeldState:
             batch = EnvBatch.of(cfg, physes, [1, 2])
             with pytest.raises(wb.SimulationDivergedError) as err:
                 if block:
-                    batch.advance(np.zeros(2, dtype=np.int64), np.empty((2, NOISE_BLOCK, 2, 3)))
+                    batch.advance(np.zeros(2, dtype=np.int64), NOISE_BLOCK)
                 for _ in range(NOISE_BLOCK):
                     batch.advance(np.zeros(2, dtype=np.int64))
             errors.append((err.value.time, err.value.n_sub, err.value.bad_points.tolist(), str(err.value)))

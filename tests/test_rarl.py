@@ -537,6 +537,16 @@ class TestRollout:
         rollout(policies, cfg, MIXED_PHYSES[:2], seeds, 1000, adversary=[greedy_ckpt(7, 2), None])
         assert len(calls) == 2 * 1000 and len(set(calls)) == 2
 
+    def test_random_row_beside_an_adversary_row_equals_it_alone(self):
+        # beside a greedy adversary the block is one interval, so the random row draws its moves one at a time;
+        # alone it draws them NOISE_BLOCK at a time: a bulk draw of the action stream equals sequential draws
+        random, cfg, steps = Policy(PolicyKind.RANDOM_UNIFORM), wb.EnvConfig(), 2 * NOISE_BLOCK + 3
+        avg, rows = rollout([random, Policy(PolicyKind.STAY)], cfg, MIXED_PHYSES[:2], [[43, 0], [43, 1]], steps,
+                            adversary=[None, greedy_ckpt(7, 2)], trajectory=True)
+        alone = rollout([random], cfg, MIXED_PHYSES[:1], [[43, 0]], steps, trajectory=True)
+        assert avg[0] == alone[0][0] and rows[0] == alone[1][0]
+        assert {row[4] for row in rows[0]} == {action.name.lower() for action in ProtagonistAction}
+
     def test_batch_rows_equal_single_rows(self):
         policy, cfg = Policy(PolicyKind.UPPER_LIMIT), wb.EnvConfig()
         _, rows = rollout([policy] * 3, cfg, MIXED_PHYSES, [1, 2, 3], 30, trajectory=True)

@@ -229,7 +229,7 @@ class TestStep:
         ref_rngs = [np.random.default_rng(i) for i in range(3)]
         integrator = wire.Integrator(params, TAU, n_sub)
         for k in range(50):
-            integrator.advance(pos, vel, winds[None], rngs, k * TAU)
+            integrator.advance(pos, vel, winds[None], rngs, [k * TAU, (k + 1) * TAU], 5)
             for x, v, w, p, rng in zip(ref_pos, ref_vel, winds, params, ref_rngs):
                 for _ in range(n_sub):
                     accel = p.gravity + p.tension_coeff * (x[2:] + x[:-2] - 2.0 * x[1:-1])
@@ -251,7 +251,7 @@ class TestStep:
             vel, rngs = np.zeros_like(pos), [np.random.default_rng(i) for i in range(2)]
             integrator = wire.Integrator(params, TAU, 2, block)
             for k in range(10):
-                integrator.advance(pos, vel, env_wind(k * TAU)[None], rngs, k * TAU)
+                integrator.advance(pos, vel, env_wind(k * TAU)[None], rngs, [k * TAU, (k + 1) * TAU], 5)
             states[block] = pos, vel, [rng.bit_generator.state for rng in rngs]
         np.testing.assert_array_equal(states[4][0], states[1][0])
         np.testing.assert_array_equal(states[4][1], states[1][1])
@@ -263,34 +263,39 @@ class TestStep:
     def test_interval_axis_equals_one_interval_calls(self, bad):
         # one call of 10 intervals on a block of 4 (its noise chunks cross two refills) against ten one-interval
         # calls: equal tracks, states and generator states, and, when a NaN wind makes wire 1 go non-finite in
-        # interval `bad`, the same error with its generators where the one-interval run leaves them
+        # interval `bad`, the same error with its generators where the one-interval run leaves them; a call that
+        # raises returns no track, so the one-interval tracks before `bad` are checked against a clean call's
         params = [PhysParams(total_mass=10.0), PhysParams(total_mass=5.0, wind_cov=np.zeros((3, 3))),
                   PhysParams(total_mass=2.0)]
-        winds = np.repeat(np.array([[[1.0, 0.0, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, 3.0]]]), 10, axis=0)
+        clean = np.repeat(np.array([[[1.0, 0.0, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, 3.0]]]), 10, axis=0)
+        winds, times = clean.copy(), [0.0]
+        for _ in range(10):
+            times.append(times[-1] + TAU)
         if bad is not None:
             winds[bad, 1] = np.nan
-        runs = []
-        for calls in ([slice(k, k + 1) for k in range(10)], [slice(0, 10)]):
+
+        def run(calls, winds):
             pos = np.stack([equilibrium_shape(p).positions for p in params], axis=1)
             vel, rngs = np.zeros_like(pos), [np.random.default_rng(i) for i in range(3)]
-            track, error = np.full((2, 10, 3, 3), -1.0), None
-            integrator, time = wire.Integrator(params, TAU, 2, 4), 0.0
+            track, error, integrator = np.full((10, 3, 6), -1.0), None, wire.Integrator(params, TAU, 2, 4)
             try:
                 for call in calls:
-                    integrator.advance(pos, vel, winds[call], rngs, time, (5, track[0, call], track[1, call]))
-                    time += TAU
+                    track[call] = integrator.advance(pos, vel, winds[call], rngs, times[call.start : call.stop + 1], 5)
             except SimulationDivergedError as err:
                 error = err.time, err.n_sub, err.bad_points.tolist(), str(err)
-            runs.append((track[:, : bad or 10], error, [rng.bit_generator.state for rng in rngs],
-                         None if bad else (pos, vel)))
-        (one_track, one_error, one_rngs, one_state), (track, error, rngs, state) = runs
-        np.testing.assert_array_equal(track, one_track)
+            return track, error, [rng.bit_generator.state for rng in rngs], (pos, vel)
+
+        one_track, one_error, one_rngs, one_state = run([slice(k, k + 1) for k in range(10)], winds)
+        track, error, rngs, state = run([slice(0, 10)], winds)
         assert error == one_error and rngs == one_rngs
         if bad is None:
             assert error is None
+            np.testing.assert_array_equal(track, one_track)
             np.testing.assert_array_equal(state, one_state)
         else:
             assert round(error[0] / TAU) == bad + 1 and error[2] == list(range(1, 10))
+            assert (track == -1.0).all()
+            np.testing.assert_array_equal(run([slice(0, 10)], clean)[0][:bad], one_track[:bad])
 
     def test_diverged_state_raises_with_metadata(self):
         p = PhysParams()
